@@ -42,7 +42,7 @@ def _cmd_pullback(args) -> int:
     ws = _load_workspace(args.workspace)
     phi = _need(ws, "morphisms", args.morphism)
     g = _need(ws, "functions", args.function)
-    order = args.order or ws.default_order
+    order = args.order if args.order is not None else ws.default_order
     print(serialize(pullback(phi, g, order)))
     return 0
 
@@ -51,7 +51,7 @@ def _cmd_compose(args) -> int:
     ws = _load_workspace(args.workspace)
     outer = _need(ws, "morphisms", args.outer)
     inner = _need(ws, "morphisms", args.inner)
-    order = args.order or ws.default_order
+    order = args.order if args.order is not None else ws.default_order
     print(serialize(compose(outer, inner, order).S))
     return 0
 

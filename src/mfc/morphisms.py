@@ -16,9 +16,7 @@ the tangent/antitangent identifications swap and sign the pairings.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .report import Report
@@ -39,6 +37,7 @@ from .superalg import (
     partial,
     set_to_zero,
     substitute,
+    truncate,
 )
 from .superforms import apply_operator, extend_d
 
@@ -48,10 +47,6 @@ KIND_ODD = "odd"
 
 class MorphismError(ValueError):
     """A generating function fails the thick-morphism contract."""
-
-
-def default_strict() -> bool:
-    return os.environ.get("MFC_STRICT", "1") != "0"
 
 
 def momentum_variable(coord: Variable, kind: str) -> Variable:
@@ -112,19 +107,13 @@ class ThickMorphism:
             out[c.coord] = d.scale(sign)
         return out
 
-    def source_momentum_relations(self) -> Dict[str, SuperSeries]:
-        """Canonical source momenta p_a = dS/dx^a as series."""
-        return {v.name: partial(self.S, v.name) for v in self.source}
-
 
 def mk_thick(source: Chart, target: Chart, kind: str, S: SuperSeries,
              order: int, conjugates: Optional[Sequence[Conjugate]] = None,
-             strict: Optional[bool] = None) -> ThickMorphism:
+             strict: bool = True) -> ThickMorphism:
     """Validate a generating function and build the morphism."""
     if kind not in (KIND_EVEN, KIND_ODD):
         raise ValueError(f"kind must be 'even' or 'odd', got {kind!r}")
-    if strict is None:
-        strict = default_strict()
     if conjugates is None:
         conjugates = canonical_conjugates(target, kind)
     conjugates = tuple(conjugates)
@@ -251,36 +240,46 @@ def pullback_chart(phi: ThickMorphism, n_eps: int,
                  depth=phi.source.depth)
 
 
-def _solve_relation(phi: ThickMorphism, h: SuperSeries, work: Chart,
-                    n_eps: int, sweeps: Optional[int] = None):
-    """Fixed point m_i = d h/d w^i(w), w^i from the relation, by sweeps.
+def _require_order(order: int):
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
 
-    ``h`` lives on (target coords + passive params) and every
-    coordinate-dependent term must carry the formal parameter, so each
-    sweep gains one parameter order.  Returns (w_series, mu_series).
+
+def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
+               order: int) -> SuperSeries:
+    """Stationary value of h(w) + S(x; mu) - <w, mu> over the middle point.
+
+    ``h`` lives on the target coordinates plus variables that map by
+    name onto ``work``.  Starting from the base map, each sweep sets
+    mu_i = sign_i dh/dw^i(w) and then w from the relation at mu; it
+    stops at the first sweep that leaves w unchanged and raises if w is
+    still moving after ``order + 1`` sweeps.
     """
-    if sweeps is None:
-        sweeps = n_eps
-    order = n_eps
-    src_images = {v.name: SuperSeries.of_var(work, v.name, order)
-                  for v in phi.source}
     base = base_map(phi)
     w = {v.name: embed(base.components[v.name], work, order) for v in phi.target}
-    mu = {c.momentum: SuperSeries.zero(work, order) for c in phi.conjugates}
+    relations = phi.coordinate_relations()
     dh = {c.coord: partial(h, c.coord) for c in phi.conjugates}
-    dS = {c.momentum: partial(phi.S, c.momentum) for c in phi.conjugates}
-    for _ in range(sweeps):
-        for c in phi.conjugates:
-            img = substitute(dh[c.coord], w, chart=work, order=order)
-            mu[c.momentum] = img.scale(c.sign)
-        for c in phi.conjugates:
-            sign = c.sign
-            if phi.kind == KIND_EVEN and phi.target.var(c.coord).parity == ODD:
-                sign = -sign
-            img = substitute(dS[c.momentum], {**src_images, **mu},
-                             chart=work, order=order)
-            w[c.coord] = img.scale(sign)
-    return w, mu
+    for _ in range(order + 1):
+        mu = {c.momentum: substitute(dh[c.coord], w, chart=work, order=order).scale(c.sign)
+              for c in phi.conjugates}
+        new = {coord: substitute(rel, mu, chart=work, order=order)
+               for coord, rel in relations.items()}
+        # Every coordinate-dependent term of h carries weight >= 1 (eps in
+        # pullback_series, the outer momenta of a normalized compose
+        # factor), so w reaches mu and the output only one weight up: its
+        # terms of weight ``order`` cannot matter, and a sweep that leaves
+        # w unchanged below that weight has found the fixed point.
+        moved = any(truncate(new[k], order - 1) != truncate(w[k], order - 1) for k in w)
+        w = new
+        if not moved:
+            break
+    else:
+        raise MorphismError(f"relation still moving after {order + 1} sweeps")
+    out = substitute(h, w, chart=work, order=order)
+    out = out + substitute(phi.S, mu, chart=work, order=order)
+    for c in phi.conjugates:
+        out = out - mul(w[c.coord], mu[c.momentum].scale(c.sign))
+    return out
 
 
 def pullback_series(phi: ThickMorphism, h: SuperSeries, n_eps: int,
@@ -290,6 +289,7 @@ def pullback_series(phi: ThickMorphism, h: SuperSeries, n_eps: int,
     ``h`` lives on (eps, params, target coordinates).  Used directly
     for contravariance checks; ordinary inputs go through ``pullback``.
     """
+    _require_order(n_eps)
     work = pullback_chart(phi, n_eps, params)
     h_chart = Chart("h", (work.var(EPS),) + tuple(params) + tuple(phi.target.variables))
     if h.chart != h_chart:
@@ -297,13 +297,7 @@ def pullback_series(phi: ThickMorphism, h: SuperSeries, n_eps: int,
     for m in h.terms:
         if m[0] == 0 and any(m[h_chart.index(v.name)] for v in phi.target):
             raise MorphismError("coordinate-dependent terms must carry eps")
-    w, mu = _solve_relation(phi, h, work, n_eps)
-    src = {v.name: SuperSeries.of_var(work, v.name, n_eps) for v in phi.source}
-    out = substitute(h, w, chart=work, order=n_eps)
-    out = out + substitute(phi.S, {**src, **mu}, chart=work, order=n_eps)
-    for c in phi.conjugates:
-        out = out - mul(w[c.coord], mu[c.momentum].scale(c.sign))
-    return out
+    return _eliminate(phi, h, work, n_eps)
 
 
 def pullback(phi: ThickMorphism, g: SuperSeries, n_eps: int,
@@ -328,7 +322,11 @@ def pullback(phi: ThickMorphism, g: SuperSeries, n_eps: int,
 
 
 def compose(outer: ThickMorphism, inner: ThickMorphism, order: int) -> ThickMorphism:
-    """Eliminate the middle manifold order by order in the new momenta."""
+    """Eliminate the middle manifold: the composite is generated by the
+    stationary value of outer.S(y; r) + inner.S(x; q) - <y, q> over (y, q),
+    found by ``_eliminate``'s fixed-point sweeps, which certify that they
+    converged."""
+    _require_order(order)
     if outer.kind != inner.kind:
         raise MorphismError("cannot compose morphisms of different kinds")
     if outer.source != inner.target:
@@ -337,28 +335,6 @@ def compose(outer: ThickMorphism, inner: ThickMorphism, order: int) -> ThickMorp
         raise MorphismError("composition requires zero-momentum-normalized factors")
     out_momenta = [outer.chart.var(c.momentum) for c in outer.conjugates]
     work = combined_chart(inner.source, outer.target, outer.kind, out_momenta)
-    work_order = order
-    src = {v.name: SuperSeries.of_var(work, v.name, work_order) for v in inner.source}
-    outm = {m.name: SuperSeries.of_var(work, m.name, work_order) for m in out_momenta}
-    base = base_map(inner)
-    y = {v.name: embed(base.components[v.name], work, work_order)
-         for v in inner.target}
-    q = {c.momentum: SuperSeries.zero(work, work_order) for c in inner.conjugates}
-    dS1 = {c.momentum: partial(inner.S, c.momentum) for c in inner.conjugates}
-    dS2 = {c.coord: partial(outer.S, c.coord) for c in inner.conjugates}
-    for _ in range(order + 1):
-        for c in inner.conjugates:
-            img = substitute(dS2[c.coord], {**y, **outm}, chart=work, order=work_order)
-            q[c.momentum] = img.scale(c.sign)
-        for c in inner.conjugates:
-            sign = c.sign
-            if inner.kind == KIND_EVEN and inner.target.var(c.coord).parity == ODD:
-                sign = -sign
-            img = substitute(dS1[c.momentum], {**src, **q}, chart=work, order=work_order)
-            y[c.coord] = img.scale(sign)
-    S = substitute(outer.S, {**y, **outm}, chart=work, order=work_order)
-    S = S + substitute(inner.S, {**src, **q}, chart=work, order=work_order)
-    for c in inner.conjugates:
-        S = S - mul(y[c.coord], q[c.momentum].scale(c.sign))
-    return mk_thick(inner.source, outer.target, outer.kind, S, order,
+    return mk_thick(inner.source, outer.target, outer.kind,
+                    _eliminate(inner, outer.S, work, order), order,
                     conjugates=outer.conjugates)

@@ -247,10 +247,6 @@ class SuperSeries:
     def degree(self) -> int:
         return max((self.chart.mono_degree(m) for m in self.terms), default=0)
 
-    def uses(self, name: str) -> bool:
-        i = self.chart.index(name)
-        return any(m[i] for m in self.terms)
-
     def variables_used(self):
         used = set()
         for m in self.terms:

@@ -110,6 +110,11 @@ def tokenize(text: str) -> List[Token]:
     return tokens
 
 
+# A power is expanded by repeated multiplication; it may take at most this
+# many steps and reach at most this many terms before it is rejected.
+MAX_POWER_TERMS = 1000
+
+
 class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
@@ -163,6 +168,9 @@ class _Parser:
             if "/" in e.text:
                 raise ParseError("exponent must be an integer", e.line, e.col)
             n = int(e.text)
+            if n > MAX_POWER_TERMS:
+                raise ParseError(f"exponent must be at most {MAX_POWER_TERMS}",
+                                 e.line, e.col)
             if base.chart is chart and len(base.terms) == 1:
                 (mono, coeff), = base.terms.items()
                 for i, ee in enumerate(mono):
@@ -170,7 +178,13 @@ class _Parser:
                         raise ParseError(
                             f"odd variable {chart.variables[i].name!r} squared",
                             e.line, e.col)
-            return base ** n
+            out = SuperSeries.const(base.chart, 1, base.order)
+            for _ in range(n):
+                out = mul(out, base)
+                if len(out.terms) > MAX_POWER_TERMS:
+                    raise ParseError(f"power expands past {MAX_POWER_TERMS} terms",
+                                     e.line, e.col)
+            return out
         return base
 
     def atom(self, chart: Chart, order: int) -> SuperSeries:
@@ -198,6 +212,14 @@ def parse_series(text: str, chart: Chart, order: int) -> SuperSeries:
 
 
 # -- workspace -------------------------------------------------------------
+
+
+def _order_value(tok: Token) -> int:
+    """An order setting or attribute: an integer literal >= 1."""
+    if tok.kind != "number" or "/" in tok.text or int(tok.text) < 1:
+        raise ParseError(f"order must be an integer >= 1, found {tok.text!r}",
+                         tok.line, tok.col)
+    return int(tok.text)
 
 
 @dataclass
@@ -233,6 +255,8 @@ def parse_workspace(text: str, strict: Optional[bool] = None) -> Workspace:
             val = p.next()
             if val.kind not in ("number", "ident"):
                 p.fail("expected a setting value")
+            if key == "order":
+                _order_value(val)
             ws.settings[key] = val.text
         elif head.text == "chart":
             name = p.expect("ident").text
@@ -263,11 +287,11 @@ def parse_workspace(text: str, strict: Optional[bool] = None) -> Workspace:
             while p.peek().text != "{":
                 key = p.expect("ident").text
                 p.expect("op", "=")
-                val = p.next().text
+                val = p.next()
                 if key == "kind":
-                    kind = val
+                    kind = val.text
                 elif key == "order":
-                    order = int(val)
+                    order = _order_value(val)
                 else:
                     p.fail(f"unknown morphism attribute {key!r}")
             if kind not in ("even", "odd"):

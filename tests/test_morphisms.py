@@ -13,6 +13,7 @@ from mfc.morphisms import (
     Conjugate,
     MorphismError,
     ThickMorphism,
+    _eliminate,
     base_map,
     combined_chart,
     compose,
@@ -111,6 +112,14 @@ class TestValidation:
             mk_thick(src, tgt, KIND_EVEN, S, ORDER, strict=True)
         phi = mk_thick(src, tgt, KIND_EVEN, S, ORDER, strict=False)
         assert not phi.normalized
+
+    def test_strict_by_default(self):
+        src, tgt = chart_x(), chart_y()
+        c = combined_chart(src, tgt, KIND_EVEN)
+        x = SuperSeries.of_var(c, "x", ORDER)
+        S = mul(x, SuperSeries.of_var(c, "q_y", ORDER)) + x ** 2
+        with pytest.raises(MorphismError, match="strict"):
+            mk_thick(src, tgt, KIND_EVEN, S, ORDER)
 
     def test_constant_offset_allowed(self):
         src, tgt = chart_x(), chart_y()
@@ -241,6 +250,24 @@ class TestPullback:
         g = SuperSeries.of_var(chart_z(), "z", 2)
         with pytest.raises(ChartMismatch):
             pullback(golden_phi(2), g, 2)
+
+    def test_eliminator_rejects_weight_zero_coordinate_terms(self):
+        # h = y^2 without eps: every sweep feeds w back at weight zero
+        # (w = x + 2w), so the sweeps never settle and must not be trusted.
+        phi = golden_phi(2)
+        work = pullback_chart(phi, 2)
+        h_chart = Chart("h", (work.var(EPS),) + tuple(phi.target.variables))
+        h = SuperSeries.of_var(h_chart, "y", 2) ** 2
+        with pytest.raises(MorphismError, match="sweeps"):
+            _eliminate(phi, h, work, 2)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_rejected(self, order):
+        g = SuperSeries.of_var(chart_y(), "y", 2) ** 2
+        with pytest.raises(ValueError, match="at least 1"):
+            pullback(golden_phi(2), g, order)
+        with pytest.raises(ValueError, match="at least 1"):
+            compose(golden_psi(), golden_phi(), order)
 
     def test_series_without_eps_rejected(self):
         phi = golden_phi(2)

@@ -128,6 +128,12 @@ class TestParser:
             parse_series("x + $", self.chart(), ORDER)
         assert exc.value.col == 5
 
+    def test_power_exponent_limit(self):
+        c = self.chart()
+        with pytest.raises(ParseError, match="at most") as exc:
+            parse_series("x^100000000", c, ORDER)
+        assert (exc.value.line, exc.value.col) == (1, 3)
+
 
 class TestWorkspace:
     def test_parses_golden(self):
@@ -153,6 +159,20 @@ class TestWorkspace:
     def test_bad_parity(self):
         with pytest.raises(ParseError):
             parse_workspace("chart M { x : sideways }")
+
+    @pytest.mark.parametrize("value", ["abc", "0", "3/2", "{"])
+    def test_morphism_order_positioned(self, value):
+        text = ("chart M { x : even }\nchart N { y : even }\n"
+                f"morphism Phi : M -> N kind=even order={value} {{ S = x*q_y }}")
+        with pytest.raises(ParseError, match="order") as exc:
+            parse_workspace(text)
+        assert (exc.value.line, exc.value.col) == (3, 39)
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_set_order_positioned(self, value):
+        with pytest.raises(ParseError, match="order") as exc:
+            parse_workspace(f"chart M {{ x : even }}\nset order = {value}\n")
+        assert (exc.value.line, exc.value.col) == (2, 13)
 
     def test_strict_normalization_enforced(self):
         from mfc.morphisms import MorphismError
@@ -211,6 +231,28 @@ class TestCli:
     def test_bad_arguments_usage_error(self, capsys):
         assert main(["lift"]) == 2
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    def test_order_below_one_usage_error(self, ws_file, capsys, order):
+        for argv in (["pullback", ws_file, "--morphism", "Phi", "--function", "gsq"],
+                     ["compose", ws_file, "--outer", "Psi", "--inner", "Phi"]):
+            assert main(argv + ["--order", order]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "order must be at least 1" in err
+
+    def test_hostile_power_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "power.mfc"
+        bad.write_text("chart M { x : even, z : even }\n"
+                       "function f on M { (x+z+1)^400 }\n")
+        assert main(["check", str(bad)]) == 2
+        assert "error: 2:27:" in capsys.readouterr().err
+
+    def test_bad_order_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "order.mfc"
+        bad.write_text(WORKSPACE.replace("order=3", "order=abc", 1))
+        assert main(["check", str(bad)]) == 2
+        assert "error: 9:39:" in capsys.readouterr().err
 
     def test_parse_error_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mfc"
