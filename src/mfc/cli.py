@@ -67,14 +67,20 @@ def _cmd_lift(args) -> int:
 
 def _cmd_verify(args) -> int:
     from . import testkit
+    order = args.order if args.order is not None else (
+        4 if args.suite == "identifications" else 3)
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
+    if args.trials < 1:
+        raise ValueError(f"trials must be at least 1, got {args.trials}")
     runners = {
-        "identifications": lambda: testkit.suite_identifications(order=args.order or 4),
+        "identifications": lambda: testkit.suite_identifications(order=order),
         "functoriality": lambda: testkit.suite_functoriality(
-            seed=args.seed, trials=args.trials, order=args.order or 3),
+            seed=args.seed, trials=args.trials, order=order),
         "qmorphism": lambda: testkit.suite_qmorphism(
-            seed=args.seed, trials=args.trials, order=args.order or 3),
+            seed=args.seed, trials=args.trials, order=order),
         "pullback-props": lambda: testkit.suite_pullback_props(
-            seed=args.seed, trials=args.trials, order=args.order or 3),
+            seed=args.seed, trials=args.trials, order=order),
     }
     report = runners[args.suite]()
     print(report.render())

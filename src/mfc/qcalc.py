@@ -11,7 +11,7 @@ Hamilton-Jacobi residual below vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from .report import Report
 from .superalg import (
@@ -33,20 +33,12 @@ from .superalg import (
 from .superforms import (
     PITSTAR,
     TSTAR,
-    StructureError,
+    de_rham,
     extend_chart,
     poisson_bracket,
 )
 from .morphisms import EPS, KIND_EVEN, ThickMorphism, pullback
 from .functors import antitangent_lift
-
-# Global sign relating the eps-linearized exterior differential of a
-# pulled-back form to the pullback of the differentiated form.  Fixed
-# once on classical maps (where pullback and d commute on the nose) and
-# frozen; the calibration suite fails loudly if any classical case
-# disagrees.
-INTERTWINE_SIGN = 1
-
 
 @dataclass(frozen=True)
 class HomologicalField:
@@ -68,18 +60,9 @@ class HomologicalField:
 
 def de_rham_field(chart: Chart, order: int = 6) -> HomologicalField:
     """The exterior differential as a field on a PiT-extended chart."""
-    comps = {}
-    found = False
-    for v in chart:
-        p = "par_" + v.name
-        if p in chart and not v.name.startswith("par_"):
-            comps[v.name] = SuperSeries.of_var(chart, p, order)
-            found = True
-        else:
-            comps[v.name] = SuperSeries.zero(chart, order)
-    if not found:
-        raise StructureError(f"chart {chart.name!r} carries no par-level")
-    return HomologicalField(chart, comps)
+    return HomologicalField(chart, {
+        v.name: de_rham(SuperSeries.of_var(chart, v.name, order), "par")
+        for v in chart})
 
 
 def hamiltonian_of_field(q: HomologicalField, structure: str) -> SuperSeries:
@@ -141,30 +124,16 @@ def check_antitangent_q(phi: ThickMorphism, order: int,
     return report
 
 
-def _source_de_rham(series: SuperSeries) -> SuperSeries:
-    """Exterior differential v -> par_v on the series' own chart."""
-    chart = series.chart
-    images = {}
-    for v in chart:
-        p = "par_" + v.name
-        if p in chart and not v.name.startswith("par_"):
-            images[v.name] = SuperSeries.of_var(chart, p, series.order)
-    if not images:
-        raise StructureError(f"chart {chart.name!r} carries no par-level")
-    from .superalg import deriv
-    return deriv(series, images, ODD)
-
-
 def closedness_check(phi: ThickMorphism, omega: SuperSeries, n_eps: int,
                      name: str = "closedness") -> Report:
     """Pullbacks of closed forms through the antitangent lift stay closed."""
     lifted = antitangent_lift(phi)
     omega = embed(omega, lifted.target, omega.order)
-    if not _source_de_rham(omega).is_zero():
+    if not de_rham(omega, "par").is_zero():
         raise ValueError("omega is not closed (precondition)")
     rho = pullback(lifted, omega, n_eps)
     report = Report(name)
-    report.check_zero(name, _source_de_rham(rho))
+    report.check_zero(name, de_rham(rho, "par"))
     return report
 
 
@@ -205,10 +174,11 @@ def derivative_homomorphism_check(phi: ThickMorphism, f: SuperSeries,
 def intertwining_check(phi: ThickMorphism, omega: SuperSeries, n_eps: int,
                        name: str = "intertwining") -> Report:
     """The eps-linearized exterior differential commutes with the lifted
-    pullback, up to the frozen global sign."""
+    pullback: the tau-linear part of the pullback of omega + tau d(omega)
+    equals d of the pullback of omega."""
     lifted = antitangent_lift(phi)
     omega = embed(omega, lifted.target, omega.order)
-    d_omega = _source_de_rham(omega)
+    d_omega = de_rham(omega, "par")
     tau = Variable("tau", ODD, ROLE_PARAM, 0)
     tgt = Chart("g", (tau,) + tuple(lifted.target.variables))
     probe = embed(omega, tgt, omega.order) + mul(
@@ -216,31 +186,8 @@ def intertwining_check(phi: ThickMorphism, omega: SuperSeries, n_eps: int,
     full = pullback(lifted, probe, n_eps, params=(tau,))
     linear = partial(full, "tau")
     plain = pullback(lifted, omega, n_eps)
-    expected = embed(_source_de_rham(plain), linear.chart, n_eps)
+    expected = embed(de_rham(plain, "par"), linear.chart, n_eps)
     report = Report(name)
-    report.check_zero(name, linear - expected.scale(INTERTWINE_SIGN))
+    report.check_zero(name, linear - expected)
     return report
 
-
-def calibrate_intertwining_sign(phi: ThickMorphism, omega: SuperSeries,
-                                n_eps: int) -> Optional[int]:
-    """Which global sign makes the intertwining identity hold; None if
-    neither (or the comparison is degenerate)."""
-    lifted = antitangent_lift(phi)
-    omega = embed(omega, lifted.target, omega.order)
-    d_omega = _source_de_rham(omega)
-    tau = Variable("tau", ODD, ROLE_PARAM, 0)
-    tgt = Chart("g", (tau,) + tuple(lifted.target.variables))
-    probe = embed(omega, tgt, omega.order) + mul(
-        SuperSeries.of_var(tgt, "tau", omega.order), embed(d_omega, tgt, omega.order))
-    full = pullback(lifted, probe, n_eps, params=(tau,))
-    linear = partial(full, "tau")
-    plain = pullback(lifted, omega, n_eps)
-    expected = embed(_source_de_rham(plain), linear.chart, n_eps)
-    if linear.is_zero() and expected.is_zero():
-        return None
-    if linear == expected:
-        return 1
-    if linear == -expected:
-        return -1
-    return 0

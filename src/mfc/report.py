@@ -13,18 +13,15 @@ class CheckResult:
     name: str
     passed: bool
     residual: Optional[SuperSeries] = None
-    note: str = ""
 
     def rename(self, name: str) -> "CheckResult":
-        return CheckResult(name, self.passed, self.residual, self.note)
+        return CheckResult(name, self.passed, self.residual)
 
     def render(self) -> str:
         line = f"CHECK {self.name} {'PASS' if self.passed else 'FAIL'}"
         if not self.passed and self.residual is not None:
             from .textio import serialize
             line += f" residual={serialize(self.residual)}"
-        if self.note:
-            line += f" [{self.note}]"
         return line
 
 
@@ -33,9 +30,9 @@ class Report:
     name: str
     checks: List[CheckResult] = field(default_factory=list)
 
-    def add(self, name: str, passed: bool, residual: Optional[SuperSeries] = None,
-            note: str = "") -> CheckResult:
-        r = CheckResult(name, passed, residual, note)
+    def add(self, name: str, passed: bool,
+            residual: Optional[SuperSeries] = None) -> CheckResult:
+        r = CheckResult(name, passed, residual)
         self.checks.append(r)
         return r
 
@@ -43,8 +40,8 @@ class Report:
         self.checks.append(check)
         return check
 
-    def check_zero(self, name: str, residual: SuperSeries, note: str = "") -> CheckResult:
-        return self.add(name, residual.is_zero(), residual, note)
+    def check_zero(self, name: str, residual: SuperSeries) -> CheckResult:
+        return self.add(name, residual.is_zero(), residual)
 
     @property
     def passed(self) -> bool:
@@ -52,6 +49,3 @@ class Report:
 
     def render(self) -> str:
         return "\n".join(c.render() for c in self.checks)
-
-    def extend(self, other: "Report"):
-        self.checks.extend(other.checks)

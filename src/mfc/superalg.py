@@ -136,9 +136,6 @@ class Chart:
     def mono_weight(self, mono: tuple) -> int:
         return sum(e * w for e, w in zip(mono, self.weights) if e)
 
-    def mono_degree(self, mono: tuple) -> int:
-        return sum(mono)
-
     def mono_base_degree(self, mono: tuple) -> int:
         return sum(e for e, w in zip(mono, self.weights) if w == 0)
 
@@ -243,9 +240,6 @@ class SuperSeries:
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.chart), Fraction(0))
-
-    def degree(self) -> int:
-        return max((self.chart.mono_degree(m) for m in self.terms), default=0)
 
     def variables_used(self):
         used = set()

@@ -34,7 +34,6 @@ from .superalg import (
     flip,
     mul,
     partial,
-    substitute,
     truncate_base_degree,
 )
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .superalg import Chart, ODD, SuperSeries, mul
 
@@ -113,12 +113,17 @@ def tokenize(text: str) -> List[Token]:
 # A power is expanded by repeated multiplication; it may take at most this
 # many steps and reach at most this many terms before it is rejected.
 MAX_POWER_TERMS = 1000
+# One expression may multiply at most this many pairs of terms, summed over
+# its products and power steps.  A bound on each product alone would still
+# let (x+1)^500 take seconds through five hundred small steps.
+MAX_TERM_PAIRS = 10000
 
 
 class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.pairs = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -141,6 +146,19 @@ class _Parser:
 
     # expression grammar over a fixed chart -----------------------------
 
+    def body(self, chart: Chart, order: int) -> SuperSeries:
+        """One complete expression, with its own term-pair budget."""
+        self.pairs = 0
+        return self.expr(chart, order)
+
+    def product(self, a: SuperSeries, b: SuperSeries, at: Token) -> SuperSeries:
+        """mul(a, b), refused at ``at`` if it would exceed the budget."""
+        self.pairs += len(a.terms) * len(b.terms)
+        if self.pairs > MAX_TERM_PAIRS:
+            raise ParseError(f"expression multiplies more than {MAX_TERM_PAIRS} "
+                             "term pairs", at.line, at.col)
+        return mul(a, b)
+
     def expr(self, chart: Chart, order: int) -> SuperSeries:
         out = self.term(chart, order)
         while self.peek().text in ("+", "-"):
@@ -152,8 +170,8 @@ class _Parser:
     def term(self, chart: Chart, order: int) -> SuperSeries:
         out = self.factor(chart, order)
         while self.peek().text == "*":
-            self.next()
-            out = mul(out, self.factor(chart, order))
+            op = self.next()
+            out = self.product(out, self.factor(chart, order), op)
         return out
 
     def factor(self, chart: Chart, order: int) -> SuperSeries:
@@ -180,7 +198,7 @@ class _Parser:
                             e.line, e.col)
             out = SuperSeries.const(base.chart, 1, base.order)
             for _ in range(n):
-                out = mul(out, base)
+                out = self.product(out, base, e)
                 if len(out.terms) > MAX_POWER_TERMS:
                     raise ParseError(f"power expands past {MAX_POWER_TERMS} terms",
                                      e.line, e.col)
@@ -205,7 +223,7 @@ class _Parser:
 def parse_series(text: str, chart: Chart, order: int) -> SuperSeries:
     """Parse a standalone expression on a known chart."""
     p = _Parser(tokenize(text))
-    out = p.expr(chart, order)
+    out = p.body(chart, order)
     if p.peek().kind != "eof":
         p.fail("trailing input")
     return out
@@ -238,14 +256,12 @@ class Workspace:
         return self.settings.get("strict", "1") != "0"
 
 
-def parse_workspace(text: str, strict: Optional[bool] = None) -> Workspace:
+def parse_workspace(text: str) -> Workspace:
     from .morphisms import mk_thick
     from .superalg import Variable, EVEN, ODD
     from .superforms import extend_chart, PIT, T
 
     ws = Workspace()
-    if strict is not None:
-        ws.settings["strict"] = "1" if strict else "0"
     p = _Parser(tokenize(text))
     while p.peek().kind != "eof":
         head = p.expect("ident")
@@ -306,7 +322,7 @@ def parse_workspace(text: str, strict: Optional[bool] = None) -> Workspace:
             p.expect("op", "=")
             from .morphisms import combined_chart
             chart = combined_chart(ws.charts[src], ws.charts[tgt], kind)
-            s = p.expr(chart, order)
+            s = p.body(chart, order)
             p.expect("op", "}")
             ws.morphisms[name] = mk_thick(ws.charts[src], ws.charts[tgt], kind,
                                           s, order, strict=ws.strict)
@@ -339,7 +355,7 @@ def parse_workspace(text: str, strict: Optional[bool] = None) -> Workspace:
                 chart = extend_chart(chart, PIT)
             if any(i.startswith("dot_") and i not in chart for i in idents):
                 chart = extend_chart(chart, T)
-            body = p.expr(chart, ws.default_order)
+            body = p.body(chart, ws.default_order)
             p.expect("op", "}")
             ws.functions[name] = body
         else:

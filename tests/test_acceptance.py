@@ -7,11 +7,10 @@ no floating-point tolerances appear anywhere.
 
 import time
 
-import pytest
-
 from mfc.functors import (
     ANTITANGENT,
     TANGENT,
+    antitangent_lift,
     check_bundle_morphism,
     check_functoriality,
     tangent_lift,
@@ -26,13 +25,12 @@ from mfc.morphisms import (
     pullback,
 )
 from mfc.qcalc import (
-    INTERTWINE_SIGN,
-    calibrate_intertwining_sign,
     check_antitangent_q,
     closedness_check,
     de_rham_field,
     derivative_homomorphism_check,
     hamiltonian_of_field,
+    intertwining_check,
     q_morphism_residual,
 )
 from mfc.superalg import (
@@ -52,6 +50,7 @@ from mfc.superforms import (
     PITSTAR,
     T,
     TSTAR,
+    de_rham,
     extend_chart,
     liouville,
     prolong_coordinate_change,
@@ -260,8 +259,15 @@ def test_criterion_8_closedness_and_intertwining():
             continue
         rep = closedness_check(phi, omega, 2)
         ok = ok and rep.passed
-    # intertwining sign: consistent across classical calibration cases
-    seen = set()
+    # intertwining: d commutes with the antitangent pullback, on classical
+    # and on thick morphisms; each group needs a draw whose pulled-back
+    # form has a nonzero differential, or the check would be vacuous
+    def intertwines(phi, omega):
+        rho = pullback(antitangent_lift(phi), omega, 3)
+        return (intertwining_check(phi, omega, 3).passed,
+                not de_rham(rho, "par").is_zero())
+
+    classical = []
     for _ in range(20):
         sa = gen.rng.choice(SHAPES_22)
         sb = gen.rng.choice(SHAPES_22)
@@ -272,11 +278,21 @@ def test_criterion_8_closedness_and_intertwining():
         omega = gen.series(lifted_tgt, 3, parity=ODD, n_terms=2, max_degree=2)
         if omega.is_zero():
             continue
-        sigma = calibrate_intertwining_sign(phi, omega, 3)
-        if sigma is not None:
-            seen.add(sigma)
-    consistent = seen == {INTERTWINE_SIGN}
-    report_line(8, "closedness_and_intertwining", ok and consistent)
+        classical.append(intertwines(phi, omega))
+    thick = []
+    for i in range(20):
+        kind = KIND_EVEN if i % 2 == 0 else KIND_ODD
+        phi = thick_on_shapes(gen, kind, 3)
+        lifted_tgt = extend_chart(phi.target, PIT)
+        omega = gen.series(lifted_tgt, 3,
+                           parity=ODD if kind == KIND_EVEN else EVEN,
+                           n_terms=2, max_degree=2)
+        if omega.is_zero():
+            continue
+        thick.append(intertwines(phi, omega))
+    for group in (classical, thick):
+        ok = ok and all(p for p, _ in group) and any(n for _, n in group)
+    report_line(8, "closedness_and_intertwining", ok)
 
 
 def test_criterion_9_solver_oracle_equivalence():

@@ -16,7 +16,6 @@ from mfc.functors import (
 from mfc.morphisms import (
     KIND_EVEN,
     KIND_ODD,
-    ClassicalMap,
     base_map,
     combined_chart,
     from_classical,
@@ -33,7 +32,6 @@ from mfc.superalg import (
     embed,
     mul,
     partial,
-    substitute,
     truncate,
 )
 from mfc.testkit import Generator, random_morphism, random_pair_of_morphisms
@@ -164,9 +162,9 @@ class TestBundleMorphism:
         assert rep.passed, rep.render()
 
     def test_golden_discrepancy_at_top_order(self):
-        """The agreement is exactly modulo eps^2: the untruncated sides
-        differ by 2 eps^2 x^2 on the running example, so the truncation
-        in the check is substantive, not vacuous."""
+        """T Phi does not reproduce Phi's own pullback: on the running
+        example the sides differ by 2 eps^2 x^2 and agree only modulo
+        eps^2, which is why the check compares with the base map."""
         phi = golden_phi(2)
         g = SuperSeries.of_var(phi.target, "y", 2) ** 2
         lifted = tangent_lift(phi)
@@ -176,6 +174,19 @@ class TestBundleMorphism:
         assert not diff.is_zero()
         assert serialize(diff) == "-2*eps^2*x^2"
         assert truncate(diff, 1).is_zero()
+
+    def test_golden_base_map_exact(self):
+        """At n_eps = 4, (T Phi)*g is exactly eps * x^2, the base map's
+        pullback, while Phi's own pullback adds 2 eps^2 x^2 + ..."""
+        phi = golden_phi(4)
+        g = SuperSeries.of_var(phi.target, "y", 4) ** 2
+        assert check_bundle_morphism(phi, g, 4).passed
+        lifted = tangent_lift(phi)
+        lhs = pullback(lifted, embed(g, lifted.target, 4), 4)
+        assert serialize(lhs) == "eps*x^2"
+        rhs = embed(pullback(phi, g, 4), lhs.chart, 4)
+        assert truncate(lhs - rhs, 1).is_zero()
+        assert not truncate(lhs - rhs, 2).is_zero()
 
     def test_random_morphisms(self):
         gen = Generator(45)

@@ -214,6 +214,31 @@ class TestPullback:
         assert serialize(pullback(golden_phi(3), g, 3)) == \
             "eps*x^2 + 2*eps^2*x^2 + 4*eps^3*x^2"
 
+    @pytest.mark.parametrize("a, b, G", [
+        (1, 1, 2),
+        (2, Fraction(-1, 3), Fraction(3, 2)),
+        (Fraction(-1, 2), 3, Fraction(-2, 5)),
+    ])
+    @pytest.mark.parametrize("n_eps", [8, 10, 12])
+    def test_quadratic_closed_form(self, a, b, G, n_eps):
+        """S = a x q + b q^2 / 2 pulls g = G y^2 / 2 back to the geometric
+        series G a^2 x^2 / 2 * sum_k eps^(k+1) (b G)^k, computed here
+        without any solver code; a = b = 1, G = 2 is eps x^2 / (1 - 2 eps)."""
+        src, tgt = chart_x(), chart_y()
+        c = combined_chart(src, tgt, KIND_EVEN)
+        x = SuperSeries.of_var(c, "x", n_eps)
+        q = SuperSeries.of_var(c, "q_y", n_eps)
+        S = mul(x, q).scale(a) + (q ** 2).scale(Fraction(b, 2))
+        phi = mk_thick(src, tgt, KIND_EVEN, S, n_eps)
+        g = (SuperSeries.of_var(tgt, "y", n_eps) ** 2).scale(Fraction(G, 2))
+        out = pullback(phi, g, n_eps)
+        expected = SuperSeries.zero(out.chart, n_eps)
+        for k in range(n_eps):
+            coeff = Fraction(G, 2) * a ** 2 * (b * G) ** k
+            expected = expected + SuperSeries.monomial(
+                out.chart, {EPS: k + 1, "x": 2}, coeff, n_eps)
+        assert out == expected
+
     def test_constant_function(self):
         g = SuperSeries.const(chart_y(), 7, 2)
         out = pullback(golden_phi(2), g, 2)

@@ -1,5 +1,6 @@
 """Serializer, expression parser, workspace format and the CLI."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -241,12 +242,41 @@ class TestCli:
             assert out == ""
             assert "order must be at least 1" in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--order", "-1", "order must be at least 1"),
+        ("--order", "0", "order must be at least 1"),
+        ("--trials", "0", "trials must be at least 1"),
+    ])
+    def test_verify_bounds_usage_error(self, capsys, flag, value, message):
+        code = main(["verify", "--suite", "pullback-props", "--trials", "1",
+                     flag, value])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
     def test_hostile_power_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "power.mfc"
         bad.write_text("chart M { x : even, z : even }\n"
                        "function f on M { (x+z+1)^400 }\n")
         assert main(["check", str(bad)]) == 2
         assert "error: 2:27:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, col", [
+        ("(x+z+1)^43*(x+z+1)^43", 27),
+        ("((x+z+1)^43)^2", 28),
+        ("(x+z+1)^20*(x+z+1)^20", 29),
+    ])
+    def test_hostile_product_usage_error(self, tmp_path, capsys, body, col):
+        bad = tmp_path / "product.mfc"
+        bad.write_text("chart M { x : even, z : even }\n"
+                       f"function f on M {{ {body} }}\n")
+        start = time.monotonic()
+        assert main(["check", str(bad)]) == 2
+        assert time.monotonic() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: 2:{col}: expression multiplies more than" in err
 
     def test_bad_order_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "order.mfc"
