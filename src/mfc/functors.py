@@ -102,8 +102,8 @@ def check_bundle_morphism(phi: ThickMorphism, g: SuperSeries, n_eps: int,
     """
     lifted = tangent_lift(phi)
     lhs = pullback(lifted, embed(g, lifted.target, g.order), n_eps)
-    images = base_map(phi).components
-    on_base = substitute(g, images, chart=phi.source, order=phi.order)
+    on_base = substitute(g, base_map(phi).components, chart=phi.source,
+                         order=phi.order)
     rhs = mul(SuperSeries.of_var(lhs.chart, EPS, n_eps),
               embed(on_base, lhs.chart, n_eps))
     report = Report(name)
