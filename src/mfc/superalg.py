@@ -5,12 +5,18 @@ chart of even/odd variables.  All products, derivatives and
 substitutions apply the Koszul sign rule; odd variables square to zero.
 Momentum-class variables (and formal parameters) carry weight 1 and the
 series is truncated at a fixed total weight (the filtration order).
+
+Coefficients are stored as ``Fraction``s, but inside ``mul``, ``deriv``
+and ``substitute`` they are summed as integer numerators over a common
+denominator, and each output term becomes a ``Fraction`` once.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
 EVEN = 0
@@ -79,7 +85,7 @@ class Chart:
     """
 
     __slots__ = ("name", "variables", "depth", "_index", "parities",
-                 "weights", "caps", "odd_indices")
+                 "weights", "caps", "odd_indices", "even_caps")
 
     def __init__(self, name: str, variables: Iterable[Variable], depth: int = 0):
         self.name = name
@@ -94,6 +100,9 @@ class Chart:
         self.weights = tuple(v.weight for v in self.variables)
         self.caps = tuple(v.cap for v in self.variables)
         self.odd_indices = tuple(i for i, p in enumerate(self.parities) if p == ODD)
+        # (index, max_power) of capped even variables; odd caps are masks
+        self.even_caps = tuple((i, v.max_power) for i, v in enumerate(self.variables)
+                               if v.parity == EVEN and v.max_power is not None)
 
     def index(self, name: str) -> int:
         try:
@@ -138,25 +147,6 @@ class Chart:
 
     def mono_base_degree(self, mono: tuple) -> int:
         return sum(e for e, w in zip(mono, self.weights) if w == 0)
-
-
-def _mul_mono(chart: Chart, m1: tuple, m2: tuple):
-    """Merge two canonical monomials; return (monomial, sign) or (None, 0)."""
-    sign = 1
-    above = 0  # odd factors of m1 strictly to the right of the current slot
-    for i in reversed(chart.odd_indices):
-        if m2[i]:
-            if m1[i]:
-                return None, 0
-            if above & 1:
-                sign = -sign
-        if m1[i]:
-            above += 1
-    out = tuple(a + b for a, b in zip(m1, m2))
-    for e, cap in zip(out, chart.caps):
-        if cap is not None and e > cap:
-            return None, 0
-    return out, sign
 
 
 class SuperSeries:
@@ -326,33 +316,84 @@ class SuperSeries:
 
 
 # -- module-level operations ------------------------------------------
+#
+# Inside an operation a series is handled as integer rows: its
+# coefficients over their lcm denominator, each numerator with its
+# monomial's weight and odd mask (bit i set when odd variable i occurs).
+
+
+def _common_denominator(coeffs: Iterable[Fraction]) -> int:
+    den = 1
+    for c in coeffs:
+        d = c.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    return den
+
+
+def _rows(chart: Chart, terms: Mapping[tuple, Fraction], den: int) -> list:
+    """(monomial, numerator over ``den``, weight, odd mask) per term."""
+    weights, odd, times = chart.weights, chart.odd_indices, operator.mul
+    return [(m, c.numerator * (den // c.denominator), sum(map(times, m, weights)),
+             sum([m[i] << i for i in odd]) if odd else 0)
+            for m, c in terms.items()]
+
+
+def _add_products(acc: dict, rows_a: list, rows_b: list, order: int,
+                  caps: tuple) -> None:
+    """acc[m1*m2] += sign*n1*n2 for every pair of rows the truncation keeps."""
+    get = acc.get
+    add = operator.add
+    for m1, n1, w1, o1 in rows_a:
+        room = order - w1
+        for m2, n2, w2, o2 in rows_b:
+            if w2 > room or o1 & o2:  # too heavy, or an odd variable squared
+                continue
+            mono = tuple(map(add, m1, m2))
+            if caps and any(mono[i] > cap for i, cap in caps):
+                continue
+            n = n1 * n2
+            # Koszul sign: each odd factor of m2 moves left past the odd
+            # factors of m1 that stand after it in chart order.
+            while o2:
+                low = o2 & -o2
+                if (o1 >> low.bit_length()).bit_count() & 1:
+                    n = -n
+                o2 ^= low
+            acc[mono] = get(mono, 0) + n
+
+
+def _add_scaled(acc: dict, den: int, terms: Mapping[tuple, Fraction], c: Fraction) -> int:
+    """acc += c*terms, numerators over ``den``; return the denominator,
+    grown (with acc rescaled) when a product's denominator does not divide it."""
+    cn, cd = c.numerator, c.denominator
+    get = acc.get
+    for m, v in terms.items():
+        d = cd * v.denominator
+        if den % d:
+            grow = d // gcd(den, d)
+            for k in acc:
+                acc[k] *= grow
+            den *= grow
+        acc[m] = get(m, 0) + cn * v.numerator * (den // d)
+    return den
+
+
+def _from_numerators(chart: Chart, acc: dict, den: int, order: int) -> SuperSeries:
+    return SuperSeries(chart, {m: Fraction(n, den) for m, n in acc.items() if n},
+                       order, _checked=True)
 
 
 def mul(a: SuperSeries, b: SuperSeries) -> SuperSeries:
     """Supercommutative product, truncated to the filtration order."""
     a._require_compatible(b)
     chart = a.chart
-    order = a.order
-    wcache = {m: chart.mono_weight(m) for m in b.terms}
-    out: dict = {}
-    for m1, c1 in a.terms.items():
-        w1 = chart.mono_weight(m1)
-        for m2, c2 in b.terms.items():
-            if w1 + wcache[m2] > order:
-                continue
-            mono, sign = _mul_mono(chart, m1, m2)
-            if mono is None:
-                continue
-            c = out.get(mono, Fraction(0)) + sign * c1 * c2
-            if c:
-                out[mono] = c
-            else:
-                out.pop(mono, None)
-    return SuperSeries(chart, out, order, _checked=True)
-
-
-def _mono_series(chart: Chart, mono: tuple, order: int) -> SuperSeries:
-    return SuperSeries(chart, {mono: Fraction(1)}, order, _checked=True)
+    da = _common_denominator(a.terms.values())
+    db = _common_denominator(b.terms.values())
+    acc: dict = {}
+    _add_products(acc, _rows(chart, a.terms, da), _rows(chart, b.terms, db),
+                  a.order, chart.even_caps)
+    return _from_numerators(chart, acc, da * db, a.order)
 
 
 def deriv(a: SuperSeries, images: Mapping[str, SuperSeries], parity: Parity) -> SuperSeries:
@@ -362,30 +403,42 @@ def deriv(a: SuperSeries, images: Mapping[str, SuperSeries], parity: Parity) -> 
     on ``a``'s chart.
     """
     chart = a.chart
-    n = len(chart)
+    order = a.order
     idx_images = {}
     for name, img in images.items():
         i = chart.index(name)
-        if img.chart != chart or img.order != a.order:
+        if img.chart != chart or img.order != order:
             raise ChartMismatch("derivation images must live on the operand chart")
         idx_images[i] = img
-    out = SuperSeries.zero(chart, a.order)
-    for m, c in a.terms.items():
-        prefix_parity = 0
-        for k in range(n):
-            e = m[k]
-            if e:
-                img = idx_images.get(k)
-                if img is not None and not img.is_zero():
-                    left = list(m[:k]) + [0] * (n - k)
-                    right = [0] * k + list(m[k:])
-                    right[k] = e - 1
-                    sign = -1 if (parity and prefix_parity) else 1
-                    term = mul(mul(_mono_series(chart, tuple(left), a.order), img),
-                               _mono_series(chart, tuple(right), a.order))
-                    out = out + term.scale(sign * e * c)
-                prefix_parity ^= (e & 1) & chart.parities[k]
-    return out
+    da = _common_denominator(a.terms.values())
+    di = _common_denominator(c for img in idx_images.values() for c in img.terms.values())
+    rows_a = _rows(chart, a.terms, da)
+    acc: dict = {}
+    for k, img in idx_images.items():
+        by_parity: tuple = ([], [])
+        for row in _rows(chart, img.terms, di):
+            by_parity[row[3].bit_count() & 1].append(row)
+        below = (1 << k) - 1
+        wk = chart.weights[k]
+        # D takes left*v^e*right to (-1)^(|D||left|) e*left*D(v)*v^(e-1)*right;
+        # an image monomial of parity q moves to the front past left at the
+        # cost (-1)^(q|left|), leaving it times the monomial with v^(e-1).
+        for q, img_rows in enumerate(by_parity):
+            if not img_rows:
+                continue
+            flip = parity ^ q
+            rest = []
+            for m, n, w, o in rows_a:
+                e = m[k]
+                if e:
+                    shifted = list(m)
+                    shifted[k] = e - 1
+                    if flip and (o & below).bit_count() & 1:
+                        e = -e
+                    rest.append((tuple(shifted), e * n, w - wk,
+                                 o & ~(1 << k)))
+            _add_products(acc, img_rows, rest, order, chart.even_caps)
+    return _from_numerators(chart, acc, da * di, order)
 
 
 def partial(a: SuperSeries, name: str) -> SuperSeries:
@@ -412,7 +465,7 @@ def substitute(a: SuperSeries, images: Mapping[str, SuperSeries],
             chart = a.chart
         if order is None:
             order = a.order
-    resolved = {}
+    resolved = []
     for v in a.chart:
         if v.name in images:
             img = images[v.name]
@@ -422,33 +475,37 @@ def substitute(a: SuperSeries, images: Mapping[str, SuperSeries],
             if not img.has_parity(v.parity):
                 raise ParityError(
                     f"image of {v.name!r} has a component of wrong parity")
-            resolved[v.name] = img
+            resolved.append(img)
         elif v.name in chart:
-            resolved[v.name] = SuperSeries.of_var(chart, v.name, order)
+            resolved.append(SuperSeries.of_var(chart, v.name, order))
         else:
-            resolved[v.name] = None  # only legal if a never uses it
-    powers: dict = {}
+            resolved.append(None)  # only legal if a never uses it
+    powers: dict = {}  # source index -> [image, image^2, ...]
 
-    def power(name: str, e: int) -> SuperSeries:
-        key = (name, e)
-        if key not in powers:
-            img = resolved[name]
-            if img is None:
-                raise KeyError(
-                    f"variable {name!r} has no image on chart {chart.name!r}")
-            powers[key] = img ** e
-        return powers[key]
+    def power(i: int, e: int) -> SuperSeries:
+        p = powers.get(i)
+        if p is None:
+            if resolved[i] is None:
+                raise KeyError(f"variable {a.chart.variables[i].name!r} "
+                               f"has no image on chart {chart.name!r}")
+            p = powers[i] = [resolved[i]]
+        while len(p) < e:
+            p.append(mul(p[-1], p[0]))
+        return p[e - 1]
 
-    out = SuperSeries.zero(chart, order)
+    acc: dict = {}
+    den = 1
     for m, c in a.terms.items():
-        term = SuperSeries.const(chart, c, order)
+        term = None
         for i, e in enumerate(m):
             if e:
-                term = mul(term, power(a.chart.variables[i].name, e))
-                if term.is_zero():
+                term = power(i, e) if term is None else mul(term, power(i, e))
+                if not term.terms:
                     break
-        out = out + term
-    return out
+        if term is None:  # the constant monomial
+            term = SuperSeries.const(chart, 1, order)
+        den = _add_scaled(acc, den, term.terms, c)
+    return _from_numerators(chart, acc, den, order)
 
 
 def truncate(a: SuperSeries, n: int) -> SuperSeries:

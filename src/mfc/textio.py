@@ -117,6 +117,9 @@ MAX_POWER_TERMS = 1000
 # its products and power steps.  A bound on each product alone would still
 # let (x+1)^500 take seconds through five hundred small steps.
 MAX_TERM_PAIRS = 10000
+# Parentheses and unary minus may nest at most this deep: the parser
+# recurses once per level and must stay well inside Python's stack limit.
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -124,6 +127,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.pairs = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -149,7 +153,15 @@ class _Parser:
     def body(self, chart: Chart, order: int) -> SuperSeries:
         """One complete expression, with its own term-pair budget."""
         self.pairs = 0
+        self.depth = 0
         return self.expr(chart, order)
+
+    def nest(self, at: Token):
+        """Enter one more level of nesting, refused at ``at`` past the bound."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels",
+                             at.line, at.col)
 
     def product(self, a: SuperSeries, b: SuperSeries, at: Token) -> SuperSeries:
         """mul(a, b), refused at ``at`` if it would exceed the budget."""
@@ -178,7 +190,10 @@ class _Parser:
         t = self.peek()
         if t.text == "-":
             self.next()
-            return -self.factor(chart, order)
+            self.nest(t)
+            out = -self.factor(chart, order)
+            self.depth -= 1
+            return out
         base = self.atom(chart, order)
         if self.peek().text == "^":
             self.next()
@@ -214,8 +229,10 @@ class _Parser:
                 raise ParseError(f"undeclared identifier {t.text!r}", t.line, t.col)
             return SuperSeries.of_var(chart, t.text, order)
         if t.text == "(":
+            self.nest(t)
             inner = self.expr(chart, order)
             self.expect("op", ")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {t.text or t.kind!r}", t.line, t.col)
 
@@ -238,6 +255,15 @@ def _order_value(tok: Token) -> int:
         raise ParseError(f"order must be an integer >= 1, found {tok.text!r}",
                          tok.line, tok.col)
     return int(tok.text)
+
+
+def _declared(head: Token, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError from its checks is re-raised
+    as a ParseError at the declaration's head token."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ParseError(str(exc), head.line, head.col) from exc
 
 
 @dataclass
@@ -290,7 +316,7 @@ def parse_workspace(text: str) -> Workspace:
                 if p.peek().text == ",":
                     p.next()
             p.expect("op", "}")
-            ws.charts[name] = Chart(name, variables)
+            ws.charts[name] = _declared(head, Chart, name, variables)
         elif head.text == "morphism":
             name = p.expect("ident").text
             if name in ws.morphisms:
@@ -321,11 +347,11 @@ def parse_workspace(text: str) -> Workspace:
             p.expect("ident", "S")
             p.expect("op", "=")
             from .morphisms import combined_chart
-            chart = combined_chart(ws.charts[src], ws.charts[tgt], kind)
+            chart = _declared(head, combined_chart, ws.charts[src], ws.charts[tgt], kind)
             s = p.body(chart, order)
             p.expect("op", "}")
-            ws.morphisms[name] = mk_thick(ws.charts[src], ws.charts[tgt], kind,
-                                          s, order, strict=ws.strict)
+            ws.morphisms[name] = _declared(head, mk_thick, ws.charts[src], ws.charts[tgt],
+                                           kind, s, order, strict=ws.strict)
         elif head.text == "function":
             name = p.expect("ident").text
             if name in ws.functions:
@@ -352,9 +378,9 @@ def parse_workspace(text: str) -> Workspace:
                     idents.add(t.text)
             p.pos = save
             if any(i.startswith("par_") and i not in chart for i in idents):
-                chart = extend_chart(chart, PIT)
+                chart = _declared(head, extend_chart, chart, PIT)
             if any(i.startswith("dot_") and i not in chart for i in idents):
-                chart = extend_chart(chart, T)
+                chart = _declared(head, extend_chart, chart, T)
             body = p.body(chart, ws.default_order)
             p.expect("op", "}")
             ws.functions[name] = body

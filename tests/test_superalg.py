@@ -1,5 +1,6 @@
 """Kernel tests: Koszul signs, left derivatives, substitution, filtration."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,9 @@ import pytest
 from mfc.superalg import (
     EVEN,
     ODD,
+    ROLE_ANTIMOMENTUM,
+    ROLE_MOMENTUM,
+    ROLE_PARAM,
     Chart,
     ChartMismatch,
     ParityError,
@@ -210,3 +214,185 @@ class TestHelpers:
         a = mul(var(c, "th"), var(c, "et")) + var(c, "x")
         moved = embed(a, bigger, ORDER)
         assert set(moved.variables_used()) == {"th", "et", "x"}
+
+
+# -- reference kernel ----------------------------------------------------
+#
+# The term-by-term Fraction product the kernel used before it summed
+# integer numerators, kept as the oracle; the reference derivation and
+# substitution below are built on it.
+
+
+def _ref_mul_mono(chart, m1, m2):
+    """Merge two canonical monomials; return (monomial, sign) or (None, 0)."""
+    sign = 1
+    above = 0  # odd factors of m1 strictly to the right of the current slot
+    for i in reversed(chart.odd_indices):
+        if m2[i]:
+            if m1[i]:
+                return None, 0
+            if above & 1:
+                sign = -sign
+        if m1[i]:
+            above += 1
+    out = tuple(a + b for a, b in zip(m1, m2))
+    for e, cap in zip(out, chart.caps):
+        if cap is not None and e > cap:
+            return None, 0
+    return out, sign
+
+
+def ref_mul(a, b):
+    chart = a.chart
+    order = a.order
+    wcache = {m: chart.mono_weight(m) for m in b.terms}
+    out = {}
+    for m1, c1 in a.terms.items():
+        w1 = chart.mono_weight(m1)
+        for m2, c2 in b.terms.items():
+            if w1 + wcache[m2] > order:
+                continue
+            mono, sign = _ref_mul_mono(chart, m1, m2)
+            if mono is None:
+                continue
+            c = out.get(mono, Fraction(0)) + sign * c1 * c2
+            if c:
+                out[mono] = c
+            else:
+                out.pop(mono, None)
+    return SuperSeries(chart, out, order, _checked=True)
+
+
+def ref_deriv(a, images, parity):
+    """Sum over monomials and slots of sign * e * c * left * D(v) * right."""
+    chart = a.chart
+    n = len(chart)
+    out = SuperSeries.zero(chart, a.order)
+    for m, c in a.terms.items():
+        prefix_parity = 0
+        for k in range(n):
+            e = m[k]
+            if e:
+                img = images.get(chart.variables[k].name)
+                if img is not None:
+                    left = tuple(m[:k]) + (0,) * (n - k)
+                    right = list((0,) * k + tuple(m[k:]))
+                    right[k] = e - 1
+                    sign = -1 if (parity and prefix_parity) else 1
+                    term = ref_mul(ref_mul(SuperSeries(chart, {left: 1}, a.order), img),
+                                   SuperSeries(chart, {tuple(right): 1}, a.order))
+                    out = out + term.scale(sign * e * c)
+                prefix_parity ^= (e & 1) & chart.parities[k]
+    return out
+
+
+def ref_substitute(a, images, chart, order):
+    """Sum over monomials of c * image^e * ..., one factor at a time."""
+    out = SuperSeries.zero(chart, order)
+    for m, c in a.terms.items():
+        term = SuperSeries.const(chart, c, order)
+        for v, e in zip(a.chart.variables, m):
+            for _ in range(e):
+                term = ref_mul(term, images[v.name])
+        out = out + term
+    return out
+
+
+REF_ORDER = 3
+# coprime denominators, so sums over a common denominator must reduce
+REF_COEFFS = [Fraction(1, 3), Fraction(2, 7), Fraction(-5, 6), Fraction(1),
+              Fraction(-1), Fraction(3, 4), Fraction(-2, 5), Fraction(7)]
+
+
+def ref_chart():
+    """Odd base and momentum variables, weight-1 variables that reach the
+    truncation order within one product, and a capped formal parameter."""
+    return Chart("R", [Variable("x", EVEN), Variable("th", ODD),
+                       Variable("q", EVEN, ROLE_MOMENTUM, weight=1),
+                       Variable("y", EVEN), Variable("et", ODD),
+                       Variable("p", ODD, ROLE_ANTIMOMENTUM, weight=1),
+                       Variable("t", EVEN, ROLE_PARAM, weight=1, max_power=2)])
+
+
+def draw(rng, chart, n_terms, parity=None):
+    """A series of up to n_terms terms; high exponents of weight-1 and
+    capped variables are drawn often, so products hit both limits."""
+    terms = {}
+    while len(terms) < n_terms:
+        mono = tuple(rng.randint(0, 1) if v.parity == ODD else rng.randint(0, 2)
+                     for v in chart)
+        if parity is not None and chart.mono_parity(mono) != parity:
+            continue
+        terms[mono] = rng.choice(REF_COEFFS)
+    return SuperSeries(chart, terms, REF_ORDER)
+
+
+def assert_clean(s):
+    assert all(type(c) is Fraction and c != 0 for c in s.terms.values())
+
+
+def pairs_with_cancellations(seed, n=40):
+    """Random pairs, plus pairs whose products cancel inside one call:
+    (a + b)(a - b) for even a, b and a*a for odd a."""
+    rng = random.Random(seed)
+    chart = ref_chart()
+    for _ in range(n):
+        yield draw(rng, chart, rng.randint(1, 5)), draw(rng, chart, rng.randint(1, 5))
+        a = draw(rng, chart, 3, EVEN)
+        b = draw(rng, chart, 3, EVEN)
+        yield a + b, a - b
+        odd = draw(rng, chart, 4, ODD)
+        yield odd, odd
+
+
+class TestReferenceKernel:
+    def test_mul_matches_reference(self):
+        cancelled = 0
+        for a, b in pairs_with_cancellations(11):
+            out = mul(a, b)
+            assert out.terms == ref_mul(a, b).terms
+            assert_clean(out)
+            if a is b and a.has_parity(ODD):
+                assert out.is_zero()
+            reached = {m for m in (_ref_mul_mono(a.chart, m1, m2)[0]
+                                   for m1 in a.terms for m2 in b.terms)
+                       if m is not None and a.chart.mono_weight(m) <= REF_ORDER}
+            cancelled += len(out.terms) < len(reached)
+        assert cancelled >= 20
+
+    def test_deriv_matches_reference(self):
+        rng = random.Random(12)
+        chart = ref_chart()
+        for _ in range(40):
+            parity = rng.choice([EVEN, ODD])
+            names = rng.sample([v.name for v in chart], rng.randint(1, 3))
+            images = {name: draw(rng, chart, rng.randint(1, 3),
+                                 chart.var(name).parity ^ parity) for name in names}
+            a = draw(rng, chart, rng.randint(1, 6))
+            out = deriv(a, images, parity)
+            assert out.terms == ref_deriv(a, images, parity).terms
+            assert_clean(out)
+            v = rng.choice(chart.variables)
+            one = SuperSeries.const(chart, 1, REF_ORDER)
+            assert partial(a, v.name).terms == ref_deriv(a, {v.name: one}, v.parity).terms
+
+    def test_substitute_matches_reference(self):
+        rng = random.Random(13)
+        chart = ref_chart()
+        for _ in range(30):
+            images = {v.name: draw(rng, chart, rng.randint(1, 3), v.parity) for v in chart}
+            # x -> u + w and y -> u - w cancel the odd-free cross terms of x*y
+            u, w = draw(rng, chart, 2, EVEN), draw(rng, chart, 2, EVEN)
+            images["x"], images["y"] = u + w, u - w
+            a = draw(rng, chart, rng.randint(1, 5)) + \
+                SuperSeries.monomial(chart, {"x": 1, "y": 1}, rng.choice(REF_COEFFS), REF_ORDER)
+            out = substitute(a, images, chart=chart, order=REF_ORDER)
+            assert out.terms == ref_substitute(a, images, chart, REF_ORDER).terms
+            assert_clean(out)
+
+    def test_mul_associative(self):
+        rng = random.Random(14)
+        chart = ref_chart()
+        for _ in range(40):
+            a, b, c = (draw(rng, chart, rng.randint(1, 4)) for _ in range(3))
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))

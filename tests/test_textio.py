@@ -17,6 +17,7 @@ from mfc.superalg import (
 )
 from mfc.testkit import Generator
 from mfc.textio import (
+    MAX_NESTING,
     ParseError,
     parse_series,
     parse_workspace,
@@ -179,8 +180,10 @@ class TestWorkspace:
         from mfc.morphisms import MorphismError
         text = ("chart M { x : even }\nchart N { y : even }\n"
                 "morphism Bad : M -> N kind=even order=3 { S = x*q_y + x }")
-        with pytest.raises(MorphismError):
+        with pytest.raises(ParseError, match="zero momenta") as exc:
             parse_workspace(text)
+        assert (exc.value.line, exc.value.col) == (3, 1)
+        assert isinstance(exc.value.__cause__, MorphismError)
         ws = parse_workspace(
             "set strict = 0\n" + text.replace("Bad", "Loose"))
         assert not ws.morphisms["Loose"].normalized
@@ -277,6 +280,48 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"error: 2:{col}: expression multiplies more than" in err
+
+    @pytest.mark.parametrize("body", [
+        "(" * 3000 + "x" + ")" * 3000,
+        "-" * 3000 + "x",
+    ])
+    def test_hostile_nesting_usage_error(self, tmp_path, capsys, body):
+        bad = tmp_path / "nesting.mfc"
+        bad.write_text(f"chart M {{ x : even }}\nfunction f on M {{ {body} }}\n")
+        assert main(["check", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        # the opening token one level past the bound, after "function f on M { "
+        assert f"error: 2:{19 + MAX_NESTING}: expression nests deeper than" in err
+
+    def test_nesting_at_bound_parses(self):
+        chart = Chart("M", [Variable("x", EVEN)])
+        x = SuperSeries.of_var(chart, "x", ORDER)
+        nested = lambda n: "(" * n + "x" + ")" * n
+        assert parse_series(nested(MAX_NESTING), chart, ORDER) == x
+        assert parse_series("-" * MAX_NESTING + "x", chart, ORDER) == \
+            x.scale((-1) ** MAX_NESTING)
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_series("-" + nested(MAX_NESTING), chart, ORDER)
+
+    @pytest.mark.parametrize("text, message", [
+        ("chart M { x : even, x : even }\n", "error: 1:1: duplicate variable 'x'"),
+        ("chart M { x : even }\nchart N { y : even }\n"
+         "morphism Phi : M -> N kind=even order=3 { S = x }\n",
+         "error: 3:1: S at zero momenta must be constant"),
+        ("chart M { x : even, par_x : even }\nfunction f on M { par_y }\n",
+         "error: 2:1: duplicate variable 'par_x'"),
+        ("chart M { q_y : even }\nchart N { y : even }\n"
+         "morphism Phi : M -> N kind=even order=3 { S = q_y*q_y }\n",
+         "error: 3:1: duplicate variable 'q_y'"),
+    ])
+    def test_declaration_error_positioned(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "declaration.mfc"
+        bad.write_text(text)
+        assert main(["check", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
 
     def test_bad_order_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "order.mfc"
