@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 from .morphisms import compose, pullback, relation_check
 from .report import Report
-from .textio import ParseError, Workspace, parse_workspace, serialize
+from .textio import ParseError, Workspace, order_value, parse_workspace, serialize
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -24,6 +24,14 @@ def _need(ws: Workspace, table: str, name: str):
     if name not in items:
         raise KeyError(f"no {table[:-1]} named {name!r} in workspace")
     return items[name]
+
+
+def _order_flag(text: str) -> int:
+    """--order: a usage error unless ``text`` is a valid order."""
+    try:
+        return order_value(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _cmd_check(args) -> int:
@@ -69,8 +77,6 @@ def _cmd_verify(args) -> int:
     from . import testkit
     order = args.order if args.order is not None else (
         4 if args.suite == "identifications" else 3)
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
     runners = {
@@ -100,14 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("workspace")
     p.add_argument("--morphism", required=True)
     p.add_argument("--function", required=True)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_order_flag, default=None)
     p.set_defaults(func=_cmd_pullback)
 
     p = sub.add_parser("compose", help="compose two thick morphisms")
     p.add_argument("workspace")
     p.add_argument("--outer", required=True)
     p.add_argument("--inner", required=True)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_order_flag, default=None)
     p.set_defaults(func=_cmd_compose)
 
     p = sub.add_parser("lift", help="tangent or antitangent lift")
@@ -124,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "pullback-props"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_order_flag, default=None)
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .report import Report
 from .superalg import (
-    EVEN,
     ODD,
     Chart,
     SuperSeries,
@@ -21,7 +20,7 @@ from .superalg import (
     mul,
     substitute,
 )
-from .superforms import PIT, T, _PREFIX, extend_chart
+from .superforms import BUNDLES, PIT, T, extend_chart, kind_parity, partner
 from .morphisms import (
     EPS,
     Conjugate,
@@ -38,34 +37,28 @@ ANTITANGENT = "antitangent"
 
 
 def _lift(phi: ThickMorphism, bundle: str) -> ThickMorphism:
-    prefix = _PREFIX[bundle]
+    shift = BUNDLES[bundle].shift
     src = extend_chart(phi.source, bundle)
     tgt = extend_chart(phi.target, bundle)
     old_momenta = [phi.chart.var(c.momentum) for c in phi.conjugates]
-    new_momenta = []
-    for m in old_momenta:
-        parity = m.parity if bundle == T else m.parity ^ 1
-        new_momenta.append(Variable(prefix + m.name, parity, m.role, 1,
-                                    base=m.name))
+    new_momenta = [Variable(partner(m.name, bundle), m.parity ^ shift, m.role, 1,
+                            base=m.name) for m in old_momenta]
     chart = Chart(f"{src.name}=>{tgt.name}",
                   tuple(src.variables) + tuple(old_momenta) + tuple(new_momenta),
                   depth=max(src.depth, tgt.depth))
     order = phi.order
     S = embed(phi.S, chart, order)
-    images = {}
-    for v in phi.source:
-        images[v.name] = SuperSeries.of_var(chart, prefix + v.name, order)
-    for m in old_momenta:
-        images[m.name] = SuperSeries.of_var(chart, prefix + m.name, order)
-    lifted = deriv(S, images, EVEN if bundle == T else ODD)
+    images = {v.name: SuperSeries.of_var(chart, partner(v.name, bundle), order)
+              for v in list(phi.source) + old_momenta}
+    lifted = deriv(S, images, shift)
 
-    kind = phi.kind if bundle == T else (
-        KIND_ODD if phi.kind == KIND_EVEN else KIND_EVEN)
-    conjugates = [Conjugate(prefix + c.coord, c.momentum, c.sign)
+    # an odd bundle shifts the parity of the generating function, so the kind
+    kind = (KIND_EVEN, KIND_ODD)[kind_parity(phi.kind) ^ shift]
+    conjugates = [Conjugate(partner(c.coord, bundle), c.momentum, c.sign)
                   for c in phi.conjugates]
     for c in phi.conjugates:
-        flipped = bundle == PIT and phi.target.var(c.coord).parity == ODD
-        conjugates.append(Conjugate(c.coord, prefix + c.momentum,
+        flipped = shift and phi.target.var(c.coord).parity == ODD
+        conjugates.append(Conjugate(c.coord, partner(c.momentum, bundle),
                                     -c.sign if flipped else c.sign))
     return mk_thick(src, tgt, kind, lifted, order, conjugates=conjugates,
                     strict=False)

@@ -3,8 +3,9 @@ pullback and composition.
 
 An even morphism M1 => M2 is a generating function S(x; q) on the chart
 (source coordinates, target momenta), a formal power series in the
-momenta with S(x; 0) constant.  An odd morphism uses antimomenta
-``ys_<coord>`` of flipped parity.  The canonical relation is
+momenta with S(x; 0) constant.  An odd morphism uses antimomenta of
+flipped parity; ``superforms.COTANGENT`` names each kind's bundle.  The
+canonical relation is
 
     w^i = (-1)^{w} dS/dm_i   (even kind; no sign for odd kind),
     p_a = dS/dx^a,
@@ -26,20 +27,25 @@ from .superalg import (
     Chart,
     ChartMismatch,
     ParityError,
-    ROLE_ANTIMOMENTUM,
-    ROLE_MOMENTUM,
     ROLE_PARAM,
     SuperSeries,
     Variable,
     embed,
-    flip,
     mul,
     partial,
     set_to_zero,
     substitute,
     truncate,
 )
-from .superforms import apply_operator, extend_d
+from .superforms import (
+    COTANGENT,
+    D,
+    apply_operator,
+    extend_d,
+    fiber_variables,
+    kind_parity,
+    partner,
+)
 
 KIND_EVEN = "even"
 KIND_ODD = "odd"
@@ -49,18 +55,10 @@ class MorphismError(ValueError):
     """A generating function fails the thick-morphism contract."""
 
 
-def momentum_variable(coord: Variable, kind: str) -> Variable:
-    if kind == KIND_EVEN:
-        return Variable("q_" + coord.name, coord.parity, ROLE_MOMENTUM, 1,
-                        base=coord.name)
-    return Variable("ys_" + coord.name, flip(coord.parity), ROLE_ANTIMOMENTUM, 1,
-                    base=coord.name)
-
-
 def combined_chart(source: Chart, target: Chart, kind: str,
                    momenta: Optional[Sequence[Variable]] = None) -> Chart:
     if momenta is None:
-        momenta = [momentum_variable(v, kind) for v in target]
+        momenta = fiber_variables(target, COTANGENT[kind])
     return Chart(f"{source.name}=>{target.name}",
                  tuple(source.variables) + tuple(momenta),
                  depth=max(source.depth, target.depth))
@@ -75,8 +73,7 @@ class Conjugate:
 
 
 def canonical_conjugates(target: Chart, kind: str) -> Tuple[Conjugate, ...]:
-    prefix = "q_" if kind == KIND_EVEN else "ys_"
-    return tuple(Conjugate(v.name, prefix + v.name) for v in target)
+    return tuple(Conjugate(v.name, partner(v.name, COTANGENT[kind])) for v in target)
 
 
 @dataclass(frozen=True)
@@ -127,13 +124,12 @@ def mk_thick(source: Chart, target: Chart, kind: str, S: SuperSeries,
             "generating function must live on (source coords, target momenta)")
     if S.order != order:
         raise MorphismError(f"S has filtration order {S.order}, expected {order}")
-    want = EVEN if kind == KIND_EVEN else ODD
-    if not S.has_parity(want):
+    shift = kind_parity(kind)
+    if not S.has_parity(shift):
         raise ParityError(f"{kind} morphism needs a {kind} generating function")
     for c, m in zip(conjugates, momenta):
         coord = target.var(c.coord)
-        need = coord.parity if kind == KIND_EVEN else flip(coord.parity)
-        if m.parity != need:
+        if m.parity != coord.parity ^ shift:
             raise ParityError(
                 f"momentum {m.name!r} has wrong parity for coordinate {c.coord!r}")
     zero_mom = set_to_zero(S, [m.name for m in momenta])
@@ -180,11 +176,10 @@ def identity_map(chart: Chart, order: int) -> ClassicalMap:
 def from_classical(phi: ClassicalMap, kind: str, order: int) -> ThickMorphism:
     """S = phi^i(x) q_i (even kind) or phi^i(x) ys_i (odd kind)."""
     chart = combined_chart(phi.source, phi.target, kind)
-    prefix = "q_" if kind == KIND_EVEN else "ys_"
     S = SuperSeries.zero(chart, order)
-    for v in phi.target:
-        comp = embed(phi.components[v.name], chart, order)
-        S = S + mul(comp, SuperSeries.of_var(chart, prefix + v.name, order))
+    for c in canonical_conjugates(phi.target, kind):
+        comp = embed(phi.components[c.coord], chart, order)
+        S = S + mul(comp, SuperSeries.of_var(chart, c.momentum, order))
     return mk_thick(phi.source, phi.target, kind, S, order)
 
 
@@ -219,7 +214,7 @@ def relation_check(phi: ThickMorphism) -> Report:
         action = action + mul(w, m)
     for v in phi.source:
         p = lift(partial(phi.S, v.name))
-        lhs = lhs - mul(var("d_" + v.name), p)
+        lhs = lhs - mul(var(partner(v.name, D)), p)
     residual = lhs - apply_operator(action - S, "d")
     report = Report(f"relation:{phi.chart.name}")
     report.check_zero("relation_identity", residual)
@@ -304,8 +299,7 @@ def pullback(phi: ThickMorphism, g: SuperSeries, n_eps: int,
              params: Sequence[Variable] = ()) -> SuperSeries:
     """Nonlinear pullback of a polynomial target function, as a series in
     the nilpotent grading parameter eps attached to the input."""
-    want = EVEN if phi.kind == KIND_EVEN else ODD
-    if not g.has_parity(want):
+    if not g.has_parity(kind_parity(phi.kind)):
         raise ParityError(f"{phi.kind} morphism pulls back {phi.kind} functions")
     g_chart = Chart("g", tuple(params) + tuple(phi.target.variables))
     if g.chart != g_chart and g.chart == phi.target:

@@ -31,13 +31,14 @@ from .superalg import (
     truncate,
 )
 from .superforms import (
-    PITSTAR,
-    TSTAR,
+    COTANGENT,
     de_rham,
     extend_chart,
+    kind_parity,
+    partner,
     poisson_bracket,
 )
-from .morphisms import EPS, KIND_EVEN, ThickMorphism, pullback
+from .morphisms import EPS, ThickMorphism, pullback
 from .functors import antitangent_lift
 
 @dataclass(frozen=True)
@@ -67,10 +68,10 @@ def de_rham_field(chart: Chart, order: int = 6) -> HomologicalField:
 
 def hamiltonian_of_field(q: HomologicalField, structure: str) -> SuperSeries:
     """H = Q^a p_a (even structure) or Q^a x*_a (odd structure)."""
-    if structure not in ("even", "odd"):
+    if structure not in COTANGENT:
         raise ValueError("structure must be 'even' or 'odd'")
-    ext = extend_chart(q.chart, TSTAR if structure == "even" else PITSTAR)
-    prefix = "q_" if structure == "even" else "ys_"
+    bundle = COTANGENT[structure]
+    ext = extend_chart(q.chart, bundle)
     order = next(iter(q.components.values())).order
     out = SuperSeries.zero(ext, order)
     for v in q.chart:
@@ -78,7 +79,7 @@ def hamiltonian_of_field(q: HomologicalField, structure: str) -> SuperSeries:
         if comp.is_zero():
             continue
         out = out + mul(embed(comp, ext, order),
-                        SuperSeries.of_var(ext, prefix + v.name, order))
+                        SuperSeries.of_var(ext, partner(v.name, bundle), order))
     return out
 
 
@@ -90,20 +91,19 @@ def q_morphism_residual(phi: ThickMorphism, h_source: SuperSeries,
     the source/target charts; target coordinates and momenta and source
     momenta are replaced by the relation series in (x, mu).
     """
-    structure = "even" if phi.kind == KIND_EVEN else "odd"
-    prefix = "q_" if structure == "even" else "ys_"
+    bundle = COTANGENT[phi.kind]
     work = phi.chart
     w_order = phi.order
     relations = phi.coordinate_relations()
     tgt_images: Dict[str, SuperSeries] = {}
     for c in phi.conjugates:
         tgt_images[c.coord] = relations[c.coord]
-        tgt_images[prefix + c.coord] = SuperSeries.of_var(
+        tgt_images[partner(c.coord, bundle)] = SuperSeries.of_var(
             work, c.momentum, w_order).scale(c.sign)
     src_images: Dict[str, SuperSeries] = {
         v.name: SuperSeries.of_var(work, v.name, w_order) for v in phi.source}
     for v in phi.source:
-        src_images[prefix + v.name] = partial(phi.S, v.name)
+        src_images[partner(v.name, bundle)] = partial(phi.S, v.name)
     lhs = substitute(h_target, tgt_images, chart=work, order=w_order)
     rhs = substitute(h_source, src_images, chart=work, order=w_order)
     return truncate(lhs - rhs, min(order, w_order))
@@ -113,11 +113,10 @@ def check_antitangent_q(phi: ThickMorphism, order: int,
                         name: str = "antitangent_q") -> Report:
     """The antitangent lift is a thick Q-morphism for the de Rham fields."""
     lifted = antitangent_lift(phi)
-    structure = "even" if lifted.kind == KIND_EVEN else "odd"
     q1 = de_rham_field(lifted.source, order=lifted.order)
     q2 = de_rham_field(lifted.target, order=lifted.order)
-    h1 = hamiltonian_of_field(q1, structure)
-    h2 = hamiltonian_of_field(q2, structure)
+    h1 = hamiltonian_of_field(q1, lifted.kind)
+    h2 = hamiltonian_of_field(q2, lifted.kind)
     residual = q_morphism_residual(lifted, h1, h2, order)
     report = Report(name)
     report.check_zero(name, residual)
@@ -141,15 +140,13 @@ def derivative_homomorphism_check(phi: ThickMorphism, f: SuperSeries,
                                   g: SuperSeries, h: SuperSeries, n_eps: int,
                                   name: str = "derivative_homomorphism") -> Report:
     """The linearization of the pullback at f multiplies: D[g h]=D[g] D[h]."""
-    kind_parity = EVEN if phi.kind == KIND_EVEN else ODD
-
     def directional(direction: SuperSeries) -> SuperSeries:
         p = direction.parity()
         if p is None:
             if not direction.is_zero():
                 raise ParityError("direction must be parity-homogeneous")
             p = EVEN  # zero direction: any parity works, derivative is zero
-        t_parity = kind_parity ^ p
+        t_parity = kind_parity(phi.kind) ^ p
         t = Variable("t", t_parity, ROLE_PARAM, 0, max_power=1)
         tgt = Chart("g", (t,) + tuple(phi.target.variables))
         probe = embed(f, tgt, f.order) + mul(SuperSeries.of_var(tgt, "t", f.order),

@@ -1,21 +1,24 @@
 """(Anti)tangent and (anti)cotangent chart machinery.
 
-Bundle extensions append derived variables with fixed name prefixes:
+``BUNDLES`` is the single source of the derived-variable prefixes and
+parities: each extension gives every variable v a partner ``prefix + v``.
 
     T       dot_<v>   same parity      (velocities)
     PiT     par_<v>   flipped parity   (odd velocities)
     T*      q_<v>     same parity      (momenta, weight 1)
     PiT*    ys_<v>    flipped parity   (antimomenta, weight 1)
+    d       d_<v>     flipped parity   (the form level)
 
-A form level uses the prefix ``d_`` (flipped parity).  The two odd
-operators d and par anticommute; dot commutes with both.
+``COTANGENT`` maps a morphism kind, and the Poisson structure of the same
+name, to the bundle of its momenta.  The derivations dot, par and d map v
+to its T, PiT and d partner; d and par anticommute, dot commutes with both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from .report import Report
 from .superalg import (
@@ -31,24 +34,62 @@ from .superalg import (
     ROLE_VELOCITY,
     deriv,
     embed,
-    flip,
     mul,
     partial,
     truncate_base_degree,
 )
 
+
+class Bundle(NamedTuple):
+    """How one extension derives the partner of a variable v."""
+    prefix: str
+    shift: int  # added to v's parity, mod 2
+    role: str
+    weight: Optional[int]  # None: the partner keeps v's weight
+    operator: Optional[str] = None  # the derivation v -> partner, if any
+
+
 T = "T"
 PIT = "PiT"
 TSTAR = "T*"
 PITSTAR = "PiT*"
+D = "d"
+
+BUNDLES: Dict[str, Bundle] = {
+    T: Bundle("dot_", EVEN, ROLE_VELOCITY, None, "dot"),
+    PIT: Bundle("par_", ODD, ROLE_ODD_VELOCITY, None, "par"),
+    TSTAR: Bundle("q_", EVEN, ROLE_MOMENTUM, 1),
+    PITSTAR: Bundle("ys_", ODD, ROLE_ANTIMOMENTUM, 1),
+    D: Bundle("d_", ODD, ROLE_ODD_VELOCITY, None, "d"),
+}
 
 BUNDLE_KINDS = (T, PIT, TSTAR, PITSTAR)
 
-_PREFIX = {T: "dot_", PIT: "par_", TSTAR: "q_", PITSTAR: "ys_"}
+COTANGENT = {"even": TSTAR, "odd": PITSTAR}
+
+_OPERATORS = {b.operator: name for name, b in BUNDLES.items() if b.operator}
 
 
 class StructureError(ValueError):
     """The chart lacks the bundle structure an operation requires."""
+
+
+def partner(name: str, bundle: str) -> str:
+    """The name of ``name``'s derived variable in one bundle extension."""
+    return BUNDLES[bundle].prefix + name
+
+
+def kind_parity(kind: str) -> int:
+    """The parity of a kind's S = phi^i(x) m_i: its momenta's parity shift."""
+    return BUNDLES[COTANGENT[kind]].shift
+
+
+def fiber_variables(chart: Chart, bundle: str) -> List[Variable]:
+    """The partners one bundle extension appends to ``chart``."""
+    b = BUNDLES[bundle]
+    return [Variable(b.prefix + v.name, v.parity ^ b.shift, b.role,
+                     v.weight if b.weight is None else b.weight, base=v.name)
+            for v in chart]
 
 
 def extend_chart(chart: Chart, kind: str) -> Chart:
@@ -57,61 +98,35 @@ def extend_chart(chart: Chart, kind: str) -> Chart:
         raise ValueError(f"unknown bundle kind {kind!r}")
     if chart.depth >= 2:
         raise StructureError(f"chart {chart.name!r} already at iteration depth 2")
-    prefix = _PREFIX[kind]
-    extra = []
-    for v in chart:
-        if kind == T:
-            extra.append(Variable(prefix + v.name, v.parity, ROLE_VELOCITY,
-                                  v.weight, base=v.name))
-        elif kind == PIT:
-            extra.append(Variable(prefix + v.name, flip(v.parity), ROLE_ODD_VELOCITY,
-                                  v.weight, base=v.name))
-        elif kind == TSTAR:
-            extra.append(Variable(prefix + v.name, v.parity, ROLE_MOMENTUM,
-                                  1, base=v.name))
-        else:
-            extra.append(Variable(prefix + v.name, flip(v.parity), ROLE_ANTIMOMENTUM,
-                                  1, base=v.name))
-    return chart.extended(f"{kind}({chart.name})", extra)
+    return chart.extended(f"{kind}({chart.name})", fiber_variables(chart, kind))
 
 
 def extend_d(chart: Chart) -> Chart:
     """Append the d-level (form) variables for every current variable."""
-    extra = [Variable("d_" + v.name, flip(v.parity), ROLE_ODD_VELOCITY,
-                      v.weight, base=v.name) for v in chart]
-    return chart.extended(f"d({chart.name})", extra, depth=chart.depth)
-
-
-def _operator_image(op: str, name: str):
-    """Target name and sign for one operator applied to one variable."""
-    if op == "d":
-        if name.startswith("d_"):
-            return None, 0
-        return "d_" + name, 1
-    if op == "par":
-        if name.startswith("d_"):
-            return "d_par_" + name[2:], -1  # d and par anticommute
-        return "par_" + name, 1
-    if op == "dot":
-        if name.startswith("d_"):
-            return "d_dot_" + name[2:], 1
-        return "dot_" + name, 1
-    raise ValueError(f"unknown operator {op!r}")
-
-
-OPERATOR_PARITY = {"d": ODD, "par": ODD, "dot": EVEN}
+    return chart.extended(f"d({chart.name})", fiber_variables(chart, D),
+                          depth=chart.depth)
 
 
 def apply_operator(a: SuperSeries, op: str) -> SuperSeries:
-    """Apply d, par or dot as a derivation of the matching parity."""
-    chart = a.chart
+    """Apply d, par or dot as a derivation of the matching parity: v maps
+    to its partner, d_v to -d_par_v under par and to d_dot_v under dot."""
+    if op not in _OPERATORS:
+        raise ValueError(f"unknown operator {op!r}")
+    bundle = _OPERATORS[op]
+    shift = BUNDLES[bundle].shift
+    form = BUNDLES[D].prefix
     images = {}
-    for v in chart:
-        target, sign = _operator_image(op, v.name)
-        if target is not None and target in chart:
-            img = SuperSeries.of_var(chart, target, a.order)
+    for v in a.chart:
+        target, sign = partner(v.name, bundle), 1
+        if v.name.startswith(form):
+            if bundle == D:
+                continue
+            target = partner(partner(v.name[len(form):], bundle), D)
+            sign = -1 if shift else 1
+        if target in a.chart:
+            img = SuperSeries.of_var(a.chart, target, a.order)
             images[v.name] = img if sign == 1 else -img
-    return deriv(a, images, OPERATOR_PARITY[op])
+    return deriv(a, images, shift)
 
 
 def de_rham(omega: SuperSeries, level: str = "d") -> SuperSeries:
@@ -119,8 +134,7 @@ def de_rham(omega: SuperSeries, level: str = "d") -> SuperSeries:
     if level not in ("d", "par"):
         raise ValueError("level must be 'd' or 'par'")
     chart = omega.chart
-    prefix = level + "_"
-    if not any(prefix + v.name in chart for v in chart):
+    if not any(partner(v.name, _OPERATORS[level]) in chart for v in chart):
         raise StructureError(f"chart {chart.name!r} carries no {level}-level")
     return apply_operator(omega, level)
 
@@ -128,81 +142,70 @@ def de_rham(omega: SuperSeries, level: str = "d") -> SuperSeries:
 # -- Liouville forms ----------------------------------------------------
 
 
-def _paired(chart: Chart, prefix: str):
-    """Coordinates v (not form-level) whose ``prefix+v`` partner exists."""
-    out = []
-    for v in chart:
-        if v.name.startswith("d_"):
-            continue
-        if prefix + v.name in chart:
-            out.append(v)
-    return out
+def _paired(chart: Chart, bundle: str):
+    """Coordinates v (not form-level) whose ``bundle`` partner exists."""
+    return [v for v in chart if not v.name.startswith(BUNDLES[D].prefix)
+            and partner(v.name, bundle) in chart]
+
+
+# name -> (the bundle of the momenta, the tangent bundle it is lifted
+# through, or None for the canonical form of the cotangent bundle itself)
+LIOUVILLE_FORMS = {
+    "theta": (TSTAR, None),
+    "lambda": (PITSTAR, None),
+    "theta_TM": (TSTAR, T),
+    "lambda_TM": (PITSTAR, T),
+    "theta_PiTM": (PITSTAR, PIT),
+    "lambda_PiTM": (TSTAR, PIT),
+}
 
 
 def liouville(chart: Chart, which: str, order: int = 6) -> SuperSeries:
-    """A canonical 1-form as its literal coordinate expression."""
-    dv = lambda name: SuperSeries.of_var(chart, "d_" + name, order)
-    var = lambda name: SuperSeries.of_var(chart, name, order)
-    out = SuperSeries.zero(chart, order)
-    if which == "theta":
-        pairs = [v for v in _paired(chart, "q_") if not v.name.startswith(("dot_", "par_"))]
-        if not pairs:
-            raise StructureError("no momentum pairs on this chart")
-        for v in pairs:
-            out = out + mul(dv(v.name), var("q_" + v.name))
-    elif which == "lambda":
-        pairs = [v for v in _paired(chart, "ys_") if not v.name.startswith(("dot_", "par_"))]
-        if not pairs:
-            raise StructureError("no antimomentum pairs on this chart")
-        for v in pairs:
-            out = out + mul(dv(v.name), var("ys_" + v.name))
-    elif which in ("theta_TM", "lambda_TM"):
-        mom = "q_" if which == "theta_TM" else "ys_"
-        pairs = [v for v in _paired(chart, mom)
-                 if "dot_" + v.name in chart and "dot_" + mom + v.name in chart]
-        if not pairs:
-            raise StructureError("chart is not a tangent prolongation of a (anti)cotangent bundle")
-        for v in pairs:
-            out = out + mul(dv(v.name), var("dot_" + mom + v.name))
-            out = out + mul(dv("dot_" + v.name), var(mom + v.name))
-    elif which in ("theta_PiTM", "lambda_PiTM"):
-        mom = "ys_" if which == "theta_PiTM" else "q_"
-        pairs = [v for v in _paired(chart, mom)
-                 if "par_" + v.name in chart and "par_" + mom + v.name in chart]
-        if not pairs:
-            raise StructureError("chart is not an antitangent prolongation of a (anti)cotangent bundle")
-        for v in pairs:
-            sign = -1 if v.parity == ODD else 1
-            out = out + mul(dv(v.name), var("par_" + mom + v.name)).scale(sign)
-            out = out + mul(dv("par_" + v.name), var(mom + v.name))
-    else:
+    """A canonical 1-form as its literal coordinate expression: sum_v d_v m_v
+    over the underived coordinates v with momenta m_v, or lifted through tan,
+    sum_v +-d_v tan(m_v) + d_tan(v) m_v with -1 only for odd v under PiT."""
+    if which not in LIOUVILLE_FORMS:
         raise ValueError(f"unknown Liouville form {which!r}")
+    mom, tan = LIOUVILLE_FORMS[which]
+    var = lambda name: SuperSeries.of_var(chart, name, order)
+    dv = lambda name: var(partner(name, D))
+    out = SuperSeries.zero(chart, order)
+    if tan is None:
+        derived = (BUNDLES[T].prefix, BUNDLES[PIT].prefix)
+        pairs = [v.name for v in _paired(chart, mom) if not v.name.startswith(derived)]
+        if not pairs:
+            raise StructureError(f"no {BUNDLES[mom].role} pairs on this chart")
+        for v in pairs:
+            out = out + mul(dv(v), var(partner(v, mom)))
+        return out
+    pairs = [v for v in _paired(chart, mom) if partner(v.name, tan) in chart
+             and partner(partner(v.name, mom), tan) in chart]
+    if not pairs:
+        raise StructureError(f"chart is not a {tan} prolongation of a {mom} bundle")
+    for v in pairs:
+        sign = -1 if BUNDLES[tan].shift & v.parity else 1
+        out = out + mul(dv(v.name), var(partner(partner(v.name, mom), tan))).scale(sign)
+        out = out + mul(dv(partner(v.name, tan)), var(partner(v.name, mom)))
     return out
 
 
 # -- Poisson brackets ---------------------------------------------------
 
 
-def darboux_pairs(chart: Chart, structure: str):
-    prefix = "q_" if structure == "even" else "ys_"
-    pairs = [(v, chart.var(prefix + v.name)) for v in _paired(chart, prefix)]
-    if not pairs:
-        raise StructureError(
-            f"chart {chart.name!r} has no {'momentum' if structure == 'even' else 'antimomentum'} pairs")
-    return pairs
-
-
 def poisson_bracket(a: SuperSeries, b: SuperSeries, structure: str = "even") -> SuperSeries:
     """Canonical Darboux bracket (even on T*, odd on PiT* charts)."""
-    if structure not in ("even", "odd"):
+    if structure not in COTANGENT:
         raise ValueError("structure must be 'even' or 'odd'")
     if a.is_zero():
         return SuperSeries.zero(a.chart, a.order)
     fa = a.parity()
     if fa is None:
         raise ParityError("bracket needs a parity-homogeneous first argument")
-    pairs = darboux_pairs(a.chart, structure)
-    sigma = 0 if structure == "even" else 1
+    bundle = COTANGENT[structure]
+    pairs = [(v, a.chart.var(partner(v.name, bundle))) for v in _paired(a.chart, bundle)]
+    if not pairs:
+        raise StructureError(f"chart {a.chart.name!r} has no {BUNDLES[bundle].role} pairs")
+    sigma = BUNDLES[bundle].shift
     out = SuperSeries.zero(a.chart, a.order)
     for v, m in pairs:
         av = v.parity
@@ -245,17 +248,6 @@ IDENTIFICATION_CASES: Dict[str, IdentificationCase] = {
 }
 
 
-def _base_form(chart: Chart, mom_prefix: str, order: int) -> SuperSeries:
-    """theta_M or lambda_M restricted to underived coordinate pairs."""
-    out = SuperSeries.zero(chart, order)
-    for v in _paired(chart, mom_prefix):
-        if v.name.startswith(("dot_", "par_")):
-            continue
-        out = out + mul(SuperSeries.of_var(chart, "d_" + v.name, order),
-                        SuperSeries.of_var(chart, mom_prefix + v.name, order))
-    return out
-
-
 def verify_identification(case, base_chart: Chart,
                           fiber: Optional[Sequence[Variable]] = None,
                           order: int = 6) -> Report:
@@ -276,49 +268,50 @@ def verify_identification(case, base_chart: Chart,
         total = Chart(f"E({base_chart.name})",
                       tuple(base_chart.variables) + tuple(fiber))
         mom = TSTAR if case == "MX" else PITSTAR
-        prefix = _PREFIX[mom]
         chart = extend_d(extend_chart(total, mom))
         one_form = liouville(chart, "theta" if case == "MX" else "lambda", order)
         var = lambda n: SuperSeries.of_var(chart, n, order)
         # the dual-side Liouville form, expressed through the identification
         dual = SuperSeries.zero(chart, order)
         for v in base_chart:
-            dual = dual + mul(var("d_" + v.name), var(prefix + v.name))
+            dual = dual + mul(var(partner(v.name, D)), var(partner(v.name, mom)))
         pairing = SuperSeries.zero(chart, order)
         for u in fiber:
-            mu = prefix + u.name
+            mu = partner(u.name, mom)
             if case == "MX":
                 dual_mom = -var(u.name) if u.parity == EVEN else var(u.name)
             else:
                 dual_mom = -var(u.name)
-            dual = dual + mul(var("d_" + mu), dual_mom)
+            dual = dual + mul(var(partner(mu, D)), dual_mom)
             pairing = pairing + mul(var(u.name), var(mu))
         report.check_zero("legendre", dual - (-apply_operator(pairing, "d") + one_form))
         report.check_zero("symplectic", apply_operator(dual, "d") - apply_operator(one_form, "d"))
         literal = SuperSeries.zero(chart, order)
         for v in total:
-            mu = prefix + v.name
-            term = mul(var("d_" + mu), var("d_" + v.name))
+            term = mul(var(partner(partner(v.name, mom), D)), var(partner(v.name, D)))
             if case == "oddMX" and v.parity == EVEN:
                 term = -term  # the (-1)^(a+1) factor of the odd symplectic form
             literal = literal + term
         report.check_zero("omega_literal", apply_operator(one_form, "d") - literal)
         return report
 
-    layout = {
-        "Tulczyjew": (TSTAR, T, "theta_TM", "theta", "dot", 1),
-        "oddTulczyjew": (PITSTAR, T, "lambda_TM", "lambda", "dot", 1),
-        "antiTulczyjew": (PITSTAR, PIT, "theta_PiTM", "lambda", "par", -1),
-        "oddAntiTulczyjew": (TSTAR, PIT, "lambda_PiTM", "theta", "par", -1),
-    }
-    mom_kind, tan_kind, lifted_name, base_name, op, sign = layout[case]
-    chart = extend_d(extend_chart(extend_chart(base_chart, mom_kind), tan_kind))
+    lifted_name, base_name = {
+        "Tulczyjew": ("theta_TM", "theta"),
+        "oddTulczyjew": ("lambda_TM", "lambda"),
+        "antiTulczyjew": ("theta_PiTM", "lambda"),
+        "oddAntiTulczyjew": ("lambda_PiTM", "theta"),
+    }[case]
+    mom, tan = LIOUVILLE_FORMS[lifted_name]
+    op = BUNDLES[tan].operator
+    chart = extend_d(extend_chart(extend_chart(base_chart, mom), tan))
     lifted = liouville(chart, lifted_name, order)
-    base = _base_form(chart, _PREFIX[mom_kind], order)
+    base = liouville(chart, base_name, order)
+    # the lift is dot(base) through T and -par(base) through PiT; on the
+    # 2-forms par's sign cancels against d and par anticommuting
+    sign = -1 if BUNDLES[tan].shift else 1
     report.check_zero("lift", lifted - apply_operator(base, op).scale(sign))
-    report.check_zero("omega",
-                      apply_operator(lifted, "d")
-                      - apply_operator(apply_operator(base, "d"), op).scale(-sign if op == "par" else sign))
+    report.check_zero("omega", apply_operator(lifted, "d")
+                      - apply_operator(apply_operator(base, "d"), op))
     return report
 
 
@@ -345,8 +338,7 @@ def _invert_fraction_matrix(mat):
 
 
 def prolong_coordinate_change(F: Mapping[str, SuperSeries], base_chart: Chart,
-                              kinds: Sequence[str], order: int,
-                              with_d: bool = True):
+                              kinds: Sequence[str], order: int):
     """Extend a polynomial base change to a full bundle chart.
 
     Velocities transform by formal differentiation, momenta and
@@ -360,9 +352,8 @@ def prolong_coordinate_change(F: Mapping[str, SuperSeries], base_chart: Chart,
     for kind in kinds:
         chart = extend_chart(chart, kind)
         stages.append([v.name for v in chart])
-    if with_d:
-        pre_d = [v.name for v in chart]
-        chart = extend_d(chart)
+    pre_d = [v.name for v in chart]
+    chart = extend_d(chart)
 
     s_order = max(order, 2 * (len(kinds) + 1))
     sigma: Dict[str, SuperSeries] = {}
@@ -372,15 +363,11 @@ def prolong_coordinate_change(F: Mapping[str, SuperSeries], base_chart: Chart,
             raise ValueError("base change images must live on the base chart")
         sigma[v.name] = embed(img, chart, s_order)
 
-    def d_of(series):
-        return apply_operator(series, "d")
-
     for kind, names in zip(kinds, stages):
-        prefix = _PREFIX[kind]
-        if kind in (T, PIT):
-            op = "dot" if kind == T else "par"
+        op = BUNDLES[kind].operator
+        if op is not None:
             for name in names:
-                sigma[prefix + name] = apply_operator(sigma[name], op)
+                sigma[partner(name, kind)] = apply_operator(sigma[name], op)
         else:
             # solve sum_v K_b^v sigma(mu_v) = mu_b, K_b^v = left d(sigma v)/d b
             K = {}
@@ -392,7 +379,7 @@ def prolong_coordinate_change(F: Mapping[str, SuperSeries], base_chart: Chart,
             K0inv = _invert_fraction_matrix(K0)
             if K0inv is None:
                 raise ValueError("coordinate change has non-invertible linear part")
-            mu = [SuperSeries.of_var(chart, prefix + v, s_order) for v in names]
+            mu = [SuperSeries.of_var(chart, partner(v, kind), s_order) for v in names]
             u = [SuperSeries.zero(chart, s_order) for _ in names]
             for _ in range(order + 1):
                 new = []
@@ -409,8 +396,7 @@ def prolong_coordinate_change(F: Mapping[str, SuperSeries], base_chart: Chart,
                     new.append(truncate_base_degree(acc, order))
                 u = new
             for v, img in zip(names, u):
-                sigma[prefix + v] = img
-    if with_d:
-        for name in pre_d:
-            sigma["d_" + name] = d_of(sigma[name])
+                sigma[partner(v, kind)] = img
+    for name in pre_d:
+        sigma[partner(name, D)] = apply_operator(sigma[name], "d")
     return chart, sigma

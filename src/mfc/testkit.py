@@ -30,11 +30,12 @@ from .morphisms import (
     KIND_ODD,
     ClassicalMap,
     ThickMorphism,
+    canonical_conjugates,
     combined_chart,
     mk_thick,
-    momentum_variable,
     pullback_chart,
 )
+from .superforms import TSTAR, kind_parity, partner
 
 
 @dataclass
@@ -109,8 +110,8 @@ class Generator:
                             max_momentum_degree: int = 3) -> SuperSeries:
         """Random S(x; mu): every term carries at least one momentum."""
         chart = combined_chart(source, target, kind)
-        momenta = [momentum_variable(v, kind).name for v in target]
-        want = EVEN if kind == KIND_EVEN else ODD
+        momenta = [c.momentum for c in canonical_conjugates(target, kind)]
+        want = kind_parity(kind)
         out = SuperSeries.zero(chart, order)
         made = attempts = 0
         while made < n_terms and attempts < 80 * n_terms:
@@ -191,6 +192,14 @@ def oracle_pullback_naive(phi: ThickMorphism, g: SuperSeries,
     return out
 
 
+def worked_example(order: int = 3) -> ThickMorphism:
+    """The worked example S = x q_y + q_y^2 / 2 from M(x) to N(y)."""
+    src, tgt = Chart("M", [Variable("x", EVEN)]), Chart("N", [Variable("y", EVEN)])
+    chart = combined_chart(src, tgt, KIND_EVEN)
+    x, q = (SuperSeries.of_var(chart, n, order) for n in ("x", partner("y", TSTAR)))
+    return mk_thick(src, tgt, KIND_EVEN, mul(x, q) + (q ** 2).scale(Fraction(1, 2)), order)
+
+
 # -- bidimension menu used by the verification suites ---------------------
 
 SMALL_SHAPES: Tuple[Tuple[int, int], ...] = ((1, 0), (1, 1), (0, 1), (2, 1))
@@ -198,12 +207,13 @@ IDENT_SHAPES: Tuple[Tuple[int, int], ...] = ((1, 0), (1, 1), (2, 1))
 
 
 def random_pair_of_morphisms(gen: Generator, kind: str, order: int,
-                             max_momentum_degree: int = 3):
-    """A composable (outer, inner) pair over random small charts."""
+                             max_momentum_degree: int = 3,
+                             shapes: Sequence[Tuple[int, int]] = SMALL_SHAPES):
+    """A composable (outer, inner) pair over random charts of ``shapes``."""
     while True:
-        sa = gen.rng.choice(SMALL_SHAPES)
-        sb = gen.rng.choice(SMALL_SHAPES)
-        sc = gen.rng.choice(SMALL_SHAPES)
+        sa = gen.rng.choice(shapes)
+        sb = gen.rng.choice(shapes)
+        sc = gen.rng.choice(shapes)
         m1 = gen.chart(*sa, name="A", stems=("x", "xi"))
         m2 = gen.chart(*sb, name="B", stems=("y", "eta"))
         m3 = gen.chart(*sc, name="C", stems=("z", "zeta"))
@@ -216,10 +226,12 @@ def random_pair_of_morphisms(gen: Generator, kind: str, order: int,
 
 
 def random_morphism(gen: Generator, kind: str, order: int,
-                    max_momentum_degree: int = 3) -> ThickMorphism:
+                    max_momentum_degree: int = 3,
+                    shapes: Sequence[Tuple[int, int]] = SMALL_SHAPES) -> ThickMorphism:
+    """A morphism between random charts of ``shapes``."""
     while True:
-        sa = gen.rng.choice(SMALL_SHAPES)
-        sb = gen.rng.choice(SMALL_SHAPES)
+        sa = gen.rng.choice(shapes)
+        sb = gen.rng.choice(shapes)
         src = gen.chart(*sa, name="A", stems=("x", "xi"))
         tgt = gen.chart(*sb, name="B", stems=("y", "eta"))
         phi = gen.thick(src, tgt, kind, order,
@@ -285,9 +297,9 @@ def suite_pullback_props(seed: int = 0, trials: int = 20,
     report = Report("pullback-props")
     for i in range(trials):
         kind = KIND_EVEN if i % 2 == 0 else KIND_ODD
-        want = EVEN if kind == KIND_EVEN else ODD
         phi = random_morphism(gen, kind, order)
-        g = gen.series(phi.target, order, parity=want, n_terms=3, max_degree=2)
+        g = gen.series(phi.target, order, parity=kind_parity(kind), n_terms=3,
+                       max_degree=2)
         solver = pullback(phi, g, order)
         oracle = oracle_pullback_naive(phi, g, order)
         report.append(CheckResult(f"trial{i}:{kind}:solver_vs_oracle",

@@ -10,8 +10,7 @@ Grammar (line oriented, ``#`` comments):
 Expressions use rational literals ``p/q``, identifiers, ``+ - * ^`` and
 parentheses.  Multiplication is order-significant at the source level;
 canonicalization (with Koszul signs) happens in the algebra kernel.
-Momentum variables are auto-declared as ``q_<coord>`` (even kind) and
-``ys_<coord>`` (odd kind); derived variables as ``dot_<v>`` / ``par_<v>``.
+Momenta and derived variables are auto-declared, named by ``superforms.BUNDLES``.
 """
 
 from __future__ import annotations
@@ -120,6 +119,9 @@ MAX_TERM_PAIRS = 10000
 # Parentheses and unary minus may nest at most this deep: the parser
 # recurses once per level and must stay well inside Python's stack limit.
 MAX_NESTING = 100
+# Orders (workspace settings and the CLI's --order) may be at most this: time
+# and output grow steeply with the order, and tests and benchmarks use <= 12.
+MAX_ORDER = 64
 
 
 class _Parser:
@@ -249,12 +251,20 @@ def parse_series(text: str, chart: Chart, order: int) -> SuperSeries:
 # -- workspace -------------------------------------------------------------
 
 
+def order_value(text: str) -> int:
+    """An order written as text: an integer from 1 to MAX_ORDER."""
+    if not text.isdecimal() or not 1 <= int(text) <= MAX_ORDER:
+        raise ValueError(f"order must be at least 1 and at most {MAX_ORDER}, "
+                         f"found {text!r}")
+    return int(text)
+
+
 def _order_value(tok: Token) -> int:
-    """An order setting or attribute: an integer literal >= 1."""
-    if tok.kind != "number" or "/" in tok.text or int(tok.text) < 1:
-        raise ParseError(f"order must be an integer >= 1, found {tok.text!r}",
-                         tok.line, tok.col)
-    return int(tok.text)
+    """An order setting or attribute, refused at its token."""
+    try:
+        return order_value(tok.text)
+    except ValueError as exc:
+        raise ParseError(str(exc), tok.line, tok.col) from None
 
 
 def _declared(head: Token, build, *args, **kwargs):
@@ -285,7 +295,7 @@ class Workspace:
 def parse_workspace(text: str) -> Workspace:
     from .morphisms import mk_thick
     from .superalg import Variable, EVEN, ODD
-    from .superforms import extend_chart, PIT, T
+    from .superforms import BUNDLES, PIT, T, extend_chart
 
     ws = Workspace()
     p = _Parser(tokenize(text))
@@ -377,10 +387,10 @@ def parse_workspace(text: str) -> Workspace:
                 elif t.kind == "ident":
                     idents.add(t.text)
             p.pos = save
-            if any(i.startswith("par_") and i not in chart for i in idents):
-                chart = _declared(head, extend_chart, chart, PIT)
-            if any(i.startswith("dot_") and i not in chart for i in idents):
-                chart = _declared(head, extend_chart, chart, T)
+            for bundle in (PIT, T):
+                prefix = BUNDLES[bundle].prefix
+                if any(i.startswith(prefix) and i not in chart for i in idents):
+                    chart = _declared(head, extend_chart, chart, bundle)
             body = p.body(chart, ws.default_order)
             p.expect("op", "}")
             ws.functions[name] = body

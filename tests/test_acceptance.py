@@ -13,7 +13,6 @@ from mfc.functors import (
     antitangent_lift,
     check_bundle_morphism,
     check_functoriality,
-    tangent_lift,
 )
 from mfc.morphisms import (
     EPS,
@@ -60,6 +59,9 @@ from mfc.testkit import (
     Generator,
     oracle_pullback_classical,
     oracle_pullback_naive,
+    random_morphism,
+    random_pair_of_morphisms,
+    worked_example,
 )
 from mfc.textio import serialize
 
@@ -70,36 +72,7 @@ def report_line(number, name, ok):
     assert ok, f"criterion {number} ({name}) failed"
 
 
-def base_chart(n_even, n_odd, name="M", stems=("x", "xi")):
-    evens = [Variable(f"{stems[0]}{i}", EVEN) for i in range(n_even)]
-    odds = [Variable(f"{stems[1]}{i}", ODD) for i in range(n_odd)]
-    return Chart(name, evens + odds)
-
-
 SHAPES_22 = ((1, 0), (1, 1), (0, 1), (2, 1), (2, 2))
-
-
-def thick_on_shapes(gen, kind, order, shapes=SHAPES_22):
-    while True:
-        sa = gen.rng.choice(shapes)
-        sb = gen.rng.choice(shapes)
-        src = gen.chart(*sa, name="A", stems=("x", "xi"))
-        tgt = gen.chart(*sb, name="B", stems=("y", "eta"))
-        phi = gen.thick(src, tgt, kind, order, max_momentum_degree=2)
-        if phi is not None:
-            return phi
-
-
-def composable_pair(gen, kind, order, shapes=SHAPES_22):
-    while True:
-        sa, sb, sc = (gen.rng.choice(shapes) for _ in range(3))
-        m1 = gen.chart(*sa, name="A", stems=("x", "xi"))
-        m2 = gen.chart(*sb, name="B", stems=("y", "eta"))
-        m3 = gen.chart(*sc, name="C", stems=("z", "zeta"))
-        inner = gen.thick(m1, m2, kind, order, max_momentum_degree=2)
-        outer = gen.thick(m2, m3, kind, order, max_momentum_degree=2)
-        if inner is not None and outer is not None:
-            return outer, inner
 
 
 def test_criterion_1_identification_suite():
@@ -107,7 +80,7 @@ def test_criterion_1_identification_suite():
     ok = True
     for case in IDENTIFICATION_CASES.values():
         for shape in ((1, 0), (1, 1), (2, 1)):
-            chart = base_chart(*shape)
+            chart = Generator().chart(*shape)
             rep = verify_identification(case, chart, order=4)
             ok = ok and rep.passed
     elapsed = time.monotonic() - start
@@ -126,7 +99,7 @@ def test_criterion_2_liouville_invariance():
     for kinds, which in variants:
         for shape in ((1, 0), (1, 1)):
             for _ in range(5):
-                base = base_chart(*shape)
+                base = gen.chart(*shape)
                 F = {}
                 for v in base:
                     pert = gen.series(base, order, parity=v.parity,
@@ -153,7 +126,8 @@ def test_criterion_3_functoriality():
     ok = True
     for i in range(100):
         kind = KIND_EVEN if i % 2 == 0 else KIND_ODD
-        outer, inner = composable_pair(gen, kind, 3)
+        outer, inner = random_pair_of_morphisms(gen, kind, 3, max_momentum_degree=2,
+                                                shapes=SHAPES_22)
         for which in (TANGENT, ANTITANGENT):
             rep = check_functoriality(outer, inner, which, 3)
             ok = ok and rep.passed
@@ -167,7 +141,8 @@ def test_criterion_4_bundle_morphism():
     for i in range(100):
         kind = KIND_EVEN if i % 2 == 0 else KIND_ODD
         want = EVEN if kind == KIND_EVEN else ODD
-        phi = thick_on_shapes(gen, kind, 2)
+        phi = random_morphism(gen, kind, 2, max_momentum_degree=2,
+                              shapes=SHAPES_22)
         g = gen.series(phi.target, 2, parity=want, n_terms=2, max_degree=2)
         rep = check_bundle_morphism(phi, g, 2)
         ok = ok and rep.passed
@@ -200,7 +175,8 @@ def test_criterion_6_antitangent_q():
     ok = True
     for kind in (KIND_EVEN, KIND_ODD):
         for _ in range(100):
-            phi = thick_on_shapes(gen, kind, 3)
+            phi = random_morphism(gen, kind, 3, max_momentum_degree=2,
+                                  shapes=SHAPES_22)
             rep = check_antitangent_q(phi, 3)
             ok = ok and rep.passed
     # negative control: a thin morphism between PiT charts that kills the
@@ -225,7 +201,8 @@ def test_criterion_7_derivative_homomorphism():
     while done < 100:
         kind = KIND_EVEN if done % 2 == 0 else KIND_ODD
         want = EVEN if kind == KIND_EVEN else ODD
-        phi = thick_on_shapes(gen, kind, 3)
+        phi = random_morphism(gen, kind, 3, max_momentum_degree=2,
+                              shapes=SHAPES_22)
         f = gen.series(phi.target, 3, parity=want, n_terms=2, max_degree=2)
         pg = gen.rng.choice([EVEN, ODD])
         g = gen.series(phi.target, 3, parity=pg, n_terms=2, max_degree=2)
@@ -244,7 +221,8 @@ def test_criterion_8_closedness_and_intertwining():
     # closedness: pullbacks of exact (hence closed) forms stay closed
     for i in range(30):
         kind = KIND_EVEN if i % 2 == 0 else KIND_ODD
-        phi = thick_on_shapes(gen, kind, 2)
+        phi = random_morphism(gen, kind, 2, max_momentum_degree=2,
+                              shapes=SHAPES_22)
         lifted_tgt = extend_chart(phi.target, PIT)
         f = gen.series(phi.target, 2,
                        parity=EVEN if kind == KIND_EVEN else ODD,
@@ -282,7 +260,8 @@ def test_criterion_8_closedness_and_intertwining():
     thick = []
     for i in range(20):
         kind = KIND_EVEN if i % 2 == 0 else KIND_ODD
-        phi = thick_on_shapes(gen, kind, 3)
+        phi = random_morphism(gen, kind, 3, max_momentum_degree=2,
+                              shapes=SHAPES_22)
         lifted_tgt = extend_chart(phi.target, PIT)
         omega = gen.series(lifted_tgt, 3,
                            parity=ODD if kind == KIND_EVEN else EVEN,
@@ -301,7 +280,8 @@ def test_criterion_9_solver_oracle_equivalence():
     for i in range(200):
         kind = KIND_EVEN if i % 2 == 0 else KIND_ODD
         want = EVEN if kind == KIND_EVEN else ODD
-        phi = thick_on_shapes(gen, kind, 3)
+        phi = random_morphism(gen, kind, 3, max_momentum_degree=2,
+                              shapes=SHAPES_22)
         g = gen.series(phi.target, 3, parity=want, n_terms=3, max_degree=2)
         ok = ok and serialize(pullback(phi, g, 3)) == \
             serialize(oracle_pullback_naive(phi, g, 3))
@@ -309,16 +289,9 @@ def test_criterion_9_solver_oracle_equivalence():
 
 
 def test_criterion_10_worked_example():
-    from fractions import Fraction
     from pathlib import Path
-    src = Chart("M", [Variable("x", EVEN)])
-    tgt = Chart("N", [Variable("y", EVEN)])
-    c = combined_chart(src, tgt, KIND_EVEN)
-    x = SuperSeries.of_var(c, "x", 2)
-    q = SuperSeries.of_var(c, "q_y", 2)
-    phi = mk_thick(src, tgt, KIND_EVEN,
-                   mul(x, q) + (q ** 2).scale(Fraction(1, 2)), 2)
-    g = SuperSeries.of_var(tgt, "y", 2) ** 2
+    phi = worked_example(2)
+    g = SuperSeries.of_var(phi.target, "y", 2) ** 2
     golden_path = Path(__file__).parent / "golden" / "worked_example.txt"
     golden = golden_path.read_text().strip()
     solver = serialize(pullback(phi, g, 2))

@@ -34,7 +34,12 @@ from mfc.superalg import (
     partial,
     truncate,
 )
-from mfc.testkit import Generator, random_morphism, random_pair_of_morphisms
+from mfc.testkit import (
+    Generator,
+    random_morphism,
+    random_pair_of_morphisms,
+    worked_example,
+)
 from mfc.textio import serialize
 
 ORDER = 3
@@ -57,22 +62,13 @@ def square_phi(order=ORDER):
     return mk_thick(src, tgt, KIND_EVEN, S, order)
 
 
-def golden_phi(order=ORDER):
-    src, tgt = chart_x(), chart_y()
-    c = combined_chart(src, tgt, KIND_EVEN)
-    x = SuperSeries.of_var(c, "x", order)
-    q = SuperSeries.of_var(c, "q_y", order)
-    S = mul(x, q) + (q ** 2).scale(Fraction(1, 2))
-    return mk_thick(src, tgt, KIND_EVEN, S, order)
-
-
 class TestLiftExamples:
     def test_tangent_of_square_map(self):
         lifted = tangent_lift(square_phi())
         assert serialize(lifted.S) == "x^2*dot_q_y + 2*x*dot_x*q_y"
 
     def test_tangent_of_golden(self):
-        lifted = tangent_lift(golden_phi())
+        lifted = tangent_lift(worked_example())
         assert serialize(lifted.S) == "x*dot_q_y + dot_x*q_y + q_y*dot_q_y"
 
     def test_dotted_terms_degree_one(self):
@@ -88,18 +84,18 @@ class TestLiftExamples:
                 assert sum(m[i] for i in dotted) == 1
 
     def test_tangent_keeps_kind_antitangent_flips(self):
-        phi = golden_phi()
+        phi = worked_example()
         assert tangent_lift(phi).kind == KIND_EVEN
         assert antitangent_lift(phi).kind == KIND_ODD
 
     def test_antitangent_momentum_parities(self):
-        lifted = antitangent_lift(golden_phi())
+        lifted = antitangent_lift(worked_example())
         assert lifted.chart.var("par_q_y").parity == ODD
         assert lifted.chart.var("par_x").parity == ODD
 
     def test_unknown_lift_rejected(self):
         with pytest.raises(ValueError):
-            lift(golden_phi(), "bogus")
+            lift(worked_example(), "bogus")
 
     def test_base_map_of_lift_is_prolonged_base(self):
         """On coordinates, T Phi's base map is the tangent prolongation
@@ -156,7 +152,7 @@ class TestFunctoriality:
 
 class TestBundleMorphism:
     def test_golden_example(self):
-        phi = golden_phi(2)
+        phi = worked_example(2)
         g = SuperSeries.of_var(phi.target, "y", 2) ** 2
         rep = check_bundle_morphism(phi, g, 2)
         assert rep.passed, rep.render()
@@ -165,7 +161,7 @@ class TestBundleMorphism:
         """T Phi does not reproduce Phi's own pullback: on the running
         example the sides differ by 2 eps^2 x^2 and agree only modulo
         eps^2, which is why the check compares with the base map."""
-        phi = golden_phi(2)
+        phi = worked_example(2)
         g = SuperSeries.of_var(phi.target, "y", 2) ** 2
         lifted = tangent_lift(phi)
         lhs = pullback(lifted, embed(g, lifted.target, 2), 2)
@@ -178,7 +174,7 @@ class TestBundleMorphism:
     def test_golden_base_map_exact(self):
         """At n_eps = 4, (T Phi)*g is exactly eps * x^2, the base map's
         pullback, while Phi's own pullback adds 2 eps^2 x^2 + ..."""
-        phi = golden_phi(4)
+        phi = worked_example(4)
         g = SuperSeries.of_var(phi.target, "y", 4) ** 2
         assert check_bundle_morphism(phi, g, 4).passed
         lifted = tangent_lift(phi)
@@ -202,7 +198,7 @@ class TestBundleMorphism:
     def test_corrupted_base_fails(self):
         """Lifting a different morphism (shifted base map) must not agree
         with the original even at first order in eps."""
-        phi = golden_phi(2)
+        phi = worked_example(2)
         src, tgt = phi.source, phi.target
         c = phi.chart
         x = SuperSeries.of_var(c, "x", 2)

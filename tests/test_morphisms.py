@@ -36,7 +36,12 @@ from mfc.superalg import (
     embed,
     mul,
 )
-from mfc.testkit import Generator, oracle_pullback_classical, random_morphism
+from mfc.testkit import (
+    Generator,
+    oracle_pullback_classical,
+    random_morphism,
+    worked_example,
+)
 from mfc.textio import serialize
 
 ORDER = 3
@@ -52,16 +57,6 @@ def chart_y():
 
 def chart_z():
     return Chart("P", [Variable("z", EVEN)])
-
-
-def golden_phi(order=ORDER):
-    """S = x q_y + q_y^2 / 2 from M(x) to N(y)."""
-    src, tgt = chart_x(), chart_y()
-    c = combined_chart(src, tgt, KIND_EVEN)
-    x = SuperSeries.of_var(c, "x", order)
-    q = SuperSeries.of_var(c, "q_y", order)
-    S = mul(x, q) + (q ** 2).scale(Fraction(1, 2))
-    return mk_thick(src, tgt, KIND_EVEN, S, order)
 
 
 def golden_psi(order=ORDER):
@@ -162,7 +157,7 @@ class TestClassical:
                 assert back.components[v.name] == cmap.components[v.name]
 
     def test_base_map_of_golden(self):
-        comps = base_map(golden_phi()).components
+        comps = base_map(worked_example()).components
         assert serialize(comps["y"]) == "x"
 
     def test_parity_checked(self):
@@ -174,7 +169,7 @@ class TestClassical:
 
 class TestRelationIdentity:
     def test_golden_passes(self):
-        assert relation_check(golden_phi()).passed
+        assert relation_check(worked_example()).passed
 
     def test_random_both_kinds(self):
         gen = Generator(31)
@@ -206,12 +201,12 @@ class TestRelationIdentity:
 class TestPullback:
     def test_golden_regression(self):
         g = SuperSeries.of_var(chart_y(), "y", 2) ** 2
-        assert serialize(pullback(golden_phi(2), g, 2)) == \
+        assert serialize(pullback(worked_example(2), g, 2)) == \
             "eps*x^2 + 2*eps^2*x^2"
 
     def test_golden_third_order(self):
         g = SuperSeries.of_var(chart_y(), "y", 3) ** 2
-        assert serialize(pullback(golden_phi(3), g, 3)) == \
+        assert serialize(pullback(worked_example(3), g, 3)) == \
             "eps*x^2 + 2*eps^2*x^2 + 4*eps^3*x^2"
 
     @pytest.mark.parametrize("a, b, G", [
@@ -241,7 +236,7 @@ class TestPullback:
 
     def test_constant_function(self):
         g = SuperSeries.const(chart_y(), 7, 2)
-        out = pullback(golden_phi(2), g, 2)
+        out = pullback(worked_example(2), g, 2)
         work = out.chart
         assert out == SuperSeries.of_var(work, EPS, 2).scale(7)
 
@@ -274,12 +269,12 @@ class TestPullback:
     def test_wrong_chart_rejected(self):
         g = SuperSeries.of_var(chart_z(), "z", 2)
         with pytest.raises(ChartMismatch):
-            pullback(golden_phi(2), g, 2)
+            pullback(worked_example(2), g, 2)
 
     def test_eliminator_rejects_weight_zero_coordinate_terms(self):
         # h = y^2 without eps: every sweep feeds w back at weight zero
         # (w = x + 2w), so the sweeps never settle and must not be trusted.
-        phi = golden_phi(2)
+        phi = worked_example(2)
         work = pullback_chart(phi, 2)
         h_chart = Chart("h", (work.var(EPS),) + tuple(phi.target.variables))
         h = SuperSeries.of_var(h_chart, "y", 2) ** 2
@@ -290,12 +285,12 @@ class TestPullback:
     def test_order_below_one_rejected(self, order):
         g = SuperSeries.of_var(chart_y(), "y", 2) ** 2
         with pytest.raises(ValueError, match="at least 1"):
-            pullback(golden_phi(2), g, order)
+            pullback(worked_example(2), g, order)
         with pytest.raises(ValueError, match="at least 1"):
-            compose(golden_psi(), golden_phi(), order)
+            compose(golden_psi(), worked_example(), order)
 
     def test_series_without_eps_rejected(self):
-        phi = golden_phi(2)
+        phi = worked_example(2)
         work = pullback_chart(phi, 2)
         h_chart = Chart("h", (work.var(EPS),) + tuple(phi.target.variables))
         h = SuperSeries.of_var(h_chart, "y", 2)
@@ -305,7 +300,7 @@ class TestPullback:
 
 class TestCompose:
     def test_golden_regression(self):
-        out = compose(golden_psi(), golden_phi(), ORDER)
+        out = compose(golden_psi(), worked_example(), ORDER)
         assert serialize(out.S) == "x*q_z + q_z^2"
 
     def test_classical_factors(self):
@@ -322,7 +317,7 @@ class TestCompose:
             assert got.S == want.S
 
     def test_identity_neutral(self):
-        phi = golden_phi()
+        phi = worked_example()
         ident_src = from_classical(identity_map(phi.source, ORDER),
                                    KIND_EVEN, ORDER)
         ident_tgt = from_classical(identity_map(phi.target, ORDER),
@@ -342,7 +337,7 @@ class TestCompose:
 
     def test_chart_mismatch_rejected(self):
         with pytest.raises(ChartMismatch):
-            compose(golden_phi(), golden_psi(), ORDER)
+            compose(worked_example(), golden_psi(), ORDER)
 
     def test_associativity(self):
         gen = Generator(34)
@@ -372,7 +367,7 @@ class TestCompose:
                 assert whole.components[v.name] == parts.components[v.name]
 
     def test_contravariance(self):
-        phi, psi = golden_phi(), golden_psi()
+        phi, psi = worked_example(), golden_psi()
         g = SuperSeries.of_var(chart_z(), "z", ORDER) ** 2
         direct = pullback(compose(psi, phi, ORDER), g, ORDER)
         staged = pullback_series(phi, pullback(psi, g, ORDER), ORDER)

@@ -1,8 +1,6 @@
 """Homological fields, Q-morphism residuals, closedness, derivative
 homomorphism and the intertwining identity."""
 
-from fractions import Fraction
-
 import pytest
 
 from mfc.functors import antitangent_lift
@@ -40,7 +38,7 @@ from mfc.superforms import (
     extend_chart,
     poisson_bracket,
 )
-from mfc.testkit import Generator, random_morphism
+from mfc.testkit import Generator, random_morphism, worked_example
 from mfc.textio import serialize
 
 ORDER = 3
@@ -52,15 +50,6 @@ def chart_x():
 
 def chart_y():
     return Chart("N", [Variable("y", EVEN)])
-
-
-def golden_phi(order=ORDER):
-    src, tgt = chart_x(), chart_y()
-    c = combined_chart(src, tgt, KIND_EVEN)
-    x = SuperSeries.of_var(c, "x", order)
-    q = SuperSeries.of_var(c, "q_y", order)
-    S = mul(x, q) + (q ** 2).scale(Fraction(1, 2))
-    return mk_thick(src, tgt, KIND_EVEN, S, order)
 
 
 class TestHomologicalFields:
@@ -103,7 +92,7 @@ class TestHomologicalFields:
 
 class TestAntitangentQ:
     def test_golden(self):
-        rep = check_antitangent_q(golden_phi(), ORDER)
+        rep = check_antitangent_q(worked_example(), ORDER)
         assert rep.passed, rep.render()
 
     def test_classical(self):
@@ -169,7 +158,7 @@ class TestClosedness:
         tgt = extend_chart(chart_y(), PIT)
         omega = mul(SuperSeries.of_var(tgt, "y", ORDER),
                     SuperSeries.of_var(tgt, "par_y", ORDER))
-        rep = closedness_check(golden_phi(), omega, ORDER)
+        rep = closedness_check(worked_example(), omega, ORDER)
         assert rep.passed, rep.render()
 
     def test_non_closed_rejected(self):
@@ -184,14 +173,14 @@ class TestDerivativeHomomorphism:
     def test_golden(self):
         tgt = chart_y()
         y = SuperSeries.of_var(tgt, "y", ORDER)
-        rep = derivative_homomorphism_check(golden_phi(), y, y, y, ORDER)
+        rep = derivative_homomorphism_check(worked_example(), y, y, y, ORDER)
         assert rep.passed, rep.render()
 
     def test_zero_base_point(self):
         tgt = chart_y()
         y = SuperSeries.of_var(tgt, "y", ORDER)
         zero = SuperSeries.zero(tgt, ORDER)
-        rep = derivative_homomorphism_check(golden_phi(), zero, y, y ** 2, ORDER)
+        rep = derivative_homomorphism_check(worked_example(), zero, y, y ** 2, ORDER)
         assert rep.passed, rep.render()
 
     def test_classical(self):
@@ -275,11 +264,11 @@ class TestIntertwining:
         tgt = extend_chart(chart_y(), PIT)
         omega = mul(SuperSeries.of_var(tgt, "y", ORDER),
                     SuperSeries.of_var(tgt, "par_y", ORDER))
-        rep = intertwining_check(golden_phi(), omega, ORDER)
+        rep = intertwining_check(worked_example(), omega, ORDER)
         assert rep.passed, rep.render()
 
     def test_zero_form_passes(self):
         tgt = extend_chart(chart_y(), PIT)
         omega = SuperSeries.zero(tgt, ORDER)
-        rep = intertwining_check(golden_phi(), omega, ORDER)
+        rep = intertwining_check(worked_example(), omega, ORDER)
         assert rep.passed, rep.render()

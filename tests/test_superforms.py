@@ -3,6 +3,8 @@ identification theorems."""
 
 import pytest
 
+from mfc.morphisms import canonical_conjugates, combined_chart
+from mfc.qcalc import HomologicalField, hamiltonian_of_field
 from mfc.superalg import (
     EVEN,
     ODD,
@@ -15,6 +17,7 @@ from mfc.superalg import (
     truncate_base_degree,
 )
 from mfc.superforms import (
+    COTANGENT,
     IDENTIFICATION_CASES,
     PIT,
     PITSTAR,
@@ -59,6 +62,28 @@ class TestExtensions:
         c = extend_chart(extend_chart(base_chart(), T), PIT)
         with pytest.raises(StructureError):
             extend_chart(c, T)
+
+
+class TestBundleTable:
+    @pytest.mark.parametrize("kind, names, parities", [
+        ("even", ["q_y", "q_eta"], [EVEN, ODD]),
+        ("odd", ["ys_y", "ys_eta"], [ODD, EVEN]),
+    ])
+    def test_momenta_are_the_cotangent_fiber(self, kind, names, parities):
+        src = base_chart()
+        tgt = Chart("N", [Variable("y", EVEN), Variable("eta", ODD)])
+        bundle = extend_chart(tgt, COTANGENT[kind])
+        fiber = bundle.variables[len(tgt):]
+        assert [v.name for v in fiber] == names
+        assert [v.parity for v in fiber] == parities
+        assert combined_chart(src, tgt, kind).variables[len(src):] == fiber
+        assert [c.momentum for c in canonical_conjugates(tgt, kind)] == names
+        q = HomologicalField(tgt, {v.name: SuperSeries.zero(tgt, ORDER) for v in tgt})
+        assert hamiltonian_of_field(q, kind).chart.variables == bundle.variables
+
+    def test_theta_needs_momentum_pairs(self):
+        with pytest.raises(StructureError):
+            liouville(extend_d(extend_chart(base_chart(), T)), "theta")
 
 
 class TestOperators:

@@ -18,6 +18,7 @@ from mfc.superalg import (
 from mfc.testkit import Generator
 from mfc.textio import (
     MAX_NESTING,
+    MAX_ORDER,
     ParseError,
     parse_series,
     parse_workspace,
@@ -162,7 +163,7 @@ class TestWorkspace:
         with pytest.raises(ParseError):
             parse_workspace("chart M { x : sideways }")
 
-    @pytest.mark.parametrize("value", ["abc", "0", "3/2", "{"])
+    @pytest.mark.parametrize("value", ["abc", "0", "3/2", "{", "100000"])
     def test_morphism_order_positioned(self, value):
         text = ("chart M { x : even }\nchart N { y : even }\n"
                 f"morphism Phi : M -> N kind=even order={value} {{ S = x*q_y }}")
@@ -170,7 +171,7 @@ class TestWorkspace:
             parse_workspace(text)
         assert (exc.value.line, exc.value.col) == (3, 39)
 
-    @pytest.mark.parametrize("value", ["abc", "0"])
+    @pytest.mark.parametrize("value", ["abc", "0", "65"])
     def test_set_order_positioned(self, value):
         with pytest.raises(ParseError, match="order") as exc:
             parse_workspace(f"chart M {{ x : even }}\nset order = {value}\n")
@@ -236,11 +237,13 @@ class TestCli:
         assert main(["lift"]) == 2
         assert main(["frobnicate"]) == 2
 
-    @pytest.mark.parametrize("order", ["0", "-1"])
+    @pytest.mark.parametrize("order", ["0", "-1", "100000"])
     def test_order_below_one_usage_error(self, ws_file, capsys, order):
         for argv in (["pullback", ws_file, "--morphism", "Phi", "--function", "gsq"],
                      ["compose", ws_file, "--outer", "Psi", "--inner", "Phi"]):
+            start = time.monotonic()
             assert main(argv + ["--order", order]) == 2
+            assert time.monotonic() - start < 0.5
             out, err = capsys.readouterr()
             assert out == ""
             assert "order must be at least 1" in err
@@ -248,12 +251,15 @@ class TestCli:
     @pytest.mark.parametrize("flag, value, message", [
         ("--order", "-1", "order must be at least 1"),
         ("--order", "0", "order must be at least 1"),
+        ("--order", "100000", f"at most {MAX_ORDER}"),
         ("--trials", "0", "trials must be at least 1"),
     ])
     def test_verify_bounds_usage_error(self, capsys, flag, value, message):
+        start = time.monotonic()
         code = main(["verify", "--suite", "pullback-props", "--trials", "1",
                      flag, value])
         assert code == 2
+        assert time.monotonic() - start < 0.5
         out, err = capsys.readouterr()
         assert out == ""
         assert message in err
@@ -325,9 +331,10 @@ class TestCli:
 
     def test_bad_order_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "order.mfc"
-        bad.write_text(WORKSPACE.replace("order=3", "order=abc", 1))
-        assert main(["check", str(bad)]) == 2
-        assert "error: 9:39:" in capsys.readouterr().err
+        for setting in ("order=abc", "order=100000"):
+            bad.write_text(WORKSPACE.replace("order=3", setting, 1))
+            assert main(["check", str(bad)]) == 2
+            assert "error: 9:39:" in capsys.readouterr().err
 
     def test_parse_error_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mfc"
