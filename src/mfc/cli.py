@@ -12,6 +12,7 @@ from .textio import ParseError, Workspace, order_value, parse_workspace, seriali
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+MAX_TRIALS = 1000  # bound of `mfc verify --trials`
 
 
 def _load_workspace(path: str) -> Workspace:
@@ -32,6 +33,14 @@ def _order_flag(text: str) -> int:
         return order_value(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _trials_flag(text: str) -> int:
+    """--trials: a usage error unless ``text`` is an integer from 1 to MAX_TRIALS."""
+    if not text.isdecimal() or not 1 <= int(text) <= MAX_TRIALS:
+        raise argparse.ArgumentTypeError(
+            f"trials must be at least 1 and at most {MAX_TRIALS}, found {text!r}")
+    return int(text)
 
 
 def _cmd_check(args) -> int:
@@ -77,8 +86,6 @@ def _cmd_verify(args) -> int:
     from . import testkit
     order = args.order if args.order is not None else (
         4 if args.suite == "identifications" else 3)
-    if args.trials < 1:
-        raise ValueError(f"trials must be at least 1, got {args.trials}")
     runners = {
         "identifications": lambda: testkit.suite_identifications(order=order),
         "functoriality": lambda: testkit.suite_functoriality(
@@ -129,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["identifications", "functoriality", "qmorphism",
                             "pullback-props"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_trials_flag, default=10)
     p.add_argument("--order", type=_order_flag, default=None)
     p.set_defaults(func=_cmd_verify)
     return parser

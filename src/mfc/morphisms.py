@@ -35,7 +35,6 @@ from .superalg import (
     partial,
     set_to_zero,
     substitute,
-    truncate,
 )
 from .superforms import (
     COTANGENT,
@@ -245,41 +244,57 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
     """Stationary value of h(w) + S(x; mu) - <w, mu> over the middle point.
 
     ``h`` lives on the target coordinates plus variables that map by
-    name onto ``work``.  Starting from the base map, each sweep sets
-    mu_i = sign_i dh/dw^i(w) and then w from the relation at mu; it
-    stops at the first sweep that leaves w unchanged and raises if w is
-    still moving after ``order + 1`` sweeps.
+    name onto ``work``.  Starting from the base map, sweep i sets
+    mu_i = sign_i dh/dw^i(w) and then w from the relation at mu, both
+    truncated at weight t = min(i + 1, order - 1).  It raises unless a
+    sweep at t = order - 1 leaves w unchanged within ``order + 2`` sweeps,
+    and takes the value from the envelope theorem.
     """
+    if any(v.weight for v in (*phi.source, *phi.target)):
+        raise MorphismError("source and target coordinates must have weight 0")
+    coords = [h.chart.index(v.name) for v in phi.target]
+    if any(m[i] for m in h.terms if not h.chart.mono_weight(m) for i in coords):
+        raise MorphismError("coordinate-dependent terms need weight, or the sweeps may not settle")
     base = base_map(phi)
-    w = {v.name: embed(base.components[v.name], work, order) for v in phi.target}
+    w = {v.name: embed(base.components[v.name], work, 0) for v in phi.target}
     relations = phi.coordinate_relations()
     dh = {c.coord: partial(h, c.coord) for c in phi.conjugates}
-    for _ in range(order + 1):
-        mu = {c.momentum: substitute(dh[c.coord], w, chart=work, order=order).scale(c.sign)
+    series = lambda chart, terms, t: SuperSeries(chart, terms, t, _checked=True)
+    # Every coordinate-dependent term of h has weight >= 1, so sweep i makes
+    # w right through weight i + 1.  An unchanged w at a lower truncation
+    # proves nothing (h may enter only at even weights): only t = order - 1,
+    # which is all of w the value needs, certifies.
+    for i in range(order + 2):
+        t = min(i + 1, order - 1)
+        w = {k: series(work, s.terms, t) for k, s in w.items()}  # t >= s.order
+        mu = {c.momentum: substitute(dh[c.coord], w, chart=work, order=t).scale(c.sign)
               for c in phi.conjugates}
-        new = {coord: substitute(rel, mu, chart=work, order=order)
+        new = {coord: substitute(rel, mu, chart=work, order=t)
                for coord, rel in relations.items()}
-        # Every coordinate-dependent term of h carries weight >= 1 (eps in
-        # pullback_series, the outer momenta of a normalized compose
-        # factor), so w reaches mu and the output only one weight up: its
-        # terms of weight ``order`` cannot matter, and a sweep that leaves
-        # w unchanged below that weight has found the fixed point.
-        moved = any(truncate(new[k], order - 1) != truncate(w[k], order - 1) for k in w)
-        w = new
-        if not moved:
+        if t == order - 1 and new == w:
             break
+        w = new
     else:
-        raise MorphismError(f"relation still moving after {order + 1} sweeps")
-    out = substitute(h, w, chart=work, order=order)
-    out = out + substitute(phi.S, mu, chart=work, order=order)
-    for c in phi.conjugates:
-        out = out - mul(w[c.coord], mu[c.momentum].scale(c.sign))
-    return out
+        raise MorphismError(f"relation still moving after {order + 2} sweeps")
+    # Envelope theorem: scaling each weighted variable v of ``work`` (eps,
+    # weighted params, a compose's outer momenta) by lambda^weight(v) scales
+    # the value the same way.  Only h depends on them explicitly and both
+    # gradients of the action vanish at the fixed point, so E(out) = (E h)(w)
+    # for E = lambda d/dlambda, which multiplies each monomial by its weight:
+    # out_k = [(E h)(w)]_k / k.  At lambda = 0, mu = 0 and w is the base map,
+    # so out_0 = h_0 + S(x; 0); h_0 passes through with factor 1.
+    weight = lambda chart, m: chart.mono_weight(m) or 1
+    eh = series(h.chart, {m: c * weight(h.chart, m) for m, c in h.terms.items()}, h.order)
+    value = substitute(eh, {k: series(work, s.terms, order) for k, s in w.items()},
+                       chart=work, order=order)
+    out = series(work, {m: c / weight(work, m) for m, c in value.terms.items()}, order)
+    return out + substitute(set_to_zero(phi.S, phi.momentum_names()), {},
+                            chart=work, order=order)
 
 
 def pullback_series(phi: ThickMorphism, h: SuperSeries, n_eps: int,
                     params: Sequence[Variable] = ()) -> SuperSeries:
-    """Pull back a series whose coordinate dependence is O(eps).
+    """Pull back a series whose coordinate-dependent terms carry weight.
 
     ``h`` lives on (eps, params, target coordinates).  Used directly
     for contravariance checks; ordinary inputs go through ``pullback``.
@@ -289,9 +304,6 @@ def pullback_series(phi: ThickMorphism, h: SuperSeries, n_eps: int,
     h_chart = Chart("h", (work.var(EPS),) + tuple(params) + tuple(phi.target.variables))
     if h.chart != h_chart:
         raise ChartMismatch("series must live on (eps, params, target coords)")
-    for m in h.terms:
-        if m[0] == 0 and any(m[h_chart.index(v.name)] for v in phi.target):
-            raise MorphismError("coordinate-dependent terms must carry eps")
     return _eliminate(phi, h, work, n_eps)
 
 
@@ -318,8 +330,8 @@ def pullback(phi: ThickMorphism, g: SuperSeries, n_eps: int,
 def compose(outer: ThickMorphism, inner: ThickMorphism, order: int) -> ThickMorphism:
     """Eliminate the middle manifold: the composite is generated by the
     stationary value of outer.S(y; r) + inner.S(x; q) - <y, q> over (y, q),
-    found by ``_eliminate``'s fixed-point sweeps, which certify that they
-    converged."""
+    found by ``_eliminate``'s graded sweeps, certified at weight
+    ``order - 1``, and valued by the envelope theorem."""
     _require_order(order)
     if outer.kind != inner.kind:
         raise MorphismError("cannot compose morphisms of different kinds")

@@ -161,7 +161,8 @@ def oracle_pullback_naive(phi: ThickMorphism, g: SuperSeries,
     Re-solves the coupled relation equations by plain re-substitution
     from scratch (no shared solver code), using twice the number of
     sweeps that could possibly be needed, then assembles
-    eps*g(w) + S(x; mu) - <w, mu>.
+    eps*g(w) + S(x; mu) - <w, mu>.  The solver no longer builds these
+    three terms (it takes the value from the envelope theorem).
     """
     work = pullback_chart(phi, n_eps)
     h_chart = Chart("h", (work.var(EPS),) + tuple(phi.target.variables))

@@ -28,6 +28,7 @@ from mfc.morphisms import (
 from mfc.superalg import (
     EVEN,
     ODD,
+    ROLE_PARAM,
     Chart,
     ChartMismatch,
     ParityError,
@@ -35,7 +36,11 @@ from mfc.superalg import (
     Variable,
     embed,
     mul,
+    partial,
+    substitute,
+    truncate,
 )
+from mfc.superforms import kind_parity
 from mfc.testkit import (
     Generator,
     oracle_pullback_classical,
@@ -67,6 +72,41 @@ def golden_psi(order=ORDER):
     r = SuperSeries.of_var(c, "q_z", order)
     S = mul(y, r) + (r ** 2).scale(Fraction(1, 2))
     return mk_thick(src, tgt, KIND_EVEN, S, order)
+
+
+def ref_eliminate(phi, h, work, order):
+    """The eliminator before graded sweeps, kept as a reference: every sweep
+    runs at the full order and stops at the first one that leaves w
+    unchanged below weight ``order``; the value is assembled from all three
+    terms h(w) + S(x; mu) - <w, mu>."""
+    base = base_map(phi)
+    w = {v.name: embed(base.components[v.name], work, order) for v in phi.target}
+    relations = phi.coordinate_relations()
+    dh = {c.coord: partial(h, c.coord) for c in phi.conjugates}
+    for _ in range(order + 1):
+        mu = {c.momentum: substitute(dh[c.coord], w, chart=work, order=order).scale(c.sign)
+              for c in phi.conjugates}
+        new = {coord: substitute(rel, mu, chart=work, order=order)
+               for coord, rel in relations.items()}
+        moved = any(truncate(new[k], order - 1) != truncate(w[k], order - 1) for k in w)
+        w = new
+        if not moved:
+            break
+    else:
+        raise AssertionError(f"reference sweeps still moving after {order + 1}")
+    out = substitute(h, w, chart=work, order=order)
+    out = out + substitute(phi.S, mu, chart=work, order=order)
+    for c in phi.conjugates:
+        out = out - mul(w[c.coord], mu[c.momentum].scale(c.sign))
+    return out
+
+
+def eps_series(phi, g, order, params=()):
+    """eps * g on (eps, params, target coords), with its work chart."""
+    work = pullback_chart(phi, order, params)
+    h_chart = Chart("h", (work.var(EPS),) + tuple(params) + tuple(phi.target.variables))
+    h = mul(SuperSeries.of_var(h_chart, EPS, order), embed(g, h_chart, order))
+    return h, work
 
 
 class TestValidation:
@@ -281,6 +321,46 @@ class TestPullback:
         with pytest.raises(MorphismError, match="sweeps"):
             _eliminate(phi, h, work, 2)
 
+    def test_eliminator_rejects_convergent_weight_zero_terms(self):
+        # h = y + eps*y^2 converges (w = x + 1 + 2*eps*w), but mu = 1 at
+        # eps = 0, so the value is not the envelope of the eps-graded terms.
+        phi = worked_example(3)
+        work = pullback_chart(phi, 3)
+        h_chart = Chart("h", (work.var(EPS),) + tuple(phi.target.variables))
+        y = SuperSeries.of_var(h_chart, "y", 3)
+        h = y + mul(SuperSeries.of_var(h_chart, EPS, 3), y ** 2)
+        ref_eliminate(phi, h, work, 3)
+        with pytest.raises(MorphismError):
+            _eliminate(phi, h, work, 3)
+
+    def test_weighted_source_coordinate_rejected(self):
+        src, tgt = Chart("M", [Variable("x", EVEN, weight=1)]), chart_y()
+        c = combined_chart(src, tgt, KIND_EVEN)
+        x = SuperSeries.of_var(c, "x", ORDER)
+        q = SuperSeries.of_var(c, "q_y", ORDER)
+        phi = mk_thick(src, tgt, KIND_EVEN, mul(x, q) + (q ** 2).scale(Fraction(1, 2)),
+                       ORDER)
+        g = SuperSeries.of_var(tgt, "y", ORDER) ** 2
+        with pytest.raises(MorphismError, match="weight 0"):
+            pullback(phi, g, ORDER)
+
+    @pytest.mark.parametrize("order", [5, 8])
+    def test_even_weight_certificate(self, order):
+        """h = eps^2 G y^2 / 2 enters only at even weights, so the sweep at
+        weight 1 leaves w = x unchanged; stopping there would drop every
+        term past eps^2.  The pullback is (G/2) x^2 sum_k G^(k-1) eps^(2k)
+        (w = x / (1 - G eps^2)), computed here without any solver code."""
+        G = Fraction(3, 2)
+        phi = worked_example(order)
+        work = pullback_chart(phi, order)
+        h_chart = Chart("h", (work.var(EPS),) + tuple(phi.target.variables))
+        h = SuperSeries.monomial(h_chart, {EPS: 2, "y": 2}, G / 2, order)
+        expected = SuperSeries.zero(work, order)
+        for k in range(1, order // 2 + 1):
+            expected = expected + SuperSeries.monomial(
+                work, {EPS: 2 * k, "x": 2}, G / 2 * G ** (k - 1), order)
+        assert pullback_series(phi, h, order) == expected
+
     @pytest.mark.parametrize("order", [0, -1])
     def test_order_below_one_rejected(self, order):
         g = SuperSeries.of_var(chart_y(), "y", 2) ** 2
@@ -385,3 +465,77 @@ class TestCompose:
             direct = pullback(compose(outer, inner, ORDER), g, ORDER)
             staged = pullback_series(inner, pullback(outer, g, ORDER), ORDER)
             assert direct == staged
+
+
+class TestReferenceEliminator:
+    """compose and pullback_series against ``ref_eliminate`` on seeded draws.
+    Draws go on until three outputs reach weight ``deep``, past what the
+    first sweep alone decides; every draw must match."""
+
+    @staticmethod
+    def check(draw, deep=2):
+        reached = 0
+        for _ in range(30):
+            got, want = draw()
+            assert got == want
+            reached += any(got.chart.mono_weight(m) >= deep for m in got.terms)
+            if reached == 3:
+                return
+        pytest.fail(f"only {reached} of 30 draws reach weight {deep}")
+
+    @pytest.mark.parametrize("kind", [KIND_EVEN, KIND_ODD])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3)])
+    def test_compose(self, kind, shape):
+        gen = Generator(40 + shape[0])
+        a = gen.chart(*shape, name="A")
+        b = gen.chart(*shape, name="B", stems=("y", "eta"))
+        c = gen.chart(*shape, name="C", stems=("z", "zeta"))
+
+        def draw():
+            inner = gen.thick(a, b, kind, ORDER, n_terms=6, max_momentum_degree=3)
+            outer = gen.thick(b, c, kind, ORDER, n_terms=6, max_momentum_degree=3)
+            out_momenta = [outer.chart.var(m) for m in outer.momentum_names()]
+            work = combined_chart(a, c, kind, out_momenta)
+            return (compose(outer, inner, ORDER).S,
+                    ref_eliminate(inner, outer.S, work, ORDER))
+        self.check(draw)
+
+    @pytest.mark.parametrize("kind", [KIND_EVEN, KIND_ODD])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3)])
+    def test_pullback_series(self, kind, shape):
+        order = 4
+        gen = Generator(50 + shape[0])
+        src = gen.chart(*shape, name="A")
+        tgt = gen.chart(*shape, name="B", stems=("y", "eta"))
+
+        def draw():
+            # S(x; 0) = S0(x) + 1 for even kind: not normalized, so not constant
+            phi = gen.thick(src, tgt, kind, order, n_terms=8, max_momentum_degree=3)
+            S0 = gen.series(src, order, parity=kind_parity(kind), n_terms=2, max_degree=2)
+            phi = mk_thick(src, tgt, kind, phi.S + embed(S0, phi.chart, order)
+                           + (1 - kind_parity(kind)), order, strict=False)
+            g = gen.series(tgt, order, parity=kind_parity(kind), n_terms=6, max_degree=3)
+            h, work = eps_series(phi, g, order)
+            return pullback_series(phi, h, order), ref_eliminate(phi, h, work, order)
+        self.check(draw)
+
+    def test_weight_one_parameter(self):
+        """A formal parameter s of weight 1 is scaled along with eps: h has
+        terms s*eps*g1 of weight 2 and a coordinate-free 2/3*s^2."""
+        order = 5
+        gen = Generator(60)
+        s = Variable("s", EVEN, ROLE_PARAM, 1)
+        src = gen.chart(1, 1, name="A")
+        tgt = gen.chart(2, 1, name="B", stems=("y", "eta"))
+        g_chart = Chart("g", (s,) + tuple(tgt.variables))
+
+        def draw():
+            phi = gen.thick(src, tgt, KIND_EVEN, order, n_terms=6, max_momentum_degree=3)
+            g0, g1 = (embed(gen.series(tgt, order, parity=EVEN, n_terms=4, max_degree=3),
+                            g_chart, order) for _ in range(2))
+            h, work = eps_series(phi, g0 + mul(SuperSeries.of_var(g_chart, "s", order), g1),
+                                 order, params=(s,))
+            h = h + SuperSeries.monomial(h.chart, {"s": 2}, Fraction(2, 3), order)
+            got = pullback_series(phi, h, order, params=(s,))
+            return got, ref_eliminate(phi, h, work, order)
+        self.check(draw, deep=3)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mfc.cli import main
+from mfc.cli import MAX_TRIALS, main
 from mfc.morphisms import KIND_EVEN, pullback
 from mfc.superalg import (
     EVEN,
@@ -253,6 +253,7 @@ class TestCli:
         ("--order", "0", "order must be at least 1"),
         ("--order", "100000", f"at most {MAX_ORDER}"),
         ("--trials", "0", "trials must be at least 1"),
+        ("--trials", "1000000", f"at most {MAX_TRIALS}"),
     ])
     def test_verify_bounds_usage_error(self, capsys, flag, value, message):
         start = time.monotonic()
