@@ -12,13 +12,14 @@ from .superalg import (
     mul,
     partial,
     substitute,
+    substitute_all,
     truncate,
 )
 
 __all__ = [
     "EVEN", "ODD", "Chart", "ChartMismatch", "ParityError",
     "SuperSeries", "Variable", "deriv", "mul", "partial",
-    "substitute", "truncate",
+    "substitute", "substitute_all", "truncate",
 ]
 
 __version__ = "0.1.0"

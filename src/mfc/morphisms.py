@@ -18,6 +18,7 @@ the tangent/antitangent identifications swap and sign the pairings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .report import Report
@@ -35,6 +36,7 @@ from .superalg import (
     partial,
     set_to_zero,
     substitute,
+    substitute_all,
 )
 from .superforms import (
     COTANGENT,
@@ -246,9 +248,11 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
     ``h`` lives on the target coordinates plus variables that map by
     name onto ``work``.  Starting from the base map, sweep i sets
     mu_i = sign_i dh/dw^i(w) and then w from the relation at mu, both
-    truncated at weight t = min(i + 1, order - 1).  It raises unless a
-    sweep at t = order - 1 leaves w unchanged within ``order + 2`` sweeps,
-    and takes the value from the envelope theorem.
+    truncated at weight t = min(i + 1, order - 1).  Each half-sweep is one
+    ``substitute_all`` call (all dh/dw^i at w, then all relations at mu),
+    so the powers of w, then of mu, are made once for all coordinates.
+    It raises unless a sweep at t = order - 1 leaves w unchanged within
+    ``order + 2`` sweeps, and takes the value from the envelope theorem.
     """
     if any(v.weight for v in (*phi.source, *phi.target)):
         raise MorphismError("source and target coordinates must have weight 0")
@@ -257,9 +261,15 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
         raise MorphismError("coordinate-dependent terms need weight, or the sweeps may not settle")
     base = base_map(phi)
     w = {v.name: embed(base.components[v.name], work, 0) for v in phi.target}
-    relations = phi.coordinate_relations()
-    dh = {c.coord: partial(h, c.coord) for c in phi.conjugates}
     series = lambda chart, terms, t: SuperSeries(chart, terms, t, _checked=True)
+    dh = [partial(h, c.coord) for c in phi.conjugates]
+    # mu_i = sign_i dh/dw^i(w): the signs go into the relations once, so a
+    # sweep substitutes the gradient itself
+    relations = phi.coordinate_relations()
+    signs = [(phi.chart.index(c.momentum), c.sign) for c in phi.conjugates]
+    signed = [series(phi.chart, {m: c * prod([s ** m[k] for k, s in signs])
+                                 for m, c in rel.terms.items()}, phi.order)
+              for rel in relations.values()]
     # Every coordinate-dependent term of h has weight >= 1, so sweep i makes
     # w right through weight i + 1.  An unchanged w at a lower truncation
     # proves nothing (h may enter only at even weights): only t = order - 1,
@@ -267,10 +277,8 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
     for i in range(order + 2):
         t = min(i + 1, order - 1)
         w = {k: series(work, s.terms, t) for k, s in w.items()}  # t >= s.order
-        mu = {c.momentum: substitute(dh[c.coord], w, chart=work, order=t).scale(c.sign)
-              for c in phi.conjugates}
-        new = {coord: substitute(rel, mu, chart=work, order=t)
-               for coord, rel in relations.items()}
+        grad = dict(zip(phi.momentum_names(), substitute_all(dh, w, chart=work, order=t)))
+        new = dict(zip(relations, substitute_all(signed, grad, chart=work, order=t)))
         if t == order - 1 and new == w:
             break
         w = new

@@ -8,7 +8,11 @@ series is truncated at a fixed total weight (the filtration order).
 
 Coefficients are stored as ``Fraction``s, but inside ``mul``, ``deriv``
 and ``substitute`` they are summed as integer numerators over a common
-denominator, and each output term becomes a ``Fraction`` once.
+denominator, and each output term becomes a ``Fraction`` once.  Every
+intermediate of a substitution (image powers, partial products of a
+monomial's factors) stays in that integer form, and ``substitute_all``
+substitutes several series under one image map with one shared table of
+image powers.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 EVEN = 0
@@ -30,6 +34,8 @@ ROLE_ODD_VELOCITY = "odd-velocity"
 ROLE_MOMENTUM = "momentum"
 ROLE_ANTIMOMENTUM = "antimomentum"
 ROLE_PARAM = "formal-parameter"
+
+_ONE = Fraction(1)
 
 _MOMENTUM_ROLES = (ROLE_MOMENTUM, ROLE_ANTIMOMENTUM, ROLE_PARAM)
 
@@ -85,7 +91,7 @@ class Chart:
     """
 
     __slots__ = ("name", "variables", "depth", "_index", "parities",
-                 "weights", "caps", "odd_indices", "even_caps")
+                 "weights", "caps", "odd_indices", "even_caps", "capped")
 
     def __init__(self, name: str, variables: Iterable[Variable], depth: int = 0):
         self.name = name
@@ -103,6 +109,7 @@ class Chart:
         # (index, max_power) of capped even variables; odd caps are masks
         self.even_caps = tuple((i, v.max_power) for i, v in enumerate(self.variables)
                                if v.parity == EVEN and v.max_power is not None)
+        self.capped = tuple((i, cap) for i, cap in enumerate(self.caps) if cap is not None)
 
     def index(self, name: str) -> int:
         try:
@@ -148,6 +155,15 @@ class Chart:
     def mono_base_degree(self, mono: tuple) -> int:
         return sum(e for e, w in zip(mono, self.weights) if w == 0)
 
+    def admits(self, mono: tuple, order: int) -> bool:
+        """Whether a monomial survives truncation at ``order`` and the caps."""
+        if sum(map(operator.mul, mono, self.weights)) > order:
+            return False
+        for i, cap in self.capped:
+            if mono[i] > cap:
+                return False
+        return True
+
 
 class SuperSeries:
     """A supercommutative series: chart + monomial->Fraction terms.
@@ -169,18 +185,8 @@ class SuperSeries:
         clean = {}
         for m, c in terms.items():
             c = Fraction(c)
-            if not c:
-                continue
-            if chart.mono_weight(m) > order:
-                continue
-            drop = False
-            for e, cap in zip(m, chart.caps):
-                if cap is not None and e > cap:
-                    drop = True
-                    break
-            if drop:
-                continue
-            clean[m] = c
+            if c and chart.admits(m, order):
+                clean[m] = c
         self.terms = clean
 
     # -- constructors -------------------------------------------------
@@ -200,14 +206,18 @@ class SuperSeries:
     def of_var(cls, chart: Chart, name: str, order: int) -> "SuperSeries":
         i = chart.index(name)
         mono = tuple(1 if j == i else 0 for j in range(len(chart)))
-        return cls(chart, {mono: Fraction(1)}, order)
+        terms = {mono: _ONE} if chart.admits(mono, order) else {}
+        return cls(chart, terms, order, _checked=True)
 
     @classmethod
     def monomial(cls, chart: Chart, exps: Mapping[str, int], coeff, order: int) -> "SuperSeries":
         mono = [0] * len(chart)
         for name, e in exps.items():
             mono[chart.index(name)] = e
-        return cls(chart, {tuple(mono): Fraction(coeff)}, order)
+        mono = tuple(mono)
+        coeff = Fraction(coeff)
+        terms = {mono: coeff} if coeff and chart.admits(mono, order) else {}
+        return cls(chart, terms, order, _checked=True)
 
     # -- basic queries -------------------------------------------------
 
@@ -323,20 +333,20 @@ class SuperSeries:
 
 
 def _common_denominator(coeffs: Iterable[Fraction]) -> int:
-    den = 1
-    for c in coeffs:
-        d = c.denominator
-        if den % d:
-            den = den // gcd(den, d) * d
-    return den
+    return lcm(*[c.denominator for c in coeffs])
 
 
-def _rows(chart: Chart, terms: Mapping[tuple, Fraction], den: int) -> list:
-    """(monomial, numerator over ``den``, weight, odd mask) per term."""
+def _numerators(terms: Mapping[tuple, Fraction], den: int) -> Iterable:
+    """(monomial, numerator over ``den``) per term."""
+    return ((m, c.numerator * (den // c.denominator)) for m, c in terms.items())
+
+
+def _rows(chart: Chart, numerators: Iterable) -> list:
+    """(monomial, numerator, weight, odd mask) per nonzero numerator."""
     weights, odd, times = chart.weights, chart.odd_indices, operator.mul
-    return [(m, c.numerator * (den // c.denominator), sum(map(times, m, weights)),
+    return [(m, n, sum(map(times, m, weights)),
              sum([m[i] << i for i in odd]) if odd else 0)
-            for m, c in terms.items()]
+            for m, n in numerators if n]
 
 
 def _add_products(acc: dict, rows_a: list, rows_b: list, order: int,
@@ -363,22 +373,6 @@ def _add_products(acc: dict, rows_a: list, rows_b: list, order: int,
             acc[mono] = get(mono, 0) + n
 
 
-def _add_scaled(acc: dict, den: int, terms: Mapping[tuple, Fraction], c: Fraction) -> int:
-    """acc += c*terms, numerators over ``den``; return the denominator,
-    grown (with acc rescaled) when a product's denominator does not divide it."""
-    cn, cd = c.numerator, c.denominator
-    get = acc.get
-    for m, v in terms.items():
-        d = cd * v.denominator
-        if den % d:
-            grow = d // gcd(den, d)
-            for k in acc:
-                acc[k] *= grow
-            den *= grow
-        acc[m] = get(m, 0) + cn * v.numerator * (den // d)
-    return den
-
-
 def _from_numerators(chart: Chart, acc: dict, den: int, order: int) -> SuperSeries:
     return SuperSeries(chart, {m: Fraction(n, den) for m, n in acc.items() if n},
                        order, _checked=True)
@@ -391,7 +385,8 @@ def mul(a: SuperSeries, b: SuperSeries) -> SuperSeries:
     da = _common_denominator(a.terms.values())
     db = _common_denominator(b.terms.values())
     acc: dict = {}
-    _add_products(acc, _rows(chart, a.terms, da), _rows(chart, b.terms, db),
+    _add_products(acc, _rows(chart, _numerators(a.terms, da)),
+                  _rows(chart, _numerators(b.terms, db)),
                   a.order, chart.even_caps)
     return _from_numerators(chart, acc, da * db, a.order)
 
@@ -412,11 +407,11 @@ def deriv(a: SuperSeries, images: Mapping[str, SuperSeries], parity: Parity) -> 
         idx_images[i] = img
     da = _common_denominator(a.terms.values())
     di = _common_denominator(c for img in idx_images.values() for c in img.terms.values())
-    rows_a = _rows(chart, a.terms, da)
+    rows_a = _rows(chart, _numerators(a.terms, da))
     acc: dict = {}
     for k, img in idx_images.items():
         by_parity: tuple = ([], [])
-        for row in _rows(chart, img.terms, di):
+        for row in _rows(chart, _numerators(img.terms, di)):
             by_parity[row[3].bit_count() & 1].append(row)
         below = (1 << k) - 1
         wk = chart.weights[k]
@@ -456,17 +451,34 @@ def substitute(a: SuperSeries, images: Mapping[str, SuperSeries],
     variable it replaces.  Variables without an explicit image map to
     the same-named variable on the output chart.
     """
+    return substitute_all([a], images, chart, order)[0]
+
+
+def substitute_all(series: Sequence[SuperSeries], images: Mapping[str, SuperSeries],
+                   chart: Optional[Chart] = None, order: Optional[int] = None) -> list:
+    """``substitute`` of each series, all on one chart, under one image map.
+
+    The powers of each image are computed once for all the series.
+    """
+    if not series:
+        return []
+    source = series[0].chart
+    if any(a.chart != source for a in series):
+        raise ChartMismatch("substituted series must share one chart")
     if chart is None or order is None:
         for img in images.values():
             chart = img.chart if chart is None else chart
             order = img.order if order is None else order
             break
         if chart is None:
-            chart = a.chart
+            chart = source
         if order is None:
-            order = a.order
-    resolved = []
-    for v in a.chart:
+            order = series[0].order
+    # Source variable i maps to integer rows over dens[i]: the image's
+    # terms over their common denominator, or one identity row over 1.
+    dens = []
+    for v in source:
+        den = 1
         if v.name in images:
             img = images[v.name]
             if img.chart != chart or img.order != order:
@@ -475,37 +487,66 @@ def substitute(a: SuperSeries, images: Mapping[str, SuperSeries],
             if not img.has_parity(v.parity):
                 raise ParityError(
                     f"image of {v.name!r} has a component of wrong parity")
-            resolved.append(img)
-        elif v.name in chart:
-            resolved.append(SuperSeries.of_var(chart, v.name, order))
-        else:
-            resolved.append(None)  # only legal if a never uses it
-    powers: dict = {}  # source index -> [image, image^2, ...]
+            den = _common_denominator(img.terms.values())
+        dens.append(den)
+    caps = chart.even_caps
+    powers: dict = {}  # source index -> [rows of image, of image^2, ...]
 
-    def power(i: int, e: int) -> SuperSeries:
+    def power(i: int, e: int) -> list:
+        """Rows of image_i^e over dens[i]^e."""
         p = powers.get(i)
         if p is None:
-            if resolved[i] is None:
-                raise KeyError(f"variable {a.chart.variables[i].name!r} "
-                               f"has no image on chart {chart.name!r}")
-            p = powers[i] = [resolved[i]]
+            name = source.variables[i].name
+            if name in images:
+                rows = _rows(chart, _numerators(images[name].terms, dens[i]))
+            elif name in chart:  # identity, dropped if truncation or a cap forbids it
+                j = chart.index(name)
+                mono = tuple(1 if k == j else 0 for k in range(len(chart)))
+                rows = ([(mono, 1, chart.weights[j], chart.parities[j] << j)]
+                        if chart.admits(mono, order) else [])
+            else:
+                raise KeyError(f"variable {name!r} has no image on chart {chart.name!r}")
+            p = powers[i] = [rows]
         while len(p) < e:
-            p.append(mul(p[-1], p[0]))
+            acc: dict = {}
+            _add_products(acc, p[-1], p[0], order, caps)
+            p.append(_rows(chart, acc.items()))
         return p[e - 1]
 
-    acc: dict = {}
-    den = 1
-    for m, c in a.terms.items():
-        term = None
-        for i, e in enumerate(m):
-            if e:
-                term = power(i, e) if term is None else mul(term, power(i, e))
-                if not term.terms:
+    out = []
+    unit = (0,) * len(chart)
+    for a in series:
+        # term m*c becomes c * image_0^e_0 * image_1^e_1 ... over den(c) * prod dens^e
+        term_dens = []
+        for m, c in a.terms.items():
+            d = c.denominator
+            for i, e in enumerate(m):
+                if e:
+                    d *= dens[i] ** e
+            term_dens.append(d)
+        den = lcm(*term_dens)
+        acc: dict = {}
+        get = acc.get
+        for (m, c), d in zip(a.terms.items(), term_dens):
+            n = c.numerator * (den // d)
+            factors = [(i, e) for i, e in enumerate(m) if e]
+            # n times the first factor, times each further one in chart
+            # order; the last product goes straight into acc
+            rows = ([(mono, n * k, w, o) for mono, k, w, o in power(*factors[0])]
+                    if factors else [(unit, n, 0, 0)])
+            for i, e in factors[1:-1]:
+                if not rows:
                     break
-        if term is None:  # the constant monomial
-            term = SuperSeries.const(chart, 1, order)
-        den = _add_scaled(acc, den, term.terms, c)
-    return _from_numerators(chart, acc, den, order)
+                part: dict = {}
+                _add_products(part, rows, power(i, e), order, caps)
+                rows = _rows(chart, part.items())
+            if len(factors) < 2:
+                for mono, k, _, _ in rows:
+                    acc[mono] = get(mono, 0) + k
+            elif rows:
+                _add_products(acc, rows, power(*factors[-1]), order, caps)
+        out.append(_from_numerators(chart, acc, den, order))
+    return out
 
 
 def truncate(a: SuperSeries, n: int) -> SuperSeries:

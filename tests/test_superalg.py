@@ -23,6 +23,7 @@ from mfc.superalg import (
     set_to_zero,
     shift_down,
     substitute,
+    substitute_all,
     truncate,
 )
 from mfc.testkit import Generator
@@ -389,6 +390,89 @@ class TestReferenceKernel:
             out = substitute(a, images, chart=chart, order=REF_ORDER)
             assert out.terms == ref_substitute(a, images, chart, REF_ORDER).terms
             assert_clean(out)
+
+    def test_substitute_all_matches_reference(self):
+        """Several series under one image map, some variables left unmapped
+        (an identity image, empty at order 0 for a weight-1 variable and
+        capped for the formal parameter), odd images shared between
+        variables."""
+        rng = random.Random(15)
+        chart = ref_chart()
+        identity = lambda v, order: SuperSeries(
+            chart, {tuple(int(u is v) for u in chart): 1}, order)
+        seen = set()
+        for _ in range(40):
+            order = rng.choice([0, REF_ORDER])
+            unmapped = set(rng.sample([v.name for v in chart], rng.randint(0, 4)))
+            images = {v.name: truncate(draw(rng, chart, rng.randint(1, 3), v.parity), order)
+                      for v in chart if v.name not in unmapped}
+            if "th" in images and "et" in images and rng.random() < 0.5:
+                images["et"] = images["th"]
+                seen.add("shared odd")
+            full = {v.name: images[v.name] if v.name in images else identity(v, order)
+                    for v in chart}
+            series = [draw(rng, chart, rng.randint(1, 5)) for _ in range(rng.randint(1, 4))]
+            # lone variables, where an identity image is the whole product
+            series.append(SuperSeries(chart, {tuple(int(u is v) for u in chart):
+                                              rng.choice(REF_COEFFS) for v in chart},
+                                      REF_ORDER))
+            outs = substitute_all(series, images, chart=chart, order=order)
+            assert [s.terms for s in outs] == \
+                [ref_substitute(a, full, chart, order).terms for a in series]
+            for out in outs:
+                assert_clean(out)
+                assert (out.chart, out.order) == (chart, order)
+            used = set().union(*(a.variables_used() for a in series))
+            if order == 0 and unmapped & {"q", "p"} & used:
+                seen.add("weight-1 identity at order 0")
+            if "t" in unmapped & used:
+                seen.add("capped identity")
+        assert seen == {"shared odd", "weight-1 identity at order 0", "capped identity"}
+
+    def test_substitute_all_edges(self):
+        chart = ref_chart()
+        x = SuperSeries.of_var(chart, "x", REF_ORDER)
+        th = SuperSeries.of_var(chart, "th", REF_ORDER)
+        assert substitute_all([], {}, chart=chart, order=REF_ORDER) == []
+        with pytest.raises(ChartMismatch):
+            substitute_all([x, var(make_chart(), "x")], {}, chart=chart, order=REF_ORDER)
+        small = Chart("S", [Variable("x", EVEN), Variable("th", ODD)])
+        # only a variable the series uses needs an image
+        out, = substitute_all([x + th], {}, chart=small, order=REF_ORDER)
+        assert out == SuperSeries.of_var(small, "x", REF_ORDER) + \
+            SuperSeries.of_var(small, "th", REF_ORDER)
+        with pytest.raises(KeyError, match="'y'"):
+            substitute_all([x, SuperSeries.of_var(chart, "y", REF_ORDER)], {},
+                           chart=small, order=REF_ORDER)
+        with pytest.raises(ParityError):
+            substitute_all([x, th], {"th": x}, chart=chart, order=REF_ORDER)
+
+    def test_constructors_match_validating_init(self):
+        """of_var and monomial skip __init__'s checks but drop the same
+        terms: too heavy, over a cap (odd, max_power, max_power=0) or zero."""
+        base = ref_chart()
+        chart = base.extended("R0", [Variable("s", EVEN, ROLE_PARAM, max_power=0)])
+        kept = lambda mono, coeff, order: bool(coeff) and sum(
+            e * v.weight for e, v in zip(mono, chart)) <= order and all(
+            v.cap is None or e <= v.cap for e, v in zip(mono, chart))
+        rng = random.Random(16)
+        for order in range(4):
+            for v in chart:
+                unit = tuple(int(u is v) for u in chart)
+                expect = SuperSeries(chart, {unit: 1}, order)
+                got = SuperSeries.of_var(chart, v.name, order)
+                assert (got.terms, got.order) == (expect.terms, expect.order)
+                assert bool(got.terms) == kept(unit, 1, order)
+                assert_clean(got)
+            for _ in range(40):
+                exps = {v.name: rng.randint(0, 3) for v in rng.sample(chart.variables, 2)}
+                coeff = rng.choice([0] + REF_COEFFS)
+                mono = tuple(exps.get(v.name, 0) for v in chart)
+                expect = SuperSeries(chart, {mono: coeff}, order)
+                got = SuperSeries.monomial(chart, exps, coeff, order)
+                assert (got.terms, got.order) == (expect.terms, expect.order)
+                assert bool(got.terms) == kept(mono, coeff, order)
+                assert_clean(got)
 
     def test_mul_associative(self):
         rng = random.Random(14)

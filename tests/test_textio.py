@@ -232,6 +232,8 @@ class TestCli:
     def test_unknown_name_usage_error(self, ws_file, capsys):
         assert main(["pullback", ws_file, "--morphism", "Nope",
                      "--function", "gsq"]) == 2
+        # the bare message, not the quoted repr that str(KeyError) gives
+        assert capsys.readouterr().err == "error: no morphism named 'Nope' in workspace\n"
 
     def test_bad_arguments_usage_error(self, capsys):
         assert main(["lift"]) == 2

@@ -1,18 +1,25 @@
 """pytest plugin: record the serialized output of every pullback_series,
-compose and _lift call that a test run makes.
+compose and _lift call that a test run makes, and of every kernel call
+(``superalg.mul``, ``deriv`` and ``substitute``) made from outside
+``superalg``.
 
-A refactor of the solver or the lifts should leave these outputs
-byte-identical.  Record them on the parent commit and on the change,
-each with the same tests, then compare the two files:
+A refactor of the kernel, the solver or the lifts should leave these
+outputs byte-identical.  Record them on the parent commit and on the
+change, each with the same tests, then compare the two files:
 
     PYTHONHASHSEED=0 PYTHONPATH=src:tools python -m pytest -q \\
         -p capture_outputs --capture-outputs=/tmp/change.jsonl
     cmp /tmp/parent.jsonl /tmp/change.jsonl
 
-Each line of the file is one call, in call order: a JSON list of the
+Each line of the file is one output, in call order: a JSON list of the
 function name and its output (``serialize`` of the series, plus the kind
-and the conjugacy table for a lifted morphism).  ``PYTHONHASHSEED=0``
-fixes the order of any set iteration, so equal code gives equal files.
+and the conjugacy table for a lifted morphism).  A ``substitute_all``
+call writes one ``substitute`` line per series, as the ``substitute``
+calls it replaces would.  Kernel calls that ``superalg`` makes itself
+(``partial`` calling ``deriv``, ``a * b`` calling ``mul``) are not
+recorded: they are internals a kernel change may add or drop.  Targets
+a commit does not define are skipped.  ``PYTHONHASHSEED=0`` fixes the
+order of any set iteration, so equal code gives equal files.
 """
 
 from __future__ import annotations
@@ -22,13 +29,24 @@ import json
 import pkgutil
 import sys
 
-# (module, function) pairs to wrap, and how to record each output
+KERNEL = "mfc.superalg"
+
+
+def _series(name):
+    return lambda out: [[name, serialize(out)]]
+
+
+# (module, function, output -> recorded lines) for each wrapped function
 TARGETS = (
-    ("mfc.morphisms", "pullback_series", lambda out: [serialize(out)]),
-    ("mfc.morphisms", "compose", lambda out: [serialize(out.S)]),
+    ("mfc.morphisms", "pullback_series", _series("pullback_series")),
+    ("mfc.morphisms", "compose", lambda out: [["compose", serialize(out.S)]]),
     ("mfc.functors", "_lift",
-     lambda out: [out.kind, serialize(out.S),
-                  [[c.coord, c.momentum, c.sign] for c in out.conjugates]]),
+     lambda out: [["_lift", out.kind, serialize(out.S),
+                   [[c.coord, c.momentum, c.sign] for c in out.conjugates]]]),
+    (KERNEL, "mul", _series("mul")),
+    (KERNEL, "deriv", _series("deriv")),
+    (KERNEL, "substitute", _series("substitute")),
+    (KERNEL, "substitute_all", lambda outs: [["substitute", serialize(s)] for s in outs]),
 )
 
 
@@ -39,13 +57,15 @@ def serialize(series) -> str:
 
 def pytest_addoption(parser):
     parser.addoption("--capture-outputs", metavar="PATH", default=None,
-                     help="write one JSON line per wrapped call to PATH")
+                     help="write one JSON line per wrapped output to PATH")
 
 
-def _wrap(fh, name, fn, record):
+def _wrap(fh, fn, record):
     def wrapper(*args, **kwargs):
         out = fn(*args, **kwargs)
-        fh.write(json.dumps([name] + record(out)) + "\n")
+        if sys._getframe(1).f_globals.get("__name__") != KERNEL:
+            for line in record(out):
+                fh.write(json.dumps(line) + "\n")
         return out
     return wrapper
 
@@ -60,10 +80,11 @@ def pytest_configure(config):
     for info in pkgutil.iter_modules(mfc.__path__):  # every module that may bind a target
         importlib.import_module(f"mfc.{info.name}")
     for module, name, record in TARGETS:
-        original = getattr(importlib.import_module(module), name)
-        wrapper = _wrap(fh, name, original, record)
+        original = getattr(importlib.import_module(module), name, None)
+        if original is None:
+            continue
+        wrapper = _wrap(fh, original, record)
         # patch every mfc module that bound the name, as ``from .m import f`` does
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("mfc") and getattr(mod, name, None) is original:
                 setattr(mod, name, wrapper)
-
