@@ -1,4 +1,10 @@
-"""Command-line interface: check, pullback, compose, lift, verify."""
+"""Command-line interface: check, pullback, compose, lift, verify.
+
+Each command is a function ``(workspace, args)`` that returns a Report or
+a series.  Only ``main`` reads the workspace, turns errors into exit code 2
+and renders the result: a Report prints its checks and exits 0 or 1, a
+series prints ``serialize`` and exits 0.
+"""
 
 from __future__ import annotations
 
@@ -8,120 +14,84 @@ from typing import Optional, Sequence
 
 from .morphisms import compose, pullback, relation_check
 from .report import Report
-from .textio import ParseError, Workspace, order_value, parse_workspace, serialize
+from .textio import MAX_ORDER, ParseError, bounded, parse_workspace, serialize
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 MAX_TRIALS = 1000  # bound of `mfc verify --trials`
 
-
-def _load_workspace(path: str) -> Workspace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_workspace(fh.read())
-
-
-def _need(ws: Workspace, table: str, name: str):
-    items = getattr(ws, table)
-    if name not in items:
-        raise KeyError(f"no {table[:-1]} named {name!r} in workspace")
-    return items[name]
+# suite name: (default order, runner); a runner takes testkit, imported only
+# when a suite runs, and the parsed arguments
+SUITES = {
+    "identifications": (4, lambda kit, a: kit.suite_identifications(order=a.order)),
+    "functoriality": (3, lambda kit, a: kit.suite_functoriality(a.seed, a.trials, a.order)),
+    "qmorphism": (3, lambda kit, a: kit.suite_qmorphism(a.seed, a.trials, a.order)),
+    "pullback-props": (3, lambda kit, a: kit.suite_pullback_props(a.seed, a.trials, a.order)),
+}
 
 
-def _order_flag(text: str) -> int:
-    """--order: a usage error unless ``text`` is a valid order."""
-    try:
-        return order_value(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _bounded_flag(what: str, most: int):
+    """An argparse type: an integer from 1 to ``most``, else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            return bounded(text, what, most)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
-def _trials_flag(text: str) -> int:
-    """--trials: a usage error unless ``text`` is an integer from 1 to MAX_TRIALS."""
-    if not text.isdecimal() or not 1 <= int(text) <= MAX_TRIALS:
-        raise argparse.ArgumentTypeError(
-            f"trials must be at least 1 and at most {MAX_TRIALS}, found {text!r}")
-    return int(text)
-
-
-def _cmd_check(args) -> int:
-    ws = _load_workspace(args.workspace)
+def _check(ws, args) -> Report:
     report = Report("check")
     report.add("workspace_parses", True)
     for name, phi in ws.morphisms.items():
-        sub = relation_check(phi)
-        for c in sub.checks:
+        for c in relation_check(phi).checks:
             report.append(c.rename(f"{name}:{c.name}"))
-    print(report.render())
-    return 0 if report.passed else CHECK_FAILED
+    return report
 
 
-def _cmd_pullback(args) -> int:
-    ws = _load_workspace(args.workspace)
-    phi = _need(ws, "morphisms", args.morphism)
-    g = _need(ws, "functions", args.function)
-    order = args.order if args.order is not None else ws.default_order
-    print(serialize(pullback(phi, g, order)))
-    return 0
+def _pullback(ws, args):
+    return pullback(ws.morphisms[args.morphism], ws.functions[args.function], args.order)
 
 
-def _cmd_compose(args) -> int:
-    ws = _load_workspace(args.workspace)
-    outer = _need(ws, "morphisms", args.outer)
-    inner = _need(ws, "morphisms", args.inner)
-    order = args.order if args.order is not None else ws.default_order
-    print(serialize(compose(outer, inner, order).S))
-    return 0
+def _compose(ws, args):
+    return compose(ws.morphisms[args.outer], ws.morphisms[args.inner], args.order).S
 
 
-def _cmd_lift(args) -> int:
+def _lift(ws, args):
     from .functors import antitangent_lift, tangent_lift
-    ws = _load_workspace(args.workspace)
-    phi = _need(ws, "morphisms", args.morphism)
-    lifted = tangent_lift(phi) if args.tangent else antitangent_lift(phi)
-    print(serialize(lifted.S))
-    return 0
+    phi = ws.morphisms[args.morphism]
+    return (tangent_lift(phi) if args.tangent else antitangent_lift(phi)).S
 
 
-def _cmd_verify(args) -> int:
+def _verify(ws, args) -> Report:
     from . import testkit
-    order = args.order if args.order is not None else (
-        4 if args.suite == "identifications" else 3)
-    runners = {
-        "identifications": lambda: testkit.suite_identifications(order=order),
-        "functoriality": lambda: testkit.suite_functoriality(
-            seed=args.seed, trials=args.trials, order=order),
-        "qmorphism": lambda: testkit.suite_qmorphism(
-            seed=args.seed, trials=args.trials, order=order),
-        "pullback-props": lambda: testkit.suite_pullback_props(
-            seed=args.seed, trials=args.trials, order=order),
-    }
-    report = runners[args.suite]()
-    print(report.render())
-    return 0 if report.passed else CHECK_FAILED
+    return SUITES[args.suite][1](testkit, args)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mfc", description="Symbolic checks for microformal morphisms.")
+    parser.set_defaults(workspace=None, order=None)
     sub = parser.add_subparsers(dest="command", required=True)
+    order = _bounded_flag("order", MAX_ORDER)
 
     p = sub.add_parser("check", help="validate a workspace file")
     p.add_argument("workspace")
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(run=_check)
 
     p = sub.add_parser("pullback", help="nonlinear pullback of a function")
     p.add_argument("workspace")
     p.add_argument("--morphism", required=True)
     p.add_argument("--function", required=True)
-    p.add_argument("--order", type=_order_flag, default=None)
-    p.set_defaults(func=_cmd_pullback)
+    p.add_argument("--order", type=order)
+    p.set_defaults(run=_pullback)
 
     p = sub.add_parser("compose", help="compose two thick morphisms")
     p.add_argument("workspace")
     p.add_argument("--outer", required=True)
     p.add_argument("--inner", required=True)
-    p.add_argument("--order", type=_order_flag, default=None)
-    p.set_defaults(func=_cmd_compose)
+    p.add_argument("--order", type=order)
+    p.set_defaults(run=_compose)
 
     p = sub.add_parser("lift", help="tangent or antitangent lift")
     p.add_argument("workspace")
@@ -129,16 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--tangent", action="store_true")
     group.add_argument("--antitangent", action="store_true")
-    p.set_defaults(func=_cmd_lift)
+    p.set_defaults(run=_lift)
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
-    p.add_argument("--suite", required=True,
-                   choices=["identifications", "functoriality", "qmorphism",
-                            "pullback-props"])
+    p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_trials_flag, default=10)
-    p.add_argument("--order", type=_order_flag, default=None)
-    p.set_defaults(func=_cmd_verify)
+    p.add_argument("--trials", type=_bounded_flag("trials", MAX_TRIALS), default=10)
+    p.add_argument("--order", type=order)
+    p.set_defaults(run=_verify)
     return parser
 
 
@@ -149,12 +117,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
     try:
-        return args.func(args)
+        ws = None
+        if args.workspace is not None:
+            with open(args.workspace, "r", encoding="utf-8") as fh:
+                ws = parse_workspace(fh.read())
+        if args.order is None:  # the workspace's `set order`, else the suite's
+            args.order = SUITES[args.suite][0] if ws is None else ws.default_order
+        result = args.run(ws, args)
     except (ParseError, KeyError, FileNotFoundError, ValueError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return USAGE_ERROR
+    if isinstance(result, Report):
+        print(result.render())
+        return 0 if result.passed else CHECK_FAILED
+    print(serialize(result))
+    return 0
 
 
 if __name__ == "__main__":

@@ -37,8 +37,6 @@ ROLE_PARAM = "formal-parameter"
 
 _ONE = Fraction(1)
 
-_MOMENTUM_ROLES = (ROLE_MOMENTUM, ROLE_ANTIMOMENTUM, ROLE_PARAM)
-
 
 class ChartMismatch(ValueError):
     """Operands live on different charts or filtration orders."""

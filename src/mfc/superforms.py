@@ -369,32 +369,32 @@ def prolong_coordinate_change(F: Mapping[str, SuperSeries], base_chart: Chart,
             for name in names:
                 sigma[partner(name, kind)] = apply_operator(sigma[name], op)
         else:
-            # solve sum_v K_b^v sigma(mu_v) = mu_b, K_b^v = left d(sigma v)/d b
-            K = {}
-            for vname in names:
-                for bname in names:
-                    K[(bname, vname)] = partial(sigma[vname], bname)
-            n = len(names)
-            K0 = [[K[(b, v)].constant_term() for v in names] for b in names]
+            # solve sum_v K_b^v sigma(mu_v) = mu_b, K_b^v = left d(sigma v)/d b,
+            # by sweeping u <- K0^-1 (mu - dK u) with dK = K - K0
+            K = [[partial(sigma[v], b) for v in names] for b in names]
+            K0 = [[k.constant_term() for k in row] for row in K]
             K0inv = _invert_fraction_matrix(K0)
             if K0inv is None:
                 raise ValueError("coordinate change has non-invertible linear part")
+            dK = [[k - c for k, c in zip(row, row0)] for row, row0 in zip(K, K0)]
+            zero = SuperSeries.zero(chart, s_order)
             mu = [SuperSeries.of_var(chart, partner(v, kind), s_order) for v in names]
-            u = [SuperSeries.zero(chart, s_order) for _ in names]
-            for _ in range(order + 1):
-                new = []
-                for i in range(n):
-                    acc = SuperSeries.zero(chart, s_order)
-                    for b in range(n):
-                        if K0inv[i][b]:
-                            resid = mu[b]
-                            for w in range(n):
-                                dk = K[(names[b], names[w])] - K0[b][w]
-                                if not dk.is_zero():
-                                    resid = resid - mul(dk, u[w])
-                            acc = acc + resid.scale(K0inv[i][b])
-                    new.append(truncate_base_degree(acc, order))
+            u = [zero] * len(names)
+            # Every monomial of dK has base degree + weight >= 1, so a sweep
+            # raises that sum by one in u's error; the truncations keep it at
+            # most order + s_order, so the error is gone after that many
+            # sweeps plus one, and the next sweep leaves u unchanged.
+            for _ in range(order + s_order + 2):
+                resid = [m - sum((mul(k, uw) for k, uw in zip(row, u)), zero)
+                         for m, row in zip(mu, dK)]
+                new = [truncate_base_degree(
+                           sum((r.scale(c) for r, c in zip(resid, row) if c), zero), order)
+                       for row in K0inv]
+                if new == u:
+                    break
                 u = new
+            else:
+                raise ValueError("momentum solve did not converge")
             for v, img in zip(names, u):
                 sigma[partner(v, kind)] = img
     for name in pre_d:

@@ -1,8 +1,9 @@
 """Workspace file format, expression parser and canonical serializer.
 
-Grammar (line oriented, ``#`` comments):
+Grammar (line oriented, ``#`` comments; any other ``set`` key is an error):
 
-    set <key> = <value>
+    set order = <N>
+    set strict = 0|1
     chart <name> { <id> : even|odd, ... }
     morphism <name> : <chart> -> <chart> kind=even|odd order=<N> { S = <expr> }
     function <name> on <chart> { <expr> }
@@ -135,8 +136,10 @@ class _Parser:
         return self.tokens[self.pos]
 
     def next(self) -> Token:
+        """The current token; the position stays on the final ``eof``."""
         t = self.tokens[self.pos]
-        self.pos += 1
+        if t.kind != "eof":
+            self.pos += 1
         return t
 
     def fail(self, msg: str):
@@ -251,18 +254,18 @@ def parse_series(text: str, chart: Chart, order: int) -> SuperSeries:
 # -- workspace -------------------------------------------------------------
 
 
-def order_value(text: str) -> int:
-    """An order written as text: an integer from 1 to MAX_ORDER."""
-    if not text.isdecimal() or not 1 <= int(text) <= MAX_ORDER:
-        raise ValueError(f"order must be at least 1 and at most {MAX_ORDER}, "
-                         f"found {text!r}")
+def bounded(text: str, what: str, most: int) -> int:
+    """``text`` as an integer from 1 to ``most``; a ValueError naming ``what``
+    otherwise.  Serves orders here and the CLI's --order and --trials."""
+    if not text.isdecimal() or not 1 <= int(text) <= most:
+        raise ValueError(f"{what} must be at least 1 and at most {most}, found {text!r}")
     return int(text)
 
 
-def _order_value(tok: Token) -> int:
+def _order_at(tok: Token) -> int:
     """An order setting or attribute, refused at its token."""
     try:
-        return order_value(tok.text)
+        return bounded(tok.text, "order", MAX_ORDER)
     except ValueError as exc:
         raise ParseError(str(exc), tok.line, tok.col) from None
 
@@ -276,20 +279,24 @@ def _declared(head: Token, build, *args, **kwargs):
         raise ParseError(str(exc), head.line, head.col) from exc
 
 
+class _Table(dict):
+    """Declarations of one kind by name; a missing name is a KeyError saying so."""
+
+    def __init__(self, kind: str):
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, name):
+        raise KeyError(f"no {self.kind} named {name!r} in workspace")
+
+
 @dataclass
 class Workspace:
-    charts: Dict[str, Chart] = field(default_factory=dict)
-    morphisms: Dict[str, "object"] = field(default_factory=dict)
-    functions: Dict[str, SuperSeries] = field(default_factory=dict)
-    settings: Dict[str, str] = field(default_factory=dict)
-
-    @property
-    def default_order(self) -> int:
-        return int(self.settings.get("order", "3"))
-
-    @property
-    def strict(self) -> bool:
-        return self.settings.get("strict", "1") != "0"
+    charts: Dict[str, Chart] = field(default_factory=lambda: _Table("chart"))
+    morphisms: Dict[str, "object"] = field(default_factory=lambda: _Table("morphism"))
+    functions: Dict[str, SuperSeries] = field(default_factory=lambda: _Table("function"))
+    default_order: int = 3  # set order = <N>
+    strict: bool = True  # set strict = 0|1
 
 
 def parse_workspace(text: str) -> Workspace:
@@ -302,14 +309,18 @@ def parse_workspace(text: str) -> Workspace:
     while p.peek().kind != "eof":
         head = p.expect("ident")
         if head.text == "set":
-            key = p.expect("ident").text
+            key = p.expect("ident")
             p.expect("op", "=")
             val = p.next()
-            if val.kind not in ("number", "ident"):
-                p.fail("expected a setting value")
-            if key == "order":
-                _order_value(val)
-            ws.settings[key] = val.text
+            if key.text == "order":
+                ws.default_order = _order_at(val)
+            elif key.text != "strict":
+                raise ParseError(f"unknown setting {key.text!r}", key.line, key.col)
+            elif val.text in ("0", "1"):
+                ws.strict = val.text == "1"
+            else:
+                raise ParseError(f"strict must be 0 or 1, found {val.text!r}",
+                                 val.line, val.col)
         elif head.text == "chart":
             name = p.expect("ident").text
             if name in ws.charts:
@@ -343,7 +354,7 @@ def parse_workspace(text: str) -> Workspace:
                 if key == "kind":
                     kind = val.text
                 elif key == "order":
-                    order = _order_value(val)
+                    order = _order_at(val)
                 else:
                     p.fail(f"unknown morphism attribute {key!r}")
             if kind not in ("even", "odd"):
@@ -372,21 +383,13 @@ def parse_workspace(text: str) -> Workspace:
                 p.fail(f"undeclared chart {cname!r}")
             chart = ws.charts[cname]
             p.expect("op", "{")
-            # auto-extend for derived variables mentioned in the body
-            save = p.pos
-            idents = set()
-            depth = 1
-            while depth:
-                t = p.next()
-                if t.kind == "eof":
-                    p.fail("unterminated function body")
-                if t.text == "{":
-                    depth += 1
-                elif t.text == "}":
-                    depth -= 1
-                elif t.kind == "ident":
-                    idents.add(t.text)
-            p.pos = save
+            # auto-extend for derived variables mentioned in the body, which
+            # ends at the first "}" (expressions have no braces); the body
+            # parser reports a missing "}" at its position
+            end = p.pos
+            while p.tokens[end].text != "}" and p.tokens[end].kind != "eof":
+                end += 1
+            idents = {t.text for t in p.tokens[p.pos:end] if t.kind == "ident"}
             for bundle in (PIT, T):
                 prefix = BUNDLES[bundle].prefix
                 if any(i.startswith(prefix) and i not in chart for i in idents):

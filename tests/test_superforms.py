@@ -13,6 +13,7 @@ from mfc.superalg import (
     Variable,
     embed,
     mul,
+    partial,
     substitute,
     truncate_base_degree,
 )
@@ -29,6 +30,7 @@ from mfc.superforms import (
     extend_chart,
     extend_d,
     liouville,
+    partner,
     poisson_bracket,
     prolong_coordinate_change,
     verify_identification,
@@ -223,6 +225,26 @@ class TestProlongation:
         f = {"x": SuperSeries.of_var(c, "x", 4) ** 2}
         with pytest.raises(ValueError):
             prolong_coordinate_change(f, c, [TSTAR], 4)
+
+    @pytest.mark.parametrize("kinds", [[PITSTAR, TSTAR], [TSTAR, PITSTAR]])
+    @pytest.mark.parametrize("order", [2, 3, 5])
+    def test_two_cotangent_stages_solve_momenta(self, kinds, order):
+        # the second stage's Jacobian has entries of base degree 0 (the first
+        # stage's momenta), so its solve must run to a fixed point
+        base = Chart("M", [Variable("x", EVEN), Variable("th", ODD)])
+        x, th = (SuperSeries.of_var(base, v, order) for v in ("x", "th"))
+        F = {"x": x + x ** 2 + x ** 3, "th": th + mul(x, th)}
+        chart, sigma = prolong_coordinate_change(F, base, kinds, order)
+        stage = base
+        for kind in kinds:
+            names = [v.name for v in stage]
+            for b in names:
+                # sum_v d(sigma v)/db * sigma(mu_v) - mu_b
+                resid = -SuperSeries.of_var(chart, partner(b, kind), sigma[b].order)
+                for v in names:
+                    resid = resid + mul(partial(sigma[v], b), sigma[partner(v, kind)])
+                assert truncate_base_degree(resid, order).is_zero(), (kind, b)
+            stage = extend_chart(stage, kind)
 
 
 def random_base_change(gen, base, order):

@@ -1,11 +1,15 @@
 """Serializer, expression parser, workspace format and the CLI."""
 
+import contextlib
+import io
+import pathlib
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
-from mfc.cli import MAX_TRIALS, main
+from mfc.cli import MAX_TRIALS, SUITES, main
 from mfc.morphisms import KIND_EVEN, pullback
 from mfc.superalg import (
     EVEN,
@@ -26,6 +30,7 @@ from mfc.textio import (
 )
 
 ORDER = 3
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 WORKSPACE = """
@@ -189,6 +194,23 @@ class TestWorkspace:
             "set strict = 0\n" + text.replace("Bad", "Loose"))
         assert not ws.morphisms["Loose"].normalized
 
+    def test_settings_typed(self):
+        ws = parse_workspace("set order = 5\nset strict = 0\n")
+        assert (ws.default_order, ws.strict) == (5, False)
+        ws = parse_workspace("set strict = 1\n")
+        assert (ws.default_order, ws.strict) == (3, True)
+
+    @pytest.mark.parametrize("text, position, message", [
+        ("set ordr = 5\n", (1, 5), "unknown setting 'ordr'"),
+        ("set strict = yes\n", (1, 14), "strict must be 0 or 1, found 'yes'"),
+        ("set order = 4\nset strict = 2\n", (2, 14), "strict must be 0 or 1, found '2'"),
+    ])
+    def test_setting_error_positioned(self, text, position, message):
+        with pytest.raises(ParseError) as exc:
+            parse_workspace(text)
+        assert (exc.value.line, exc.value.col) == position
+        assert exc.value.msg == message
+
 
 @pytest.fixture
 def ws_file(tmp_path):
@@ -225,6 +247,23 @@ class TestCli:
         code = main(["verify", "--suite", "functoriality", "--trials", "2"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_every_suite_runs(self, capsys, suite):
+        assert main(["verify", "--suite", suite, "--trials", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out and "FAIL" not in out
+
+    def test_help_golden(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+        pages = []
+        for argv in (["--help"], *([c, "--help"] for c in
+                                   ("check", "pullback", "compose", "lift", "verify"))):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            pages.append(f"$ mfc {' '.join(argv)}\n{out.getvalue()}")
+        assert "".join(pages) == (GOLDEN / "cli_help.txt").read_text()
 
     def test_missing_file_usage_error(self, capsys):
         assert main(["check", "/no/such/file.mfc"]) == 2
@@ -338,6 +377,31 @@ class TestCli:
             bad.write_text(WORKSPACE.replace("order=3", setting, 1))
             assert main(["check", str(bad)]) == 2
             assert "error: 9:39:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "set order =",
+        "set x =",
+        "chart M { x : even }\nchart N { y : even }\nmorphism Phi : M -> N kind=",
+        "chart M { x : even }\nfunction f on M {",
+        "chart M { x : even }\nfunction f on M { x ",
+    ])
+    def test_truncated_input_usage_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "truncated.mfc"
+        bad.write_text(text)
+        assert main(["check", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.match(r"error: \d+:\d+: ", err)
+
+    @pytest.mark.parametrize("setting, message", [
+        ("set ordr = 5", "error: 3:5: unknown setting 'ordr'\n"),
+        ("set strict = yes", "error: 3:14: strict must be 0 or 1, found 'yes'\n"),
+    ])
+    def test_setting_usage_error(self, tmp_path, capsys, setting, message):
+        bad = tmp_path / "setting.mfc"
+        bad.write_text(WORKSPACE.replace("set order = 3", setting))
+        assert main(["check", str(bad)]) == 2
+        assert capsys.readouterr() == ("", message)
 
     def test_parse_error_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mfc"
