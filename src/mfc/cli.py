@@ -44,8 +44,7 @@ def _check(ws, args) -> Report:
     report = Report("check")
     report.add("workspace_parses", True)
     for name, phi in ws.morphisms.items():
-        for c in relation_check(phi).checks:
-            report.append(c.rename(f"{name}:{c.name}"))
+        report.include(name, relation_check(phi))
     return report
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from .report import Report
 from .superalg import (
     ODD,
-    Chart,
     SuperSeries,
     Variable,
     deriv,
@@ -28,6 +27,8 @@ from .morphisms import (
     KIND_ODD,
     ThickMorphism,
     base_map,
+    combined_chart,
+    compose,
     mk_thick,
     pullback,
 )
@@ -43,17 +44,14 @@ def _lift(phi: ThickMorphism, bundle: str) -> ThickMorphism:
     old_momenta = [phi.chart.var(c.momentum) for c in phi.conjugates]
     new_momenta = [Variable(partner(m.name, bundle), m.parity ^ shift, m.role, 1,
                             base=m.name) for m in old_momenta]
-    chart = Chart(f"{src.name}=>{tgt.name}",
-                  tuple(src.variables) + tuple(old_momenta) + tuple(new_momenta),
-                  depth=max(src.depth, tgt.depth))
+    # an odd bundle shifts the parity of the generating function, so the kind
+    kind = (KIND_EVEN, KIND_ODD)[kind_parity(phi.kind) ^ shift]
+    chart = combined_chart(src, tgt, kind, old_momenta + new_momenta)
     order = phi.order
     S = embed(phi.S, chart, order)
     images = {v.name: SuperSeries.of_var(chart, partner(v.name, bundle), order)
               for v in list(phi.source) + old_momenta}
     lifted = deriv(S, images, shift)
-
-    # an odd bundle shifts the parity of the generating function, so the kind
-    kind = (KIND_EVEN, KIND_ODD)[kind_parity(phi.kind) ^ shift]
     conjugates = [Conjugate(partner(c.coord, bundle), c.momentum, c.sign)
                   for c in phi.conjugates]
     for c in phi.conjugates:
@@ -82,8 +80,7 @@ def lift(phi: ThickMorphism, which: str) -> ThickMorphism:
     raise ValueError(f"unknown lift kind {which!r}")
 
 
-def check_bundle_morphism(phi: ThickMorphism, g: SuperSeries, n_eps: int,
-                          name: str = "bundle_morphism") -> Report:
+def check_bundle_morphism(phi: ThickMorphism, g: SuperSeries, n_eps: int) -> Report:
     """T Phi covers the base map: pulling a fiberwise-constant function
     p*g back through T Phi gives eps * p*(phi*g), phi = base_map(Phi),
     at every order in eps.
@@ -99,18 +96,14 @@ def check_bundle_morphism(phi: ThickMorphism, g: SuperSeries, n_eps: int,
                          order=phi.order)
     rhs = mul(SuperSeries.of_var(lhs.chart, EPS, n_eps),
               embed(on_base, lhs.chart, n_eps))
-    report = Report(name)
-    report.check_zero(name, lhs - rhs)
-    return report
+    return Report.single("bundle_morphism", lhs - rhs)
 
 
 def check_functoriality(outer: ThickMorphism, inner: ThickMorphism,
-                        which: str, order: int,
-                        name: str = "functoriality") -> Report:
+                        which: str, order: int) -> Report:
     """lift(outer o inner) == lift(outer) o lift(inner), coefficientwise."""
-    from .morphisms import compose
     left = lift(compose(outer, inner, order), which)
     right = compose(lift(outer, which), lift(inner, which), order)
-    report = Report(f"{name}:{which}")
-    report.check_zero(f"{name}_{which}", left.S - right.S)
+    report = Report(f"functoriality:{which}")
+    report.check_zero(f"functoriality_{which}", left.S - right.S)
     return report

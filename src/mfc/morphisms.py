@@ -1,5 +1,5 @@
 """Thick morphisms: validation, base map, relation identity, nonlinear
-pullback and composition.
+pullback and its derivative, and composition.
 
 An even morphism M1 => M2 is a generating function S(x; q) on the chart
 (source coordinates, target momenta), a formal power series in the
@@ -226,14 +226,19 @@ def relation_check(phi: ThickMorphism) -> Report:
 
 
 EPS = "eps"
+_EPS = Variable(EPS, EVEN, ROLE_PARAM, 1)
 
 
-def pullback_chart(phi: ThickMorphism, n_eps: int,
-                   params: Sequence[Variable] = ()) -> Chart:
-    eps = Variable(EPS, EVEN, ROLE_PARAM, 1)
+def pullback_chart(phi: ThickMorphism, params: Sequence[Variable] = ()) -> Chart:
+    """(eps, params, source coordinates): where a pullback lives."""
     return Chart(f"{phi.source.name}+eps",
-                 (eps,) + tuple(params) + tuple(phi.source.variables),
+                 (_EPS,) + tuple(params) + tuple(phi.source.variables),
                  depth=phi.source.depth)
+
+
+def series_chart(phi: ThickMorphism, params: Sequence[Variable] = ()) -> Chart:
+    """(eps, params, target coordinates): where a series to pull back lives."""
+    return Chart("h", (_EPS,) + tuple(params) + tuple(phi.target.variables))
 
 
 def _require_order(order: int):
@@ -304,15 +309,13 @@ def pullback_series(phi: ThickMorphism, h: SuperSeries, n_eps: int,
                     params: Sequence[Variable] = ()) -> SuperSeries:
     """Pull back a series whose coordinate-dependent terms carry weight.
 
-    ``h`` lives on (eps, params, target coordinates).  Used directly
-    for contravariance checks; ordinary inputs go through ``pullback``.
+    ``h`` lives on ``series_chart(phi, params)``.  Used directly for
+    contravariance checks; ordinary inputs go through ``pullback``.
     """
     _require_order(n_eps)
-    work = pullback_chart(phi, n_eps, params)
-    h_chart = Chart("h", (work.var(EPS),) + tuple(params) + tuple(phi.target.variables))
-    if h.chart != h_chart:
+    if h.chart != series_chart(phi, params):
         raise ChartMismatch("series must live on (eps, params, target coords)")
-    return _eliminate(phi, h, work, n_eps)
+    return _eliminate(phi, h, pullback_chart(phi, params), n_eps)
 
 
 def pullback(phi: ThickMorphism, g: SuperSeries, n_eps: int,
@@ -326,10 +329,29 @@ def pullback(phi: ThickMorphism, g: SuperSeries, n_eps: int,
         g = embed(g, g_chart, g.order)
     elif g.chart != g_chart:
         raise ChartMismatch("g must live on (params, target coords)")
-    work = pullback_chart(phi, n_eps, params)
-    h_chart = Chart("h", (work.var(EPS),) + tuple(params) + tuple(phi.target.variables))
+    h_chart = series_chart(phi, params)
     h = mul(SuperSeries.of_var(h_chart, EPS, n_eps), embed(g, h_chart, n_eps))
     return pullback_series(phi, h, n_eps, params)
+
+
+def pullback_derivative(phi: ThickMorphism, f: SuperSeries, direction: SuperSeries,
+                        n_eps: int) -> SuperSeries:
+    """d/dt|_0 Phi*[f + t direction], on ``pullback_chart(phi)``.
+
+    ``t`` is a weight-0 parameter with t^2 = 0 whose parity makes
+    t direction a function of the kind's parity; a zero direction counts
+    as even.  The derivative is the t-linear part of the pullback.
+    """
+    p = direction.parity()
+    if p is None and not direction.is_zero():
+        raise ParityError("direction must be parity-homogeneous")
+    t = Variable("t", kind_parity(phi.kind) ^ (EVEN if p is None else p), ROLE_PARAM, 0,
+                 max_power=1)
+    chart = Chart("g", (t,) + tuple(phi.target.variables))
+    probe = embed(f, chart, f.order) + mul(SuperSeries.of_var(chart, "t", f.order),
+                                           embed(direction, chart, f.order))
+    linear = partial(pullback(phi, probe, n_eps, params=(t,)), "t")
+    return substitute(linear, {}, chart=pullback_chart(phi), order=n_eps)
 
 
 # -- composition --------------------------------------------------------------

@@ -5,7 +5,8 @@ Hamiltonian is the fiberwise-linear function Q^a p_a on the cotangent
 chart (even structure) or Q^a x*_a on the anticotangent chart (odd
 structure).  A morphism is a thick Q-morphism when the source and
 target Hamiltonians agree on its canonical relation, i.e. the
-Hamilton-Jacobi residual below vanishes.
+Hamilton-Jacobi residual below vanishes.  The derivative-homomorphism
+and intertwining checks compare values of ``morphisms.pullback_derivative``.
 """
 
 from __future__ import annotations
@@ -15,13 +16,9 @@ from typing import Dict, Mapping
 
 from .report import Report
 from .superalg import (
-    EVEN,
-    ODD,
     Chart,
     ParityError,
-    ROLE_PARAM,
     SuperSeries,
-    Variable,
     embed,
     flip,
     mul,
@@ -34,11 +31,10 @@ from .superforms import (
     COTANGENT,
     de_rham,
     extend_chart,
-    kind_parity,
     partner,
     poisson_bracket,
 )
-from .morphisms import EPS, ThickMorphism, pullback
+from .morphisms import EPS, ThickMorphism, pullback, pullback_derivative
 from .functors import antitangent_lift
 
 @dataclass(frozen=True)
@@ -109,82 +105,41 @@ def q_morphism_residual(phi: ThickMorphism, h_source: SuperSeries,
     return truncate(lhs - rhs, min(order, w_order))
 
 
-def check_antitangent_q(phi: ThickMorphism, order: int,
-                        name: str = "antitangent_q") -> Report:
+def check_antitangent_q(phi: ThickMorphism, order: int) -> Report:
     """The antitangent lift is a thick Q-morphism for the de Rham fields."""
     lifted = antitangent_lift(phi)
     q1 = de_rham_field(lifted.source, order=lifted.order)
     q2 = de_rham_field(lifted.target, order=lifted.order)
     h1 = hamiltonian_of_field(q1, lifted.kind)
     h2 = hamiltonian_of_field(q2, lifted.kind)
-    residual = q_morphism_residual(lifted, h1, h2, order)
-    report = Report(name)
-    report.check_zero(name, residual)
-    return report
+    return Report.single("antitangent_q", q_morphism_residual(lifted, h1, h2, order))
 
 
-def closedness_check(phi: ThickMorphism, omega: SuperSeries, n_eps: int,
-                     name: str = "closedness") -> Report:
+def closedness_check(phi: ThickMorphism, omega: SuperSeries, n_eps: int) -> Report:
     """Pullbacks of closed forms through the antitangent lift stay closed."""
     lifted = antitangent_lift(phi)
     omega = embed(omega, lifted.target, omega.order)
     if not de_rham(omega, "par").is_zero():
         raise ValueError("omega is not closed (precondition)")
-    rho = pullback(lifted, omega, n_eps)
-    report = Report(name)
-    report.check_zero(name, de_rham(rho, "par"))
-    return report
+    return Report.single("closedness", de_rham(pullback(lifted, omega, n_eps), "par"))
 
 
 def derivative_homomorphism_check(phi: ThickMorphism, f: SuperSeries,
-                                  g: SuperSeries, h: SuperSeries, n_eps: int,
-                                  name: str = "derivative_homomorphism") -> Report:
-    """The linearization of the pullback at f multiplies: D[g h]=D[g] D[h]."""
-    def directional(direction: SuperSeries) -> SuperSeries:
-        p = direction.parity()
-        if p is None:
-            if not direction.is_zero():
-                raise ParityError("direction must be parity-homogeneous")
-            p = EVEN  # zero direction: any parity works, derivative is zero
-        t_parity = kind_parity(phi.kind) ^ p
-        t = Variable("t", t_parity, ROLE_PARAM, 0, max_power=1)
-        tgt = Chart("g", (t,) + tuple(phi.target.variables))
-        probe = embed(f, tgt, f.order) + mul(SuperSeries.of_var(tgt, "t", f.order),
-                                             embed(direction, tgt, f.order))
-        result = pullback(phi, probe, n_eps, params=(t,))
-        linear = partial(result, "t")
-        # strip the eps each direction term carries, then drop t's slot
-        stripped = shift_down(linear, EPS)
-        out_chart = Chart(stripped.chart.name + "-t",
-                          tuple(v for v in stripped.chart if v.name != "t"))
-        return substitute(stripped, {}, chart=out_chart, order=n_eps)
-
-    d_g = directional(g)
-    d_h = directional(h)
-    d_gh = directional(mul(g, h))
-    residual = truncate(d_gh - mul(d_g, d_h), n_eps - 1)
-    report = Report(name)
-    report.check_zero(name, residual)
-    return report
+                                  g: SuperSeries, h: SuperSeries, n_eps: int) -> Report:
+    """The derivative of the pullback at f multiplies: D[g h] = D[g] D[h],
+    with D = ``morphisms.pullback_derivative`` less the eps of its input."""
+    derivative = lambda direction: shift_down(pullback_derivative(phi, f, direction, n_eps), EPS)
+    d_g = derivative(g)
+    d_h = derivative(h)
+    d_gh = derivative(mul(g, h))
+    return Report.single("derivative_homomorphism", truncate(d_gh - mul(d_g, d_h), n_eps - 1))
 
 
-def intertwining_check(phi: ThickMorphism, omega: SuperSeries, n_eps: int,
-                       name: str = "intertwining") -> Report:
-    """The eps-linearized exterior differential commutes with the lifted
-    pullback: the tau-linear part of the pullback of omega + tau d(omega)
-    equals d of the pullback of omega."""
+def intertwining_check(phi: ThickMorphism, omega: SuperSeries, n_eps: int) -> Report:
+    """d commutes with the lifted pullback: ``morphisms.pullback_derivative``
+    at omega in the direction d(omega) equals d of the pullback of omega."""
     lifted = antitangent_lift(phi)
     omega = embed(omega, lifted.target, omega.order)
-    d_omega = de_rham(omega, "par")
-    tau = Variable("tau", ODD, ROLE_PARAM, 0)
-    tgt = Chart("g", (tau,) + tuple(lifted.target.variables))
-    probe = embed(omega, tgt, omega.order) + mul(
-        SuperSeries.of_var(tgt, "tau", omega.order), embed(d_omega, tgt, omega.order))
-    full = pullback(lifted, probe, n_eps, params=(tau,))
-    linear = partial(full, "tau")
-    plain = pullback(lifted, omega, n_eps)
-    expected = embed(de_rham(plain, "par"), linear.chart, n_eps)
-    report = Report(name)
-    report.check_zero(name, linear - expected)
-    return report
-
+    linear = pullback_derivative(lifted, omega, de_rham(omega, "par"), n_eps)
+    return Report.single("intertwining",
+                         linear - de_rham(pullback(lifted, omega, n_eps), "par"))

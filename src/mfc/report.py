@@ -14,9 +14,6 @@ class CheckResult:
     passed: bool
     residual: Optional[SuperSeries] = None
 
-    def rename(self, name: str) -> "CheckResult":
-        return CheckResult(name, self.passed, self.residual)
-
     def render(self) -> str:
         line = f"CHECK {self.name} {'PASS' if self.passed else 'FAIL'}"
         if not self.passed and self.residual is not None:
@@ -30,6 +27,13 @@ class Report:
     name: str
     checks: List[CheckResult] = field(default_factory=list)
 
+    @classmethod
+    def single(cls, name: str, residual: SuperSeries) -> "Report":
+        """A report of one check, named like the report: ``residual`` is zero."""
+        report = cls(name)
+        report.check_zero(name, residual)
+        return report
+
     def add(self, name: str, passed: bool,
             residual: Optional[SuperSeries] = None) -> CheckResult:
         r = CheckResult(name, passed, residual)
@@ -39,6 +43,11 @@ class Report:
     def append(self, check: CheckResult) -> CheckResult:
         self.checks.append(check)
         return check
+
+    def include(self, prefix: str, sub: "Report") -> None:
+        """Append each check of ``sub``, renamed ``prefix:name``."""
+        self.checks.extend(CheckResult(f"{prefix}:{c.name}", c.passed, c.residual)
+                           for c in sub.checks)
 
     def check_zero(self, name: str, residual: SuperSeries) -> CheckResult:
         return self.add(name, residual.is_zero(), residual)

@@ -442,18 +442,19 @@ def partial(a: SuperSeries, name: str) -> SuperSeries:
 
 
 def substitute(a: SuperSeries, images: Mapping[str, SuperSeries],
-               chart: Optional[Chart] = None, order: Optional[int] = None) -> SuperSeries:
+               chart: Chart, order: int) -> SuperSeries:
     """Algebra-morphism extension of a variable substitution.
 
-    Every image must be parity-pure and match the parity of the
-    variable it replaces.  Variables without an explicit image map to
-    the same-named variable on the output chart.
+    The result lives on ``chart`` at filtration ``order``, and so must
+    every image.  Every image must be parity-pure and match the parity
+    of the variable it replaces.  Variables without an explicit image
+    map to the same-named variable on the output chart.
     """
     return substitute_all([a], images, chart, order)[0]
 
 
 def substitute_all(series: Sequence[SuperSeries], images: Mapping[str, SuperSeries],
-                   chart: Optional[Chart] = None, order: Optional[int] = None) -> list:
+                   chart: Chart, order: int) -> list:
     """``substitute`` of each series, all on one chart, under one image map.
 
     The powers of each image are computed once for all the series.
@@ -463,15 +464,6 @@ def substitute_all(series: Sequence[SuperSeries], images: Mapping[str, SuperSeri
     source = series[0].chart
     if any(a.chart != source for a in series):
         raise ChartMismatch("substituted series must share one chart")
-    if chart is None or order is None:
-        for img in images.values():
-            chart = img.chart if chart is None else chart
-            order = img.order if order is None else order
-            break
-        if chart is None:
-            chart = source
-        if order is None:
-            order = series[0].order
     # Source variable i maps to integer rows over dens[i]: the image's
     # terms over their common denominator, or one identity row over 1.
     dens = []

@@ -348,17 +348,21 @@ def parse_workspace(text: str) -> Workspace:
             tgt = p.expect("ident").text
             kind = order = None
             while p.peek().text != "{":
-                key = p.expect("ident").text
+                key = p.expect("ident")
                 p.expect("op", "=")
                 val = p.next()
-                if key == "kind":
-                    kind = val.text
-                elif key == "order":
+                if key.text == "kind":
+                    kind = val
+                elif key.text == "order":
                     order = _order_at(val)
                 else:
-                    p.fail(f"unknown morphism attribute {key!r}")
-            if kind not in ("even", "odd"):
+                    raise ParseError(f"unknown morphism attribute {key.text!r}",
+                                     key.line, key.col)
+            if kind is None:
                 p.fail("morphism needs kind=even|odd")
+            if kind.text not in ("even", "odd"):
+                raise ParseError("morphism needs kind=even|odd", kind.line, kind.col)
+            kind = kind.text
             if order is None:
                 order = ws.default_order
             for c in (src, tgt):

@@ -22,6 +22,7 @@ from mfc.morphisms import (
     mk_thick,
     pullback,
     pullback_chart,
+    pullback_derivative,
     pullback_series,
     relation_check,
 )
@@ -103,7 +104,7 @@ def ref_eliminate(phi, h, work, order):
 
 def eps_series(phi, g, order, params=()):
     """eps * g on (eps, params, target coords), with its work chart."""
-    work = pullback_chart(phi, order, params)
+    work = pullback_chart(phi, params)
     h_chart = Chart("h", (work.var(EPS),) + tuple(params) + tuple(phi.target.variables))
     h = mul(SuperSeries.of_var(h_chart, EPS, order), embed(g, h_chart, order))
     return h, work
@@ -315,7 +316,7 @@ class TestPullback:
         # h = y^2 without eps: every sweep feeds w back at weight zero
         # (w = x + 2w), so the sweeps never settle and must not be trusted.
         phi = worked_example(2)
-        work = pullback_chart(phi, 2)
+        work = pullback_chart(phi)
         h_chart = Chart("h", (work.var(EPS),) + tuple(phi.target.variables))
         h = SuperSeries.of_var(h_chart, "y", 2) ** 2
         with pytest.raises(MorphismError, match="sweeps"):
@@ -325,7 +326,7 @@ class TestPullback:
         # h = y + eps*y^2 converges (w = x + 1 + 2*eps*w), but mu = 1 at
         # eps = 0, so the value is not the envelope of the eps-graded terms.
         phi = worked_example(3)
-        work = pullback_chart(phi, 3)
+        work = pullback_chart(phi)
         h_chart = Chart("h", (work.var(EPS),) + tuple(phi.target.variables))
         y = SuperSeries.of_var(h_chart, "y", 3)
         h = y + mul(SuperSeries.of_var(h_chart, EPS, 3), y ** 2)
@@ -352,7 +353,7 @@ class TestPullback:
         (w = x / (1 - G eps^2)), computed here without any solver code."""
         G = Fraction(3, 2)
         phi = worked_example(order)
-        work = pullback_chart(phi, order)
+        work = pullback_chart(phi)
         h_chart = Chart("h", (work.var(EPS),) + tuple(phi.target.variables))
         h = SuperSeries.monomial(h_chart, {EPS: 2, "y": 2}, G / 2, order)
         expected = SuperSeries.zero(work, order)
@@ -371,11 +372,61 @@ class TestPullback:
 
     def test_series_without_eps_rejected(self):
         phi = worked_example(2)
-        work = pullback_chart(phi, 2)
+        work = pullback_chart(phi)
         h_chart = Chart("h", (work.var(EPS),) + tuple(phi.target.variables))
         h = SuperSeries.of_var(h_chart, "y", 2)
         with pytest.raises(MorphismError):
             pullback_series(phi, h, 2)
+
+
+class TestPullbackDerivative:
+    """d/dt|_0 Phi*[f + t g] against two closed forms built by substitution."""
+
+    def eps_times(self, phi, series):
+        work = pullback_chart(phi)
+        return mul(SuperSeries.of_var(work, EPS, ORDER), embed(series, work, ORDER))
+
+    @pytest.mark.parametrize("kind", [KIND_EVEN, KIND_ODD])
+    def test_at_zero_is_base_map_composite(self, kind):
+        # envelope theorem: at f = 0 the stationary point is the base map
+        gen = Generator(60)
+        nonzero = 0
+        for _ in range(8):
+            phi = random_morphism(gen, kind, ORDER, max_momentum_degree=2)
+            g = gen.series(phi.target, ORDER, parity=gen.rng.choice([EVEN, ODD]),
+                           n_terms=2, max_degree=2)
+            got = pullback_derivative(phi, SuperSeries.zero(phi.target, ORDER), g, ORDER)
+            want = self.eps_times(phi, oracle_pullback_classical(base_map(phi), g))
+            assert got == want
+            nonzero += not want.is_zero()
+        assert nonzero >= 4
+
+    @pytest.mark.parametrize("kind", [KIND_EVEN, KIND_ODD])
+    def test_classical_is_substitution(self, kind):
+        gen = Generator(61)
+        src = gen.chart(1, 1, name="A")
+        tgt = gen.chart(2, 1, name="B", stems=("y", "eta"))
+        nonzero = 0
+        for _ in range(8):
+            cmap = gen.classical_map(src, tgt, ORDER)
+            f = gen.series(tgt, ORDER, parity=kind_parity(kind), n_terms=2, max_degree=2)
+            g = gen.series(tgt, ORDER, parity=gen.rng.choice([EVEN, ODD]),
+                           n_terms=2, max_degree=2)
+            phi = from_classical(cmap, kind, ORDER)
+            got = pullback_derivative(phi, f, g, ORDER)
+            want = self.eps_times(phi, oracle_pullback_classical(cmap, g))
+            assert got == want
+            nonzero += not want.is_zero()
+        assert nonzero >= 4
+
+    def test_mixed_direction_rejected(self):
+        tgt = Chart("N", [Variable("y", EVEN), Variable("eta", ODD)])
+        phi = from_classical(identity_map(tgt, ORDER), KIND_EVEN, ORDER)
+        y, eta = (SuperSeries.of_var(tgt, n, ORDER) for n in ("y", "eta"))
+        zero = SuperSeries.zero(tgt, ORDER)
+        with pytest.raises(ParityError):
+            pullback_derivative(phi, zero, y + eta, ORDER)
+        assert pullback_derivative(phi, y, zero, ORDER).is_zero()
 
 
 class TestCompose:

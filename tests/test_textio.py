@@ -403,6 +403,19 @@ class TestCli:
         assert main(["check", str(bad)]) == 2
         assert capsys.readouterr() == ("", message)
 
+    @pytest.mark.parametrize("attributes, message", [
+        ("kind=even foo=1", "error: 3:33: unknown morphism attribute 'foo'\n"),
+        ("kind=sideways", "error: 3:28: morphism needs kind=even|odd\n"),
+        ("order=3", "error: 3:31: morphism needs kind=even|odd\n"),
+    ])
+    def test_morphism_attribute_error_positioned(self, tmp_path, capsys, attributes,
+                                                 message):
+        bad = tmp_path / "attribute.mfc"
+        bad.write_text("chart M { x : even }\nchart N { y : even }\n"
+                       f"morphism Phi : M -> N {attributes} {{ S = x*q_y }}\n")
+        assert main(["check", str(bad)]) == 2
+        assert capsys.readouterr() == ("", message)
+
     def test_parse_error_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mfc"
         bad.write_text("chart M { x : sideways }")
