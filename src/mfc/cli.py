@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from .morphisms import compose, pullback, relation_check
-from .report import Report
+from .report import CheckResult, Report
 from .textio import MAX_ORDER, ParseError, bounded, parse_workspace, serialize
 
 USAGE_ERROR = 2
@@ -41,8 +41,7 @@ def _bounded_flag(what: str, most: int):
 
 
 def _check(ws, args) -> Report:
-    report = Report("check")
-    report.add("workspace_parses", True)
+    report = Report([CheckResult("workspace_parses")])
     for name, phi in ws.morphisms.items():
         report.include(name, relation_check(phi))
     return report

@@ -216,10 +216,7 @@ def relation_check(phi: ThickMorphism) -> Report:
     for v in phi.source:
         p = lift(partial(phi.S, v.name))
         lhs = lhs - mul(var(partner(v.name, D)), p)
-    residual = lhs - apply_operator(action - S, "d")
-    report = Report(f"relation:{phi.chart.name}")
-    report.check_zero("relation_identity", residual)
-    return report
+    return Report.single("relation_identity", lhs - apply_operator(action - S, "d"))
 
 
 # -- pullback ----------------------------------------------------------------

@@ -55,7 +55,7 @@ class HomologicalField:
         return poisson_bracket(h, h, "even").is_zero()
 
 
-def de_rham_field(chart: Chart, order: int = 6) -> HomologicalField:
+def de_rham_field(chart: Chart, order: int) -> HomologicalField:
     """The exterior differential as a field on a PiT-extended chart."""
     return HomologicalField(chart, {
         v.name: de_rham(SuperSeries.of_var(chart, v.name, order), "par")

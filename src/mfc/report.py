@@ -1,4 +1,6 @@
-"""Named lists of symbolic checks with pass/fail and residuals."""
+"""Lists of symbolic checks.  A check is a named residual: it passes when
+the residual is zero, and a check with no residual (nothing to compare)
+passes."""
 
 from __future__ import annotations
 
@@ -11,12 +13,15 @@ from .superalg import SuperSeries
 @dataclass
 class CheckResult:
     name: str
-    passed: bool
     residual: Optional[SuperSeries] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.residual is None or self.residual.is_zero()
 
     def render(self) -> str:
         line = f"CHECK {self.name} {'PASS' if self.passed else 'FAIL'}"
-        if not self.passed and self.residual is not None:
+        if not self.passed:
             from .textio import serialize
             line += f" residual={serialize(self.residual)}"
         return line
@@ -24,33 +29,20 @@ class CheckResult:
 
 @dataclass
 class Report:
-    name: str
     checks: List[CheckResult] = field(default_factory=list)
 
     @classmethod
     def single(cls, name: str, residual: SuperSeries) -> "Report":
-        """A report of one check, named like the report: ``residual`` is zero."""
-        report = cls(name)
-        report.check_zero(name, residual)
-        return report
-
-    def add(self, name: str, passed: bool,
-            residual: Optional[SuperSeries] = None) -> CheckResult:
-        r = CheckResult(name, passed, residual)
-        self.checks.append(r)
-        return r
-
-    def append(self, check: CheckResult) -> CheckResult:
-        self.checks.append(check)
-        return check
+        """A report of one check: ``residual`` is zero."""
+        return cls([CheckResult(name, residual)])
 
     def include(self, prefix: str, sub: "Report") -> None:
         """Append each check of ``sub``, renamed ``prefix:name``."""
-        self.checks.extend(CheckResult(f"{prefix}:{c.name}", c.passed, c.residual)
+        self.checks.extend(CheckResult(f"{prefix}:{c.name}", c.residual)
                            for c in sub.checks)
 
-    def check_zero(self, name: str, residual: SuperSeries) -> CheckResult:
-        return self.add(name, residual.is_zero(), residual)
+    def check_zero(self, name: str, residual: SuperSeries) -> None:
+        self.checks.append(CheckResult(name, residual))
 
     @property
     def passed(self) -> bool:

@@ -562,10 +562,8 @@ def set_to_zero(a: SuperSeries, names: Sequence[str]) -> SuperSeries:
     return SuperSeries(a.chart, terms, a.order, _checked=True)
 
 
-def embed(a: SuperSeries, chart: Chart, order: Optional[int] = None) -> SuperSeries:
+def embed(a: SuperSeries, chart: Chart, order: int) -> SuperSeries:
     """Re-express a series on a larger chart (by variable name)."""
-    if order is None:
-        order = a.order
     out: dict = {}
     idx = [chart.index(v.name) for v in a.chart]
     n = len(chart)

@@ -129,7 +129,7 @@ def apply_operator(a: SuperSeries, op: str) -> SuperSeries:
     return deriv(a, images, shift)
 
 
-def de_rham(omega: SuperSeries, level: str = "d") -> SuperSeries:
+def de_rham(omega: SuperSeries, level: str) -> SuperSeries:
     """The exterior differential at the requested level (``d`` or ``par``)."""
     if level not in ("d", "par"):
         raise ValueError("level must be 'd' or 'par'")
@@ -260,7 +260,7 @@ def verify_identification(case, base_chart: Chart,
         case = case.name
     if case not in IDENTIFICATION_CASES:
         raise ValueError(f"unknown identification case {case!r}")
-    report = Report(f"identification:{case}:{base_chart.name}")
+    report = Report()
 
     if case in ("MX", "oddMX"):
         if fiber is None:

@@ -4,6 +4,9 @@ Everything here is deliberately simple-minded: the oracles recompute
 pullbacks by direct substitution (classical case) or by a brute-force
 fixed-point iteration written from scratch, so that agreement with the
 solver is meaningful evidence rather than a tautology.
+
+The ``suite_*`` functions run seeded verification suites, whose checks are
+named residuals; ``cli.SUITES`` holds the defaults that ``mfc verify`` applies.
 """
 
 from __future__ import annotations
@@ -33,11 +36,17 @@ from .morphisms import (
     ThickMorphism,
     canonical_conjugates,
     combined_chart,
+    from_classical,
     mk_thick,
+    pullback,
     pullback_chart,
     series_chart,
 )
-from .superforms import TSTAR, kind_parity, partner
+from .superforms import (IDENTIFICATION_CASES, TSTAR, kind_parity, partner,
+                         verify_identification)
+from .functors import ANTITANGENT, TANGENT, check_functoriality
+from .qcalc import check_antitangent_q
+from .report import Report
 
 
 @dataclass
@@ -241,10 +250,8 @@ def random_morphism(gen: Generator, kind: str, order: int,
 # -- verification suites ----------------------------------------------------
 
 
-def suite_identifications(order: int = 4) -> "Report":
-    from .report import Report
-    from .superforms import IDENTIFICATION_CASES, verify_identification
-    report = Report("identifications")
+def suite_identifications(order: int) -> Report:
+    report = Report()
     for case in IDENTIFICATION_CASES.values():
         for shape in IDENT_SHAPES:
             gen = Generator(0)
@@ -254,12 +261,9 @@ def suite_identifications(order: int = 4) -> "Report":
     return report
 
 
-def suite_functoriality(seed: int = 0, trials: int = 10,
-                        order: int = 3) -> "Report":
-    from .report import Report
-    from .functors import ANTITANGENT, TANGENT, check_functoriality
+def suite_functoriality(seed: int, trials: int, order: int) -> Report:
     gen = Generator(seed)
-    report = Report("functoriality")
+    report = Report()
     for i in range(trials):
         kind = KIND_EVEN if i % 2 == 0 else KIND_ODD
         outer, inner = random_pair_of_morphisms(gen, kind, order,
@@ -269,11 +273,9 @@ def suite_functoriality(seed: int = 0, trials: int = 10,
     return report
 
 
-def suite_qmorphism(seed: int = 0, trials: int = 10, order: int = 3) -> "Report":
-    from .report import Report
-    from .qcalc import check_antitangent_q
+def suite_qmorphism(seed: int, trials: int, order: int) -> Report:
     gen = Generator(seed)
-    report = Report("qmorphism")
+    report = Report()
     for i in range(trials):
         kind = KIND_EVEN if i % 2 == 0 else KIND_ODD
         phi = random_morphism(gen, kind, order, max_momentum_degree=2)
@@ -281,13 +283,9 @@ def suite_qmorphism(seed: int = 0, trials: int = 10, order: int = 3) -> "Report"
     return report
 
 
-def suite_pullback_props(seed: int = 0, trials: int = 20,
-                         order: int = 3) -> "Report":
-    from .report import Report, CheckResult
-    from .morphisms import from_classical, pullback
-    from .textio import serialize
+def suite_pullback_props(seed: int, trials: int, order: int) -> Report:
     gen = Generator(seed)
-    report = Report("pullback-props")
+    report = Report()
     for i in range(trials):
         kind = KIND_EVEN if i % 2 == 0 else KIND_ODD
         phi = random_morphism(gen, kind, order)
@@ -295,9 +293,7 @@ def suite_pullback_props(seed: int = 0, trials: int = 20,
                        max_degree=2)
         solver = pullback(phi, g, order)
         oracle = oracle_pullback_naive(phi, g, order)
-        report.append(CheckResult(f"trial{i}:{kind}:solver_vs_oracle",
-                               serialize(solver) == serialize(oracle),
-                               solver - oracle))
+        report.check_zero(f"trial{i}:{kind}:solver_vs_oracle", solver - oracle)
         # classical reduction: thick pullback of an ordinary map collapses
         # to eps times the substitution oracle
         cmap = gen.classical_map(phi.source, phi.target, order)
@@ -307,6 +303,5 @@ def suite_pullback_props(seed: int = 0, trials: int = 20,
         work = got.chart
         expected = mul(SuperSeries.of_var(work, EPS, order),
                        embed(composed, work, order))
-        report.append(CheckResult(f"trial{i}:{kind}:classical_reduction",
-                               got == expected, got - expected))
+        report.check_zero(f"trial{i}:{kind}:classical_reduction", got - expected)
     return report

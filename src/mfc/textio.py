@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, NoReturn, Optional
 
 from .superalg import Chart, ODD, SuperSeries, mul
 
@@ -142,8 +142,9 @@ class _Parser:
             self.pos += 1
         return t
 
-    def fail(self, msg: str):
-        t = self.peek()
+    def fail(self, msg: str, at: Optional[Token] = None) -> NoReturn:
+        """Raise ``msg`` at token ``at``, by default the lookahead."""
+        t = at or self.peek()
         raise ParseError(msg, t.line, t.col)
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
@@ -165,15 +166,13 @@ class _Parser:
         """Enter one more level of nesting, refused at ``at`` past the bound."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels",
-                             at.line, at.col)
+            self.fail(f"expression nests deeper than {MAX_NESTING} levels", at)
 
     def product(self, a: SuperSeries, b: SuperSeries, at: Token) -> SuperSeries:
         """mul(a, b), refused at ``at`` if it would exceed the budget."""
         self.pairs += len(a.terms) * len(b.terms)
         if self.pairs > MAX_TERM_PAIRS:
-            raise ParseError(f"expression multiplies more than {MAX_TERM_PAIRS} "
-                             "term pairs", at.line, at.col)
+            self.fail(f"expression multiplies more than {MAX_TERM_PAIRS} term pairs", at)
         return mul(a, b)
 
     def expr(self, chart: Chart, order: int) -> SuperSeries:
@@ -204,34 +203,33 @@ class _Parser:
             self.next()
             e = self.expect("number")
             if "/" in e.text:
-                raise ParseError("exponent must be an integer", e.line, e.col)
+                self.fail("exponent must be an integer", e)
             n = int(e.text)
             if n > MAX_POWER_TERMS:
-                raise ParseError(f"exponent must be at most {MAX_POWER_TERMS}",
-                                 e.line, e.col)
+                self.fail(f"exponent must be at most {MAX_POWER_TERMS}", e)
             if base.chart is chart and len(base.terms) == 1:
                 (mono, coeff), = base.terms.items()
                 for i, ee in enumerate(mono):
                     if ee and chart.parities[i] == ODD and n > 1:
-                        raise ParseError(
-                            f"odd variable {chart.variables[i].name!r} squared",
-                            e.line, e.col)
+                        self.fail(f"odd variable {chart.variables[i].name!r} squared", e)
             out = SuperSeries.const(base.chart, 1, base.order)
             for _ in range(n):
                 out = self.product(out, base, e)
                 if len(out.terms) > MAX_POWER_TERMS:
-                    raise ParseError(f"power expands past {MAX_POWER_TERMS} terms",
-                                     e.line, e.col)
+                    self.fail(f"power expands past {MAX_POWER_TERMS} terms", e)
             return out
         return base
 
     def atom(self, chart: Chart, order: int) -> SuperSeries:
         t = self.next()
         if t.kind == "number":
+            _, slash, den = t.text.partition("/")
+            if slash and not int(den):
+                self.fail(f"zero denominator in {t.text!r}", t)
             return SuperSeries.const(chart, Fraction(t.text), order)
         if t.kind == "ident":
             if t.text not in chart:
-                raise ParseError(f"undeclared identifier {t.text!r}", t.line, t.col)
+                self.fail(f"undeclared identifier {t.text!r}", t)
             return SuperSeries.of_var(chart, t.text, order)
         if t.text == "(":
             self.nest(t)
@@ -239,7 +237,7 @@ class _Parser:
             self.expect("op", ")")
             self.depth -= 1
             return inner
-        raise ParseError(f"unexpected token {t.text or t.kind!r}", t.line, t.col)
+        self.fail(f"unexpected token {t.text or t.kind!r}", t)
 
 
 def parse_series(text: str, chart: Chart, order: int) -> SuperSeries:
@@ -300,7 +298,7 @@ class Workspace:
 
 
 def parse_workspace(text: str) -> Workspace:
-    from .morphisms import mk_thick
+    from .morphisms import combined_chart, mk_thick
     from .superalg import Variable, EVEN, ODD
     from .superforms import BUNDLES, PIT, T, extend_chart
 
@@ -315,25 +313,24 @@ def parse_workspace(text: str) -> Workspace:
             if key.text == "order":
                 ws.default_order = _order_at(val)
             elif key.text != "strict":
-                raise ParseError(f"unknown setting {key.text!r}", key.line, key.col)
+                p.fail(f"unknown setting {key.text!r}", key)
             elif val.text in ("0", "1"):
                 ws.strict = val.text == "1"
             else:
-                raise ParseError(f"strict must be 0 or 1, found {val.text!r}",
-                                 val.line, val.col)
+                p.fail(f"strict must be 0 or 1, found {val.text!r}", val)
         elif head.text == "chart":
             name = p.expect("ident").text
             if name in ws.charts:
-                raise ParseError(f"duplicate chart {name!r}", head.line, head.col)
+                p.fail(f"duplicate chart {name!r}", head)
             p.expect("op", "{")
             variables = []
             while p.peek().text != "}":
                 vname = p.expect("ident").text
                 p.expect("op", ":")
-                par = p.expect("ident").text
-                if par not in ("even", "odd"):
-                    p.fail("parity must be 'even' or 'odd'")
-                variables.append(Variable(vname, EVEN if par == "even" else ODD))
+                par = p.expect("ident")
+                if par.text not in ("even", "odd"):
+                    p.fail("parity must be 'even' or 'odd'", par)
+                variables.append(Variable(vname, EVEN if par.text == "even" else ODD))
                 if p.peek().text == ",":
                     p.next()
             p.expect("op", "}")
@@ -341,11 +338,11 @@ def parse_workspace(text: str) -> Workspace:
         elif head.text == "morphism":
             name = p.expect("ident").text
             if name in ws.morphisms:
-                raise ParseError(f"duplicate morphism {name!r}", head.line, head.col)
+                p.fail(f"duplicate morphism {name!r}", head)
             p.expect("op", ":")
-            src = p.expect("ident").text
+            src = p.expect("ident")
             p.expect("arrow")
-            tgt = p.expect("ident").text
+            tgt = p.expect("ident")
             kind = order = None
             while p.peek().text != "{":
                 key = p.expect("ident")
@@ -356,36 +353,35 @@ def parse_workspace(text: str) -> Workspace:
                 elif key.text == "order":
                     order = _order_at(val)
                 else:
-                    raise ParseError(f"unknown morphism attribute {key.text!r}",
-                                     key.line, key.col)
+                    p.fail(f"unknown morphism attribute {key.text!r}", key)
             if kind is None:
                 p.fail("morphism needs kind=even|odd")
             if kind.text not in ("even", "odd"):
-                raise ParseError("morphism needs kind=even|odd", kind.line, kind.col)
+                p.fail("morphism needs kind=even|odd", kind)
             kind = kind.text
             if order is None:
                 order = ws.default_order
             for c in (src, tgt):
-                if c not in ws.charts:
-                    p.fail(f"undeclared chart {c!r}")
+                if c.text not in ws.charts:
+                    p.fail(f"undeclared chart {c.text!r}", c)
+            src, tgt = ws.charts[src.text], ws.charts[tgt.text]
             p.expect("op", "{")
             p.expect("ident", "S")
             p.expect("op", "=")
-            from .morphisms import combined_chart
-            chart = _declared(head, combined_chart, ws.charts[src], ws.charts[tgt], kind)
+            chart = _declared(head, combined_chart, src, tgt, kind)
             s = p.body(chart, order)
             p.expect("op", "}")
-            ws.morphisms[name] = _declared(head, mk_thick, ws.charts[src], ws.charts[tgt],
-                                           kind, s, order, strict=ws.strict)
+            ws.morphisms[name] = _declared(head, mk_thick, src, tgt, kind, s, order,
+                                           strict=ws.strict)
         elif head.text == "function":
             name = p.expect("ident").text
             if name in ws.functions:
-                raise ParseError(f"duplicate function {name!r}", head.line, head.col)
+                p.fail(f"duplicate function {name!r}", head)
             p.expect("ident", "on")
-            cname = p.expect("ident").text
-            if cname not in ws.charts:
-                p.fail(f"undeclared chart {cname!r}")
-            chart = ws.charts[cname]
+            cname = p.expect("ident")
+            if cname.text not in ws.charts:
+                p.fail(f"undeclared chart {cname.text!r}", cname)
+            chart = ws.charts[cname.text]
             p.expect("op", "{")
             # auto-extend for derived variables mentioned in the body, which
             # ends at the first "}" (expressions have no braces); the body

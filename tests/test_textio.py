@@ -416,6 +416,34 @@ class TestCli:
         assert main(["check", str(bad)]) == 2
         assert capsys.readouterr() == ("", message)
 
+    @pytest.mark.parametrize("text, message", [
+        ("chart M { x : even }\nchart N { y : even }\n"
+         "morphism Phi : M -> N kind=even { S = x*q_y + 1/0*q_y^2 }\n",
+         "error: 3:47: zero denominator in '1/0'\n"),
+        ("chart M { x : even }\nfunction f on M { 2/0 }\n",
+         "error: 2:19: zero denominator in '2/0'\n"),
+    ])
+    def test_zero_denominator_positioned(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "zero.mfc"
+        bad.write_text(text)
+        assert main(["check", str(bad)]) == 2
+        assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("text, message", [
+        ("chart M { x : even }\nmorphism Phi : M -> Q kind=even { S = x }\n",
+         "error: 2:21: undeclared chart 'Q'\n"),
+        ("chart M { x : even }\nmorphism Phi : Q -> M kind=even { S = x }\n",
+         "error: 2:16: undeclared chart 'Q'\n"),
+        ("chart M { x : even }\nfunction f on Q { 1 }\n",
+         "error: 2:15: undeclared chart 'Q'\n"),
+        ("chart M { x : evn }\n", "error: 1:15: parity must be 'even' or 'odd'\n"),
+    ])
+    def test_header_error_at_its_token(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "header.mfc"
+        bad.write_text(text)
+        assert main(["check", str(bad)]) == 2
+        assert capsys.readouterr() == ("", message)
+
     def test_parse_error_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mfc"
         bad.write_text("chart M { x : sideways }")
