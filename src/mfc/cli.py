@@ -12,9 +12,10 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from .functors import antitangent_lift, tangent_lift
 from .morphisms import compose, pullback, relation_check
 from .report import CheckResult, Report
-from .textio import MAX_ORDER, ParseError, bounded, parse_workspace, serialize
+from .textio import MAX_ORDER, bounded, parse_workspace, serialize
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -56,7 +57,6 @@ def _compose(ws, args):
 
 
 def _lift(ws, args):
-    from .functors import antitangent_lift, tangent_lift
     phi = ws.morphisms[args.morphism]
     return (tangent_lift(phi) if args.tangent else antitangent_lift(phi)).S
 
@@ -117,12 +117,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         ws = None
         if args.workspace is not None:
-            with open(args.workspace, "r", encoding="utf-8") as fh:
+            # an undecodable byte reaches the tokenizer, which places it
+            with open(args.workspace, encoding="utf-8", errors="surrogateescape") as fh:
                 ws = parse_workspace(fh.read())
         if args.order is None:  # the workspace's `set order`, else the suite's
             args.order = SUITES[args.suite][0] if ws is None else ws.default_order
         result = args.run(ws, args)
-    except (ParseError, KeyError, FileNotFoundError, ValueError) as exc:
+    except TimeoutError:  # an OSError, but raised by a caller's alarm, not by a file
+        raise
+    except (KeyError, OSError, ValueError) as exc:  # a ParseError is a ValueError
         # str() of a KeyError is the repr of its message, quotes and all
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

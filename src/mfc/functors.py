@@ -10,16 +10,8 @@ par-momentum by the coordinate parity.
 from __future__ import annotations
 
 from .report import Report
-from .superalg import (
-    ODD,
-    SuperSeries,
-    Variable,
-    deriv,
-    embed,
-    mul,
-    substitute,
-)
-from .superforms import BUNDLES, PIT, T, extend_chart, kind_parity, partner
+from .superalg import ODD, SuperSeries, Variable, embed, mul, substitute
+from .superforms import BUNDLES, PIT, T, apply_operator, extend_chart, kind_parity, partner
 from .morphisms import (
     EPS,
     Conjugate,
@@ -48,10 +40,9 @@ def _lift(phi: ThickMorphism, bundle: str) -> ThickMorphism:
     kind = (KIND_EVEN, KIND_ODD)[kind_parity(phi.kind) ^ shift]
     chart = combined_chart(src, tgt, kind, old_momenta + new_momenta)
     order = phi.order
-    S = embed(phi.S, chart, order)
-    images = {v.name: SuperSeries.of_var(chart, partner(v.name, bundle), order)
-              for v in list(phi.source) + old_momenta}
-    lifted = deriv(S, images, shift)
+    # the derivation maps each source coordinate and old momentum to its
+    # partner; the new variables have none on this chart
+    lifted = apply_operator(embed(phi.S, chart, order), BUNDLES[bundle].operator)
     conjugates = [Conjugate(partner(c.coord, bundle), c.momentum, c.sign)
                   for c in phi.conjugates]
     for c in phi.conjugates:

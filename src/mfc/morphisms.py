@@ -119,8 +119,7 @@ def mk_thick(source: Chart, target: Chart, kind: str, S: SuperSeries,
                for c in conjugates]
     if any(m is None for m in momenta):
         raise MorphismError("generating-function chart lacks a momentum variable")
-    expected = Chart("", tuple(source.variables) + tuple(momenta))
-    if tuple(S.chart.variables) != expected.variables:
+    if S.chart.variables != tuple(source.variables) + tuple(momenta):
         raise MorphismError(
             "generating function must live on (source coords, target momenta)")
     if S.order != order:
@@ -321,10 +320,7 @@ def pullback(phi: ThickMorphism, g: SuperSeries, n_eps: int,
     the nilpotent grading parameter eps attached to the input."""
     if not g.has_parity(kind_parity(phi.kind)):
         raise ParityError(f"{phi.kind} morphism pulls back {phi.kind} functions")
-    g_chart = Chart("g", tuple(params) + tuple(phi.target.variables))
-    if g.chart != g_chart and g.chart == phi.target:
-        g = embed(g, g_chart, g.order)
-    elif g.chart != g_chart:
+    if g.chart not in (Chart("g", tuple(params) + tuple(phi.target.variables)), phi.target):
         raise ChartMismatch("g must live on (params, target coords)")
     h_chart = series_chart(phi, params)
     h = mul(SuperSeries.of_var(h_chart, EPS, n_eps), embed(g, h_chart, n_eps))

@@ -96,10 +96,8 @@ def q_morphism_residual(phi: ThickMorphism, h_source: SuperSeries,
         tgt_images[c.coord] = relations[c.coord]
         tgt_images[partner(c.coord, bundle)] = SuperSeries.of_var(
             work, c.momentum, w_order).scale(c.sign)
-    src_images: Dict[str, SuperSeries] = {
-        v.name: SuperSeries.of_var(work, v.name, w_order) for v in phi.source}
-    for v in phi.source:
-        src_images[partner(v.name, bundle)] = partial(phi.S, v.name)
+    # source coordinates keep their names on the relation's chart
+    src_images = {partner(v.name, bundle): partial(phi.S, v.name) for v in phi.source}
     lhs = substitute(h_target, tgt_images, chart=work, order=w_order)
     rhs = substitute(h_source, src_images, chart=work, order=w_order)
     return truncate(lhs - rhs, min(order, w_order))

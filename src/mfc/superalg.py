@@ -277,8 +277,6 @@ class SuperSeries:
                            self.order, _checked=True)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SuperSeries.const(self.chart, other, self.order)
         return self + (-other)
 
     def __rsub__(self, other):

@@ -114,14 +114,13 @@ def apply_operator(a: SuperSeries, op: str) -> SuperSeries:
         raise ValueError(f"unknown operator {op!r}")
     bundle = _OPERATORS[op]
     shift = BUNDLES[bundle].shift
-    form = BUNDLES[D].prefix
     images = {}
     for v in a.chart:
         target, sign = partner(v.name, bundle), 1
-        if v.name.startswith(form):
+        if v.base is not None and v.name == partner(v.base, D):  # a form-level d_u
             if bundle == D:
                 continue
-            target = partner(partner(v.name[len(form):], bundle), D)
+            target = partner(partner(v.base, bundle), D)
             sign = -1 if shift else 1
         if target in a.chart:
             img = SuperSeries.of_var(a.chart, target, a.order)

@@ -2,8 +2,10 @@
 
 Everything here is deliberately simple-minded: the oracles recompute
 pullbacks by direct substitution (classical case) or by a brute-force
-fixed-point iteration written from scratch, so that agreement with the
-solver is meaningful evidence rather than a tautology.
+fixed-point iteration of their own.  The thick oracle shares one thing
+with the solver, the relations of ``ThickMorphism.coordinate_relations``;
+it values the action at its own point where the solver uses the envelope
+theorem, so a relation error that changes a pullback makes them disagree.
 
 The ``suite_*`` functions run seeded verification suites, whose checks are
 named residuals; ``cli.SUITES`` holds the defaults that ``mfc verify`` applies.
@@ -81,26 +83,31 @@ class Generator:
         for _ in range(budget):
             i = self.rng.randrange(len(chart))
             mono[i] += 1
-        for i, v in enumerate(chart.variables):
-            if v.cap is not None and mono[i] > v.cap:
-                return None
+        if any(mono[i] > cap for i, cap in chart.capped):
+            return None
         return tuple(mono)
+
+    def _terms(self, chart: Chart, order: int, n_terms: int, attempts: int,
+               max_degree: int, keep, anchors: Optional[Sequence[str]] = None) -> SuperSeries:
+        """Up to ``n_terms`` random terms whose monomials pass ``keep``, in at
+        most ``attempts`` draws; with ``anchors``, each draw holds one of them."""
+        out = SuperSeries.zero(chart, order)
+        made = 0
+        for _ in range(attempts):
+            if made == n_terms:
+                break
+            require = () if anchors is None else [self.rng.choice(anchors)]
+            mono = self.monomial(chart, max_degree, require)
+            if mono is not None and keep(mono):
+                out = out + SuperSeries(chart, {mono: self.coefficient()}, order)
+                made += 1
+        return out
 
     def series(self, chart: Chart, order: int, parity: Optional[int] = None,
                n_terms: int = 3, max_degree: int = 2) -> SuperSeries:
-        out = SuperSeries.zero(chart, order)
-        attempts = 0
-        made = 0
-        while made < n_terms and attempts < 40 * n_terms:
-            attempts += 1
-            mono = self.monomial(chart, max_degree)
-            if mono is None or chart.mono_weight(mono) > order:
-                continue
-            if parity is not None and chart.mono_parity(mono) != parity:
-                continue
-            out = out + SuperSeries(chart, {mono: self.coefficient()}, order)
-            made += 1
-        return out
+        keep = lambda m: (chart.mono_weight(m) <= order
+                          and (parity is None or chart.mono_parity(m) == parity))
+        return self._terms(chart, order, n_terms, 40 * n_terms, max_degree, keep)
 
     def classical_map(self, source: Chart, target: Chart, order: int) -> ClassicalMap:
         comps = {}
@@ -120,24 +127,11 @@ class Generator:
         chart = combined_chart(source, target, kind)
         momenta = [c.momentum for c in canonical_conjugates(target, kind)]
         want = kind_parity(kind)
-        out = SuperSeries.zero(chart, order)
-        made = attempts = 0
-        while made < n_terms and attempts < 80 * n_terms:
-            attempts += 1
-            anchor = self.rng.choice(momenta)
-            mono = self.monomial(chart, max_base_degree + max_momentum_degree,
-                                 require=[anchor])
-            if mono is None:
-                continue
-            if chart.mono_weight(mono) > min(order, max_momentum_degree):
-                continue
-            if chart.mono_base_degree(mono) > max_base_degree:
-                continue
-            if chart.mono_parity(mono) != want:
-                continue
-            out = out + SuperSeries(chart, {mono: self.coefficient()}, order)
-            made += 1
-        return out
+        keep = lambda m: (chart.mono_weight(m) <= min(order, max_momentum_degree)
+                          and chart.mono_base_degree(m) <= max_base_degree
+                          and chart.mono_parity(m) == want)
+        return self._terms(chart, order, n_terms, 80 * n_terms,
+                           max_base_degree + max_momentum_degree, keep, momenta)
 
     def thick(self, source: Chart, target: Chart, kind: str, order: int,
               **kwargs) -> Optional[ThickMorphism]:
@@ -166,11 +160,12 @@ def oracle_pullback_naive(phi: ThickMorphism, g: SuperSeries,
                           n_eps: int) -> SuperSeries:
     """Brute-force evaluation of the stationary-point formula.
 
-    Re-solves the coupled relation equations by plain re-substitution
-    from scratch (no shared solver code), using twice the number of
-    sweeps that could possibly be needed, then assembles
-    eps*g(w) + S(x; mu) - <w, mu>.  The solver no longer builds these
-    three terms (it takes the value from the envelope theorem).
+    Re-solves the coupled relation equations by plain re-substitution,
+    in a fixed ``2 * n_eps`` sweeps that it does not certify, then
+    assembles eps*g(w) + S(x; mu) - <w, mu>.  It shares the relations
+    (``phi.coordinate_relations()``) with the solver, but not the sweeps
+    or the value: the solver takes the value from the envelope theorem,
+    which holds only at a true stationary point of this action.
     """
     work = pullback_chart(phi)
     h_chart = series_chart(phi)
@@ -213,38 +208,33 @@ SMALL_SHAPES: Tuple[Tuple[int, int], ...] = ((1, 0), (1, 1), (0, 1), (2, 1))
 IDENT_SHAPES: Tuple[Tuple[int, int], ...] = ((1, 0), (1, 1), (2, 1))
 
 
+def _composable(gen: Generator, kind: str, order: int, n: int,
+                max_momentum_degree: int, shapes: Sequence[Tuple[int, int]]) -> list:
+    """``n`` composable morphisms (1 or 2), inner first, over charts A, B, C of ``shapes``."""
+    names = (("A", ("x", "xi")), ("B", ("y", "eta")), ("C", ("z", "zeta")))
+    while True:
+        picked = [gen.rng.choice(shapes) for _ in range(n + 1)]
+        charts = [gen.chart(*shape, name=name, stems=stems)
+                  for shape, (name, stems) in zip(picked, names)]
+        phis = [gen.thick(a, b, kind, order, max_momentum_degree=max_momentum_degree)
+                for a, b in zip(charts, charts[1:])]
+        if all(phi is not None for phi in phis):
+            return phis
+
+
 def random_pair_of_morphisms(gen: Generator, kind: str, order: int,
                              max_momentum_degree: int = 3,
                              shapes: Sequence[Tuple[int, int]] = SMALL_SHAPES):
     """A composable (outer, inner) pair over random charts of ``shapes``."""
-    while True:
-        sa = gen.rng.choice(shapes)
-        sb = gen.rng.choice(shapes)
-        sc = gen.rng.choice(shapes)
-        m1 = gen.chart(*sa, name="A", stems=("x", "xi"))
-        m2 = gen.chart(*sb, name="B", stems=("y", "eta"))
-        m3 = gen.chart(*sc, name="C", stems=("z", "zeta"))
-        inner = gen.thick(m1, m2, kind, order,
-                          max_momentum_degree=max_momentum_degree)
-        outer = gen.thick(m2, m3, kind, order,
-                          max_momentum_degree=max_momentum_degree)
-        if inner is not None and outer is not None:
-            return outer, inner
+    inner, outer = _composable(gen, kind, order, 2, max_momentum_degree, shapes)
+    return outer, inner
 
 
 def random_morphism(gen: Generator, kind: str, order: int,
                     max_momentum_degree: int = 3,
                     shapes: Sequence[Tuple[int, int]] = SMALL_SHAPES) -> ThickMorphism:
     """A morphism between random charts of ``shapes``."""
-    while True:
-        sa = gen.rng.choice(shapes)
-        sb = gen.rng.choice(shapes)
-        src = gen.chart(*sa, name="A", stems=("x", "xi"))
-        tgt = gen.chart(*sb, name="B", stems=("y", "eta"))
-        phi = gen.thick(src, tgt, kind, order,
-                        max_momentum_degree=max_momentum_degree)
-        if phi is not None:
-            return phi
+    return _composable(gen, kind, order, 1, max_momentum_degree, shapes)[0]
 
 
 # -- verification suites ----------------------------------------------------

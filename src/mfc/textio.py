@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NoReturn, Optional
 
-from .superalg import Chart, ODD, SuperSeries, mul
+from .morphisms import combined_chart, mk_thick
+from .superalg import EVEN, ODD, Chart, SuperSeries, Variable, mul
+from .superforms import BUNDLES, PIT, T, extend_chart
 
 
 class ParseError(ValueError):
@@ -35,15 +37,11 @@ class ParseError(ValueError):
 # -- serializer ----------------------------------------------------------
 
 
-def _mono_key(chart, mono):
-    return (sum(mono), tuple(-e for e in mono))
-
-
 def serialize(s: SuperSeries) -> str:
     """Canonical text form: deterministic, equal series give equal bytes."""
     if s.is_zero():
         return "0"
-    items = sorted(s.terms.items(), key=lambda kv: _mono_key(s.chart, kv[0]))
+    items = sorted(s.terms.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
     pieces = []
     for mono, coeff in items:
         factors = []
@@ -71,7 +69,7 @@ def serialize(s: SuperSeries) -> str:
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
+  | (?P<comment>\#[^\n\udc80-\udcff]*)
   | (?P<number>\d+(?:/\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<arrow>->)
@@ -94,7 +92,10 @@ def tokenize(text: str) -> List[Token]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+            ch = text[pos]  # U+DC80..U+DCFF: a byte that utf-8 refused, escaped
+            what = (f"byte {ord(ch) - 0xDC00:#x} is not UTF-8" if "\udc80" <= ch <= "\udcff"
+                    else f"unexpected character {ch!r}")
+            raise ParseError(what, line, col)
         kind = m.lastgroup
         lexeme = m.group()
         if kind not in ("ws", "comment"):
@@ -298,10 +299,6 @@ class Workspace:
 
 
 def parse_workspace(text: str) -> Workspace:
-    from .morphisms import combined_chart, mk_thick
-    from .superalg import Variable, EVEN, ODD
-    from .superforms import BUNDLES, PIT, T, extend_chart
-
     ws = Workspace()
     p = _Parser(tokenize(text))
     while p.peek().kind != "eof":

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from mfc import cli
 from mfc.cli import MAX_TRIALS, SUITES, main
 from mfc.morphisms import KIND_EVEN, pullback
 from mfc.superalg import (
@@ -267,6 +268,43 @@ class TestCli:
 
     def test_missing_file_usage_error(self, capsys):
         assert main(["check", "/no/such/file.mfc"]) == 2
+
+    def test_directory_usage_error(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_timeout_propagates(self, ws_file, monkeypatch):
+        # the fuzzer's alarm raises TimeoutError, an OSError, to flag a hang
+        def hang(text):
+            raise TimeoutError("input ran too long")
+        monkeypatch.setattr(cli, "parse_workspace", hang)
+        with pytest.raises(TimeoutError):
+            main(["check", ws_file])
+
+    @pytest.mark.parametrize("data, message", [
+        (b"chart M { x : even }\nfunction f on M { x\xff }\n",
+         "error: 2:20: byte 0xff is not UTF-8\n"),
+        # a comment stops at the byte, so the byte is refused there too
+        (b"chart M { x : even } # caf\xe9\n", "error: 1:27: byte 0xe9 is not UTF-8\n"),
+    ], ids=["body", "comment"])
+    def test_non_utf8_byte_positioned(self, tmp_path, capsys, data, message):
+        bad = tmp_path / "bytes.mfc"
+        bad.write_bytes(data)
+        assert main(["check", str(bad)]) == 2
+        assert capsys.readouterr() == ("", message)
+
+    def test_form_prefixed_coordinate(self, tmp_path, capsys):
+        # d_x is a declared coordinate here, not the form level of x: d maps
+        # it to d_d_x and the lifts to its own partner
+        ws = tmp_path / "prefixed.mfc"
+        ws.write_text("chart M { d_x : even }\nchart N { y : even }\n"
+                      "morphism Phi : M -> N kind=even { S = d_x*q_y + 1/2*q_y^2 }\n")
+        assert main(["check", str(ws)]) == 0
+        assert main(["lift", str(ws), "--morphism", "Phi", "--tangent"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "d_x*dot_q_y + dot_d_x*q_y + q_y*dot_q_y"
 
     def test_unknown_name_usage_error(self, ws_file, capsys):
         assert main(["pullback", ws_file, "--morphism", "Nope",
