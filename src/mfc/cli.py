@@ -3,12 +3,14 @@
 Each command is a function ``(workspace, args)`` that returns a Report or
 a series.  Only ``main`` reads the workspace, turns errors into exit code 2
 and renders the result: a Report prints its checks and exits 0 or 1, a
-series prints ``serialize`` and exits 0.
+series prints ``serialize`` and exits 0.  The argument parser is built once
+per process, on the first ``main`` call, and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -66,6 +68,7 @@ def _verify(ws, args) -> Report:
     return SUITES[args.suite][1](testkit, args)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mfc", description="Symbolic checks for microformal morphisms.")

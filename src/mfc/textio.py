@@ -10,7 +10,8 @@ Grammar (line oriented, ``#`` comments; any other ``set`` key is an error):
 
 Expressions use rational literals ``p/q``, identifiers, ``+ - * ^`` and
 parentheses.  Multiplication is order-significant at the source level;
-canonicalization (with Koszul signs) happens in the algebra kernel.
+canonicalization (with Koszul signs) happens in the algebra kernel.  Literals
+stay ``Fraction``s until they meet a series: only two series need ``mul``.
 Momenta and derived variables are auto-declared, named by ``superforms.BUNDLES``.
 """
 
@@ -23,7 +24,7 @@ from typing import Dict, List, NoReturn, Optional
 
 from .morphisms import combined_chart, mk_thick
 from .superalg import EVEN, ODD, Chart, SuperSeries, Variable, mul
-from .superforms import BUNDLES, PIT, T, extend_chart
+from .superforms import BUNDLES, PIT, T, extend_chart, partner
 
 
 class ParseError(ValueError):
@@ -77,7 +78,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str
     text: str
@@ -87,27 +88,25 @@ class Token:
 
 def tokenize(text: str) -> List[Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            ch = text[pos]  # U+DC80..U+DCFF: a byte that utf-8 refused, escaped
-            what = (f"byte {ord(ch) - 0xDC00:#x} is not UTF-8" if "\udc80" <= ch <= "\udcff"
-                    else f"unexpected character {ch!r}")
-            raise ParseError(what, line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, lexeme, line, col))
-        nl = lexeme.count("\n")
-        if nl:
-            line += nl
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    line, start, pos = 1, 0, 0  # the line, the offset it starts at, the next lexeme's
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:  # finditer skipped the character at pos
+            break
+        kind, end = m.lastgroup, m.end()
+        if kind == "ws":
+            nl = text.rfind("\n", pos, end)
+            if nl >= 0:
+                line += text.count("\n", pos, end)
+                start = nl + 1
+        elif kind != "comment":
+            tokens.append(Token(kind, m.group(), line, pos - start + 1))
+        pos = end
+    if pos < len(text):
+        ch = text[pos]  # U+DC80..U+DCFF: a byte that utf-8 refused, escaped
+        what = (f"byte {ord(ch) - 0xDC00:#x} is not UTF-8" if "\udc80" <= ch <= "\udcff"
+                else f"unexpected character {ch!r}")
+        raise ParseError(what, line, pos - start + 1)
+    tokens.append(Token("eof", "", line, pos - start + 1))
     return tokens
 
 
@@ -124,6 +123,11 @@ MAX_NESTING = 100
 # Orders (workspace settings and the CLI's --order) may be at most this: time
 # and output grow steeply with the order, and tests and benchmarks use <= 12.
 MAX_ORDER = 64
+
+
+def _size(v: Fraction | SuperSeries) -> int:
+    """Terms as the budgets count them: a number is one term, zero none."""
+    return len(v.terms) if isinstance(v, SuperSeries) else int(v != 0)
 
 
 class _Parser:
@@ -161,7 +165,8 @@ class _Parser:
         """One complete expression, with its own term-pair budget."""
         self.pairs = 0
         self.depth = 0
-        return self.expr(chart, order)
+        out = self.expr(chart, order)
+        return out if isinstance(out, SuperSeries) else SuperSeries.const(chart, out, order)
 
     def nest(self, at: Token):
         """Enter one more level of nesting, refused at ``at`` past the bound."""
@@ -169,14 +174,16 @@ class _Parser:
         if self.depth > MAX_NESTING:
             self.fail(f"expression nests deeper than {MAX_NESTING} levels", at)
 
-    def product(self, a: SuperSeries, b: SuperSeries, at: Token) -> SuperSeries:
-        """mul(a, b), refused at ``at`` if it would exceed the budget."""
-        self.pairs += len(a.terms) * len(b.terms)
+    def product(self, a: Fraction | SuperSeries, b: Fraction | SuperSeries, at: Token):
+        """a * b, refused at ``at`` if it would exceed the budget."""
+        self.pairs += _size(a) * _size(b)
         if self.pairs > MAX_TERM_PAIRS:
             self.fail(f"expression multiplies more than {MAX_TERM_PAIRS} term pairs", at)
-        return mul(a, b)
+        if isinstance(a, SuperSeries) and isinstance(b, SuperSeries):
+            return mul(a, b)
+        return a * b
 
-    def expr(self, chart: Chart, order: int) -> SuperSeries:
+    def expr(self, chart: Chart, order: int) -> Fraction | SuperSeries:
         out = self.term(chart, order)
         while self.peek().text in ("+", "-"):
             op = self.next().text
@@ -184,14 +191,14 @@ class _Parser:
             out = out + rhs if op == "+" else out - rhs
         return out
 
-    def term(self, chart: Chart, order: int) -> SuperSeries:
+    def term(self, chart: Chart, order: int) -> Fraction | SuperSeries:
         out = self.factor(chart, order)
         while self.peek().text == "*":
             op = self.next()
             out = self.product(out, self.factor(chart, order), op)
         return out
 
-    def factor(self, chart: Chart, order: int) -> SuperSeries:
+    def factor(self, chart: Chart, order: int) -> Fraction | SuperSeries:
         t = self.peek()
         if t.text == "-":
             self.next()
@@ -208,26 +215,26 @@ class _Parser:
             n = int(e.text)
             if n > MAX_POWER_TERMS:
                 self.fail(f"exponent must be at most {MAX_POWER_TERMS}", e)
-            if base.chart is chart and len(base.terms) == 1:
+            if isinstance(base, SuperSeries) and len(base.terms) == 1:
                 (mono, coeff), = base.terms.items()
                 for i, ee in enumerate(mono):
                     if ee and chart.parities[i] == ODD and n > 1:
                         self.fail(f"odd variable {chart.variables[i].name!r} squared", e)
-            out = SuperSeries.const(base.chart, 1, base.order)
+            out = Fraction(1)
             for _ in range(n):
                 out = self.product(out, base, e)
-                if len(out.terms) > MAX_POWER_TERMS:
+                if _size(out) > MAX_POWER_TERMS:
                     self.fail(f"power expands past {MAX_POWER_TERMS} terms", e)
             return out
         return base
 
-    def atom(self, chart: Chart, order: int) -> SuperSeries:
+    def atom(self, chart: Chart, order: int) -> Fraction | SuperSeries:
         t = self.next()
         if t.kind == "number":
             _, slash, den = t.text.partition("/")
             if slash and not int(den):
                 self.fail(f"zero denominator in {t.text!r}", t)
-            return SuperSeries.const(chart, Fraction(t.text), order)
+            return Fraction(t.text)
         if t.kind == "ident":
             if t.text not in chart:
                 self.fail(f"undeclared identifier {t.text!r}", t)
@@ -320,17 +327,22 @@ def parse_workspace(text: str) -> Workspace:
             if name in ws.charts:
                 p.fail(f"duplicate chart {name!r}", head)
             p.expect("op", "{")
-            variables = []
+            variables, names = [], []
             while p.peek().text != "}":
-                vname = p.expect("ident").text
+                names.append(p.expect("ident"))
                 p.expect("op", ":")
                 par = p.expect("ident")
                 if par.text not in ("even", "odd"):
                     p.fail("parity must be 'even' or 'odd'", par)
-                variables.append(Variable(vname, EVEN if par.text == "even" else ODD))
+                variables.append(Variable(names[-1].text, EVEN if par.text == "even" else ODD))
                 if p.peek().text == ",":
                     p.next()
             p.expect("op", "}")
+            lifted = {partner(v.name, b): f"the {BUNDLES[b].role} of {v.name!r}"
+                      for v in variables for b in (T, PIT)}
+            clash = next((t for t in names if t.text in lifted), None)
+            if clash:
+                p.fail(f"coordinate {clash.text!r} names {lifted[clash.text]}", clash)
             ws.charts[name] = _declared(head, Chart, name, variables)
         elif head.text == "morphism":
             name = p.expect("ident").text

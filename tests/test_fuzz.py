@@ -4,7 +4,9 @@ Each mutant of the README workspace deletes, inserts, replaces or swaps
 tokens, drawn from the file itself and from a pool of edge tokens, and
 runs one command in process.  Whatever the input, ``main`` must return 0,
 1 or 2 within a time bound, a usage error must say ``error:``, and a fault
-in the file must carry its ``line:col``.
+in the file must carry its ``line:col``.  Most such mutants stop in the
+parser, so a second mutator edits only inside expression bodies, where
+many mutants still parse and reach the evaluator and the commands.
 """
 
 import pathlib
@@ -21,6 +23,8 @@ README = pathlib.Path(__file__).parents[1] / "perfbench" / "workspaces" / "readm
 WORKSPACE = README.read_text() + ("function om on N { y^2*par_y }\n"
                                   "function v on N { y*dot_y }\n")
 EDGE_TOKENS = ["0", "1/0", "-1", "9999999999", "^", "{", "}", "ys_y", "d_y", "é"]
+NUMBERS = ["0", "1", "2", "3", "1/2", "2/5", "7/3"]
+OPERATORS = ["+", "-", "*", "^", "(", ")"]
 COMMANDS = [
     ["check"],
     ["pullback", "--morphism", "Phi", "--function", "gsq"],
@@ -30,6 +34,7 @@ COMMANDS = [
     ["lift", "--morphism", "Psi", "--antitangent"],
 ]
 SEED, COUNT = 20261018, 300
+BODY_SEED, BODY_COUNT = 20261019, 200
 SECONDS = 5  # bound on one input; every input takes milliseconds
 
 ZERO_DENOMINATORS = [
@@ -65,6 +70,55 @@ def _mutant(rng, lines):
             j = rng.randrange(len(other))
             line[i], other[j] = other[j], line[i]
     return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def _bodies(lines):
+    """(line, first, end) of each expression body: the tokens after a
+    function's ``{`` or a morphism's ``{ S =``, up to the closing ``}``."""
+    return [(k, line.index("{") + (3 if line[0] == "morphism" else 1), len(line) - 1)
+            for k, line in enumerate(lines) if line[0] in ("morphism", "function")]
+
+
+def _body_mutant(rng, lines):
+    """One or two edits inside one expression body.  An operand is replaced
+    by a number, an identifier of the body (all are on its chart) or an edge
+    token, an operator by an operator; an insertion adds an operator and an
+    operand after a token; a deletion drops a token, a swap exchanges two."""
+    lines = [list(line) for line in lines]
+    for _ in range(rng.choice((1, 1, 1, 2))):
+        k, first, end = rng.choice(_bodies(lines))
+        line = lines[k]
+        operands = NUMBERS + [t for t in line[first:end] if t[0].isalpha()]
+        i = rng.randrange(first, end)
+        op = rng.choice(("replace", "replace", "insert", "insert", "delete", "swap"))
+        if op == "replace":
+            pool = (OPERATORS if line[i] in OPERATORS
+                    else rng.choice((operands, operands, operands, EDGE_TOKENS)))
+            line[i] = rng.choice(pool)
+        elif op == "insert":
+            line[i + 1:i + 1] = [rng.choice(OPERATORS), rng.choice(operands)]
+        elif op == "delete":
+            del line[i]
+        else:
+            j = rng.randrange(first, end)
+            line[i], line[j] = line[j], line[i]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def seeded_mutants(mutate, seed, count):
+    """``count`` (mutant text, command) pairs of the workspace, drawn from ``seed``."""
+    lines = _lines(WORKSPACE)
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield mutate(rng, lines), rng.choice(COMMANDS)
+
+
+def _parses(text):
+    try:
+        parse_workspace(text)
+    except ParseError:
+        return False
+    return True
 
 
 def _run(path, text, command, capsys):
@@ -105,11 +159,18 @@ def test_zero_denominator_is_a_usage_error(tmp_path, capsys, text):
 
 def test_seeded_mutants_exit_cleanly(tmp_path, capsys):
     path = tmp_path / "mutant.mfc"
-    lines = _lines(WORKSPACE)
     for command in COMMANDS:
         expected = 2 if "om" in command else 0  # even Phi pulls back even functions
         assert _run(path, WORKSPACE, command, capsys) == expected
-    rng = random.Random(SEED)
-    codes = [_run(path, _mutant(rng, lines), rng.choice(COMMANDS), capsys)
-             for _ in range(COUNT)]
+    codes = [_run(path, text, command, capsys)
+             for text, command in seeded_mutants(_mutant, SEED, COUNT)]
     assert {0, 2} <= set(codes)
+
+
+def test_body_mutants_exit_cleanly(tmp_path, capsys):
+    path = tmp_path / "mutant.mfc"
+    mutants = list(seeded_mutants(_body_mutant, BODY_SEED, BODY_COUNT))
+    codes = [_run(path, text, command, capsys) for text, command in mutants]
+    assert {0, 2} <= set(codes)
+    parsed = sum(_parses(text) for text, _ in mutants)
+    assert parsed >= BODY_COUNT // 5, parsed  # the evaluator sees at least 20% of them

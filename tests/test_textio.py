@@ -2,8 +2,11 @@
 
 import contextlib
 import io
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -25,13 +28,18 @@ from mfc.textio import (
     MAX_NESTING,
     MAX_ORDER,
     ParseError,
+    Token,
     parse_series,
+    _TOKEN_RE,
     parse_workspace,
     serialize,
+    tokenize,
 )
+from test_fuzz import BODY_COUNT, BODY_SEED, COUNT, SEED, _body_mutant, _mutant, seeded_mutants
 
 ORDER = 3
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+WORKSPACES = pathlib.Path(__file__).parents[1] / "perfbench" / "workspaces"
 
 
 WORKSPACE = """
@@ -306,6 +314,51 @@ class TestCli:
         assert capsys.readouterr().out.splitlines()[-1] == \
             "d_x*dot_q_y + dot_d_x*q_y + q_y*dot_q_y"
 
+    @pytest.mark.parametrize("coordinates, flag, message", [
+        ("x : even, dot_x : even", "--tangent",
+         "error: 1:21: coordinate 'dot_x' names the velocity of 'x'\n"),
+        ("x : even, par_x : even", "--antitangent",
+         "error: 1:21: coordinate 'par_x' names the odd-velocity of 'x'\n"),
+        ("dot_x : even, x : even", "--tangent",
+         "error: 1:11: coordinate 'dot_x' names the velocity of 'x'\n"),
+    ])
+    def test_bundle_partner_coordinate_positioned(self, tmp_path, capsys, coordinates,
+                                                  flag, message):
+        # the lift names x's partner so and would declare it a second time
+        bad = tmp_path / "partner.mfc"
+        bad.write_text(f"chart M {{ {coordinates} }}\nchart N {{ y : even }}\n"
+                       "morphism Phi : M -> N kind=even { S = x*q_y + 1/2*q_y^2 }\n")
+        for argv in (["check", str(bad)], ["lift", str(bad), "--morphism", "Phi", flag]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", message)
+
+    def test_parser_reuse_is_stateless(self, ws_file, capsys, monkeypatch):
+        # main reuses one parser: each command, run after the others in this
+        # process, must print what it prints as the first of a fresh process
+        sequence = [
+            ["--help"], ["lift", "--help"],
+            ["frobnicate"], ["check", ws_file],
+            ["lift", ws_file, "--morphism", "Phi", "--tangent"],
+            ["lift", ws_file, "--morphism", "Phi", "--antitangent"],
+            ["pullback", ws_file, "--morphism", "Phi", "--function", "gsq", "--order", "2"],
+            ["pullback", ws_file, "--morphism", "Phi", "--function", "gsq"],  # set order = 3
+            ["verify", "--suite", "qmorphism", "--trials", "3"],
+            ["verify", "--suite", "qmorphism"],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+        fresh = [subprocess.Popen([sys.executable, "-m", "mfc.cli", *argv], env=env,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                 for argv in sequence]
+        reused = []
+        for argv in sequence:
+            code = main(argv)
+            reused.append((code, *capsys.readouterr()))
+        for argv, proc, got in zip(sequence, fresh, reused):
+            out, err = proc.communicate(timeout=60)
+            assert got == (proc.returncode, out, err), argv
+        assert reused[6][1] != reused[7][1]  # the order fell back to the workspace's
+
     def test_unknown_name_usage_error(self, ws_file, capsys):
         assert main(["pullback", ws_file, "--morphism", "Nope",
                      "--function", "gsq"]) == 2
@@ -396,7 +449,7 @@ class TestCli:
          "morphism Phi : M -> N kind=even order=3 { S = x }\n",
          "error: 3:1: S at zero momenta must be constant"),
         ("chart M { x : even, par_x : even }\nfunction f on M { par_y }\n",
-         "error: 2:1: duplicate variable 'par_x'"),
+         "error: 1:21: coordinate 'par_x' names the odd-velocity of 'x'"),
         ("chart M { q_y : even }\nchart N { y : even }\n"
          "morphism Phi : M -> N kind=even order=3 { S = q_y*q_y }\n",
          "error: 3:1: duplicate variable 'q_y'"),
@@ -498,3 +551,74 @@ class TestCli:
         ok = tmp_path / "ok.mfc"
         ok.write_text(text)
         assert main(["check", str(ok)]) == 0
+
+
+# -- reference tokenizer ---------------------------------------------------
+#
+# The tokenizer that matched once per position before one finditer pass
+# replaced it, kept as the oracle for token streams and error positions.
+
+
+def ref_tokenize(text):
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            ch = text[pos]  # U+DC80..U+DCFF: a byte that utf-8 refused, escaped
+            what = (f"byte {ord(ch) - 0xDC00:#x} is not UTF-8" if "\udc80" <= ch <= "\udcff"
+                    else f"unexpected character {ch!r}")
+            raise ParseError(what, line, col)
+        kind = m.lastgroup
+        lexeme = m.group()
+        if kind not in ("ws", "comment"):
+            tokens.append(Token(kind, lexeme, line, col))
+        nl = lexeme.count("\n")
+        if nl:
+            line += nl
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+def lexed(tokenize, text):
+    """The (kind, text, line, col) stream of ``text``, or its error and position."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+README = (WORKSPACES / "readme.mfc").read_text()
+DESIGNED = re.sub(r"\$\w+", "1", (WORKSPACES / "designed.mfc.in").read_text())
+
+
+class TestReferenceTokenizer:
+    @pytest.mark.parametrize("text", [
+        README,
+        DESIGNED,
+        README.replace("\n", "\r\n"),
+        README.replace(" ", "\t"),
+        README.rstrip("\n"),
+        "",
+        "chart M { x : even }\nfunction f on M { x\udcff }\n",
+        "chart M { x : even } # caf\udcff\n",
+        "chart M { x : even }\n$chart N { y : even }\n",
+    ], ids=["readme", "designed", "crlf", "tabs", "no-final-newline", "empty",
+            "byte-in-body", "byte-in-comment", "unexpected-at-line-start"])
+    def test_matches_reference(self, text):
+        assert lexed(tokenize, text) == lexed(ref_tokenize, text)
+
+    def test_fuzz_mutants_match_reference(self):
+        mutants = [*seeded_mutants(_mutant, SEED, COUNT),
+                   *seeded_mutants(_body_mutant, BODY_SEED, BODY_COUNT)]
+        errors = 0
+        for text, _ in mutants:
+            expected = lexed(ref_tokenize, text)
+            assert lexed(tokenize, text) == expected, text
+            errors += isinstance(expected, tuple)
+        assert errors > 0  # some mutants carry a character the lexer refuses

@@ -1,7 +1,7 @@
 """pytest plugin: record the serialized output of every pullback_series,
-compose and _lift call that a test run makes, and of every kernel call
+compose and _lift call that a test run makes, of every kernel call
 (``superalg.mul``, ``deriv`` and ``substitute``) made from outside
-``superalg``.
+``superalg``, and of what every ``textio.parse_workspace`` call builds.
 
 A refactor of the kernel, the solver or the lifts should leave these
 outputs byte-identical.  Record them on the parent commit and on the
@@ -13,9 +13,10 @@ change, each with the same tests, then compare the two files:
 
 Each line of the file is one output, in call order: a JSON list of the
 function name and its output (``serialize`` of the series, plus the kind
-and the conjugacy table for a lifted morphism).  A ``substitute_all``
-call writes one ``substitute`` line per series, as the ``substitute``
-calls it replaces would.  Kernel calls that ``superalg`` makes itself
+and the conjugacy table for a lifted morphism; each morphism's ``S`` and
+each function of a parsed workspace, in declaration order).  A
+``substitute_all`` call writes one ``substitute`` line per series, as the
+``substitute`` calls it replaces would.  Kernel calls that ``superalg`` makes itself
 (``partial`` calling ``deriv``, ``a * b`` calling ``mul``) are not
 recorded: they are internals a kernel change may add or drop.  Targets
 a commit does not define are skipped.  ``PYTHONHASHSEED=0`` fixes the
@@ -43,6 +44,11 @@ TARGETS = (
     ("mfc.functors", "_lift",
      lambda out: [["_lift", out.kind, serialize(out.S),
                    [[c.coord, c.momentum, c.sign] for c in out.conjugates]]]),
+    ("mfc.textio", "parse_workspace",
+     lambda ws: [["parse_workspace", "morphism", name, serialize(phi.S)]
+                 for name, phi in ws.morphisms.items()]
+     + [["parse_workspace", "function", name, serialize(f)]
+        for name, f in ws.functions.items()]),
     (KERNEL, "mul", _series("mul")),
     (KERNEL, "deriv", _series("deriv")),
     (KERNEL, "substitute", _series("substitute")),
