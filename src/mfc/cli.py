@@ -126,6 +126,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.order is None:  # the workspace's `set order`, else the suite's
             args.order = SUITES[args.suite][0] if ws is None else ws.default_order
         result = args.run(ws, args)
+        # rendered here: str() refuses an integer past 4300 digits with a ValueError
+        text = result.render() if isinstance(result, Report) else serialize(result)
     except TimeoutError:  # an OSError, but raised by a caller's alarm, not by a file
         raise
     except (KeyError, OSError, ValueError) as exc:  # a ParseError is a ValueError
@@ -133,11 +135,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return USAGE_ERROR
-    if isinstance(result, Report):
-        print(result.render())
-        return 0 if result.passed else CHECK_FAILED
-    print(serialize(result))
-    return 0
+    print(text)
+    return CHECK_FAILED if isinstance(result, Report) and not result.passed else 0
 
 
 if __name__ == "__main__":

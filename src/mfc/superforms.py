@@ -12,11 +12,12 @@ parities: each extension gives every variable v a partner ``prefix + v``.
 ``COTANGENT`` maps a morphism kind, and the Poisson structure of the same
 name, to the bundle of its momenta.  The derivations dot, par and d map v
 to its T, PiT and d partner; d and par anticommute, dot commutes with both.
+A derived variable is told by its ``base`` (the variable it is the partner
+of), never by its name: a coordinate may be called ``d_y`` or ``dot_z``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 
@@ -79,6 +80,11 @@ def partner(name: str, bundle: str) -> str:
     return BUNDLES[bundle].prefix + name
 
 
+def _is_form_level(v: Variable) -> bool:
+    """Whether ``v`` is the d-level partner of its base, as ``extend_d`` makes it."""
+    return v.base is not None and v.name == partner(v.base, D)
+
+
 def kind_parity(kind: str) -> int:
     """The parity of a kind's S = phi^i(x) m_i: its momenta's parity shift."""
     return BUNDLES[COTANGENT[kind]].shift
@@ -117,7 +123,7 @@ def apply_operator(a: SuperSeries, op: str) -> SuperSeries:
     images = {}
     for v in a.chart:
         target, sign = partner(v.name, bundle), 1
-        if v.base is not None and v.name == partner(v.base, D):  # a form-level d_u
+        if _is_form_level(v):  # d_u
             if bundle == D:
                 continue
             target = partner(partner(v.base, bundle), D)
@@ -143,8 +149,7 @@ def de_rham(omega: SuperSeries, level: str) -> SuperSeries:
 
 def _paired(chart: Chart, bundle: str):
     """Coordinates v (not form-level) whose ``bundle`` partner exists."""
-    return [v for v in chart if not v.name.startswith(BUNDLES[D].prefix)
-            and partner(v.name, bundle) in chart]
+    return [v for v in chart if not _is_form_level(v) and partner(v.name, bundle) in chart]
 
 
 # name -> (the bundle of the momenta, the tangent bundle it is lifted
@@ -159,7 +164,7 @@ LIOUVILLE_FORMS = {
 }
 
 
-def liouville(chart: Chart, which: str, order: int = 6) -> SuperSeries:
+def liouville(chart: Chart, which: str, order: int) -> SuperSeries:
     """A canonical 1-form as its literal coordinate expression: sum_v d_v m_v
     over the underived coordinates v with momenta m_v, or lifted through tan,
     sum_v +-d_v tan(m_v) + d_tan(v) m_v with -1 only for odd v under PiT."""
@@ -170,8 +175,7 @@ def liouville(chart: Chart, which: str, order: int = 6) -> SuperSeries:
     dv = lambda name: var(partner(name, D))
     out = SuperSeries.zero(chart, order)
     if tan is None:
-        derived = (BUNDLES[T].prefix, BUNDLES[PIT].prefix)
-        pairs = [v.name for v in _paired(chart, mom) if not v.name.startswith(derived)]
+        pairs = [v.name for v in _paired(chart, mom) if v.base is None]
         if not pairs:
             raise StructureError(f"no {BUNDLES[mom].role} pairs on this chart")
         for v in pairs:
@@ -223,64 +227,42 @@ def poisson_bracket(a: SuperSeries, b: SuperSeries, structure: str = "even") -> 
 
 # -- the six identification cases ---------------------------------------
 
-
-@dataclass(frozen=True)
-class IdentificationCase:
-    """One natural (co)tangent-bundle identification, checked in coordinates."""
-    name: str
-    description: str
-
-
-IDENTIFICATION_CASES: Dict[str, IdentificationCase] = {
-    "MX": IdentificationCase(
-        "MX", "T*E = T*(E*): fiber coordinate u_i = p_i, dual momentum p^i = -(-1)^i u^i"),
-    "oddMX": IdentificationCase(
-        "oddMX", "PiT*E = PiT*(PiE*): xi_i = u*_i, xi*^i = -u^i"),
-    "Tulczyjew": IdentificationCase(
-        "Tulczyjew", "T(T*M) = T*(TM): theta_TM = dot(theta_M)"),
-    "oddTulczyjew": IdentificationCase(
-        "oddTulczyjew", "T(PiT*M) = PiT*(TM): lambda_TM = dot(lambda_M)"),
-    "antiTulczyjew": IdentificationCase(
-        "antiTulczyjew", "PiT(PiT*M) = T*(PiTM): theta_PiTM = -par(lambda_M)"),
-    "oddAntiTulczyjew": IdentificationCase(
-        "oddAntiTulczyjew", "PiT(T*M) = PiT*(PiTM): lambda_PiTM = -par(theta_M)"),
+# case -> the Liouville form it checks; each comment names the identification
+IDENTIFICATION_CASES: Dict[str, str] = {
+    "MX": "theta",  # T*E = T*(E*): fiber u_i = p_i, dual momentum p^i = -(-1)^i u^i
+    "oddMX": "lambda",  # PiT*E = PiT*(PiE*): xi_i = u*_i, xi*^i = -u^i
+    "Tulczyjew": "theta_TM",  # T(T*M) = T*(TM): theta_TM = dot(theta_M)
+    "oddTulczyjew": "lambda_TM",  # T(PiT*M) = PiT*(TM): lambda_TM = dot(lambda_M)
+    "antiTulczyjew": "theta_PiTM",  # PiT(PiT*M) = T*(PiTM): theta_PiTM = -par(lambda_M)
+    "oddAntiTulczyjew": "lambda_PiTM",  # PiT(T*M) = PiT*(PiTM): lambda_PiTM = -par(theta_M)
 }
 
 
-def verify_identification(case, base_chart: Chart,
-                          fiber: Optional[Sequence[Variable]] = None,
-                          order: int = 6) -> Report:
-    """Check the Legendre/symplectic/lift identities for one case.
-
-    ``fiber`` supplies the vector-bundle fiber parities for the two
-    Mackenzie-Xu cases; the Tulczyjew-type cases ignore it.
-    """
-    if isinstance(case, IdentificationCase):
-        case = case.name
+def verify_identification(case: str, base_chart: Chart, order: int,
+                          fiber: Optional[Sequence[Variable]] = None) -> Report:
+    """Check the Legendre/symplectic/lift identities for one case.  ``fiber``
+    gives the fiber parities of the two Mackenzie-Xu cases; the others ignore it."""
     if case not in IDENTIFICATION_CASES:
         raise ValueError(f"unknown identification case {case!r}")
+    form = IDENTIFICATION_CASES[case]
+    mom, tan = LIOUVILLE_FORMS[form]
     report = Report()
 
-    if case in ("MX", "oddMX"):
+    if tan is None:  # Mackenzie-Xu: the canonical form of T*E or PiT*E itself
+        shift = BUNDLES[mom].shift
         if fiber is None:
             fiber = [Variable("u_%d" % i, v.parity) for i, v in enumerate(base_chart)]
-        total = Chart(f"E({base_chart.name})",
-                      tuple(base_chart.variables) + tuple(fiber))
-        mom = TSTAR if case == "MX" else PITSTAR
+        total = Chart(f"E({base_chart.name})", tuple(base_chart.variables) + tuple(fiber))
         chart = extend_d(extend_chart(total, mom))
-        one_form = liouville(chart, "theta" if case == "MX" else "lambda", order)
+        one_form = liouville(chart, form, order)
         var = lambda n: SuperSeries.of_var(chart, n, order)
         # the dual-side Liouville form, expressed through the identification
-        dual = SuperSeries.zero(chart, order)
-        for v in base_chart:
-            dual = dual + mul(var(partner(v.name, D)), var(partner(v.name, mom)))
+        dual = sum((mul(var(partner(v.name, D)), var(partner(v.name, mom))) for v in base_chart),
+                   SuperSeries.zero(chart, order))
         pairing = SuperSeries.zero(chart, order)
         for u in fiber:
             mu = partner(u.name, mom)
-            if case == "MX":
-                dual_mom = -var(u.name) if u.parity == EVEN else var(u.name)
-            else:
-                dual_mom = -var(u.name)
+            dual_mom = var(u.name) if u.parity == ODD and not shift else -var(u.name)
             dual = dual + mul(var(partner(mu, D)), dual_mom)
             pairing = pairing + mul(var(u.name), var(mu))
         report.check_zero("legendre", dual - (-apply_operator(pairing, "d") + one_form))
@@ -288,23 +270,17 @@ def verify_identification(case, base_chart: Chart,
         literal = SuperSeries.zero(chart, order)
         for v in total:
             term = mul(var(partner(partner(v.name, mom), D)), var(partner(v.name, D)))
-            if case == "oddMX" and v.parity == EVEN:
+            if shift and v.parity == EVEN:
                 term = -term  # the (-1)^(a+1) factor of the odd symplectic form
             literal = literal + term
         report.check_zero("omega_literal", apply_operator(one_form, "d") - literal)
         return report
 
-    lifted_name, base_name = {
-        "Tulczyjew": ("theta_TM", "theta"),
-        "oddTulczyjew": ("lambda_TM", "lambda"),
-        "antiTulczyjew": ("theta_PiTM", "lambda"),
-        "oddAntiTulczyjew": ("lambda_PiTM", "theta"),
-    }[case]
-    mom, tan = LIOUVILLE_FORMS[lifted_name]
+    base_form = next(f for f, (m, t) in LIOUVILLE_FORMS.items() if m == mom and t is None)
     op = BUNDLES[tan].operator
     chart = extend_d(extend_chart(extend_chart(base_chart, mom), tan))
-    lifted = liouville(chart, lifted_name, order)
-    base = liouville(chart, base_name, order)
+    lifted = liouville(chart, form, order)
+    base = liouville(chart, base_form, order)
     # the lift is dot(base) through T and -par(base) through PiT; on the
     # 2-forms par's sign cancels against d and par anticommuting
     sign = -1 if BUNDLES[tan].shift else 1

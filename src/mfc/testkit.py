@@ -242,11 +242,11 @@ def random_morphism(gen: Generator, kind: str, order: int,
 
 def suite_identifications(order: int) -> Report:
     report = Report()
-    for case in IDENTIFICATION_CASES.values():
+    for case in IDENTIFICATION_CASES:
         for shape in IDENT_SHAPES:
             gen = Generator(0)
             chart = gen.chart(*shape, name=f"M{shape[0]}{shape[1]}")
-            report.include(f"{case.name}:{shape[0]}|{shape[1]}",
+            report.include(f"{case}:{shape[0]}|{shape[1]}",
                            verify_identification(case, chart, order=order))
     return report
 

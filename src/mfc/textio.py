@@ -20,11 +20,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NoReturn, Optional
+from typing import Dict, List, NoReturn, Optional, Set
 
 from .morphisms import combined_chart, mk_thick
 from .superalg import EVEN, ODD, Chart, SuperSeries, Variable, mul
-from .superforms import BUNDLES, PIT, T, extend_chart, partner
+from .superforms import BUNDLES, COTANGENT, D, PIT, T, extend_chart, partner
 
 
 class ParseError(ValueError):
@@ -117,6 +117,10 @@ MAX_POWER_TERMS = 1000
 # its products and power steps.  A bound on each product alone would still
 # let (x+1)^500 take seconds through five hundred small steps.
 MAX_TERM_PAIRS = 10000
+# A number (a literal, or a product or power of numbers) may have at most this
+# many bits above and below the line, about 3000 digits: output is decimal, and
+# CPython turns no integer of more than 4300 digits into text or back.
+MAX_NUMBER_BITS = 10000
 # Parentheses and unary minus may nest at most this deep: the parser
 # recurses once per level and must stay well inside Python's stack limit.
 MAX_NESTING = 100
@@ -174,14 +178,21 @@ class _Parser:
         if self.depth > MAX_NESTING:
             self.fail(f"expression nests deeper than {MAX_NESTING} levels", at)
 
+    def number(self, v: Fraction, at: Token) -> Fraction:
+        """``v``, refused at ``at`` if it is past ``MAX_NUMBER_BITS``."""
+        if max(v.numerator.bit_length(), v.denominator.bit_length()) > MAX_NUMBER_BITS:
+            self.fail(f"number exceeds {MAX_NUMBER_BITS} bits", at)
+        return v
+
     def product(self, a: Fraction | SuperSeries, b: Fraction | SuperSeries, at: Token):
-        """a * b, refused at ``at`` if it would exceed the budget."""
+        """a * b, refused at ``at`` if it would exceed a budget."""
         self.pairs += _size(a) * _size(b)
         if self.pairs > MAX_TERM_PAIRS:
             self.fail(f"expression multiplies more than {MAX_TERM_PAIRS} term pairs", at)
         if isinstance(a, SuperSeries) and isinstance(b, SuperSeries):
             return mul(a, b)
-        return a * b
+        out = a * b
+        return out if isinstance(out, SuperSeries) else self.number(out, at)
 
     def expr(self, chart: Chart, order: int) -> Fraction | SuperSeries:
         out = self.term(chart, order)
@@ -231,10 +242,13 @@ class _Parser:
     def atom(self, chart: Chart, order: int) -> Fraction | SuperSeries:
         t = self.next()
         if t.kind == "number":
-            _, slash, den = t.text.partition("/")
+            num, slash, den = t.text.partition("/")
+            # a longer part is >= 10^3333 > 2^11000, and int() reads at most 4300 digits
+            if max(len(num), len(den)) > MAX_NUMBER_BITS // 3:
+                self.fail(f"number exceeds {MAX_NUMBER_BITS} bits", t)
             if slash and not int(den):
                 self.fail(f"zero denominator in {t.text!r}", t)
-            return Fraction(t.text)
+            return self.number(Fraction(t.text), t)
         if t.kind == "ident":
             if t.text not in chart:
                 self.fail(f"undeclared identifier {t.text!r}", t)
@@ -274,6 +288,22 @@ def _order_at(tok: Token) -> int:
         return bounded(tok.text, "order", MAX_ORDER)
     except ValueError as exc:
         raise ParseError(str(exc), tok.line, tok.col) from None
+
+
+_COVECTORS = tuple(BUNDLES[b].prefix for b in COTANGENT.values())  # q_, ys_
+
+
+def _derived(name: str, coordinates: Set[str]) -> Optional[str]:
+    """What a command derives under ``name`` beside a chart's coordinates, if
+    anything: the T, PiT or d partner of another coordinate or of any
+    (anti)momentum, or the velocity of an odd velocity par_<v>."""
+    for b in (T, PIT, D):
+        base = name[len(BUNDLES[b].prefix):]
+        if name == partner(base, b) and (
+                base in coordinates or base.startswith(_COVECTORS)
+                or b == T and base in {partner(v, PIT) for v in coordinates}):
+            return f"the {BUNDLES[b].role} of {base!r}"
+    return None
 
 
 def _declared(head: Token, build, *args, **kwargs):
@@ -338,11 +368,10 @@ def parse_workspace(text: str) -> Workspace:
                 if p.peek().text == ",":
                     p.next()
             p.expect("op", "}")
-            lifted = {partner(v.name, b): f"the {BUNDLES[b].role} of {v.name!r}"
-                      for v in variables for b in (T, PIT)}
-            clash = next((t for t in names if t.text in lifted), None)
-            if clash:
-                p.fail(f"coordinate {clash.text!r} names {lifted[clash.text]}", clash)
+            coordinates = {v.name for v in variables}
+            for t in names:
+                if what := _derived(t.text, coordinates):
+                    p.fail(f"coordinate {t.text!r} names {what}", t)
             ws.charts[name] = _declared(head, Chart, name, variables)
         elif head.text == "morphism":
             name = p.expect("ident").text
@@ -363,13 +392,9 @@ def parse_workspace(text: str) -> Workspace:
                     order = _order_at(val)
                 else:
                     p.fail(f"unknown morphism attribute {key.text!r}", key)
-            if kind is None:
-                p.fail("morphism needs kind=even|odd")
-            if kind.text not in ("even", "odd"):
-                p.fail("morphism needs kind=even|odd", kind)
-            kind = kind.text
-            if order is None:
-                order = ws.default_order
+            if kind is None or kind.text not in ("even", "odd"):
+                p.fail("morphism needs kind=even|odd", kind)  # kind None: the "{"
+            kind, order = kind.text, ws.default_order if order is None else order
             for c in (src, tgt):
                 if c.text not in ws.charts:
                     p.fail(f"undeclared chart {c.text!r}", c)
@@ -400,8 +425,7 @@ def parse_workspace(text: str) -> Workspace:
                 end += 1
             idents = {t.text for t in p.tokens[p.pos:end] if t.kind == "ident"}
             for bundle in (PIT, T):
-                prefix = BUNDLES[bundle].prefix
-                if any(i.startswith(prefix) and i not in chart for i in idents):
+                if any(i.startswith(BUNDLES[bundle].prefix) and i not in chart for i in idents):
                     chart = _declared(head, extend_chart, chart, bundle)
             body = p.body(chart, ws.default_order)
             p.expect("op", "}")

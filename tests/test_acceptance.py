@@ -78,7 +78,7 @@ SHAPES_22 = ((1, 0), (1, 1), (0, 1), (2, 1), (2, 2))
 def test_criterion_1_identification_suite():
     start = time.monotonic()
     ok = True
-    for case in IDENTIFICATION_CASES.values():
+    for case in IDENTIFICATION_CASES:
         for shape in ((1, 0), (1, 1), (2, 1)):
             chart = Generator().chart(*shape)
             rep = verify_identification(case, chart, order=4)

@@ -83,9 +83,19 @@ class TestBundleTable:
         q = HomologicalField(tgt, {v.name: SuperSeries.zero(tgt, ORDER) for v in tgt})
         assert hamiltonian_of_field(q, kind).chart.variables == bundle.variables
 
+    @pytest.mark.parametrize("name", ["dot_z", "par_z", "d_z"])
+    def test_theta_pairs_a_coordinate_named_like_a_partner(self, name):
+        # a derived variable is told by its base: a coordinate called dot_z,
+        # par_z or d_z (with no z) is underived and gets its own pair
+        c = extend_d(extend_chart(Chart("M", [Variable("x", EVEN), Variable(name, EVEN)]),
+                                  TSTAR))
+        var = lambda n: SuperSeries.of_var(c, n, 3)
+        expect = mul(var("d_x"), var("q_x")) + mul(var(partner(name, "d")), var("q_" + name))
+        assert liouville(c, "theta", 3) == expect
+
     def test_theta_needs_momentum_pairs(self):
         with pytest.raises(StructureError):
-            liouville(extend_d(extend_chart(base_chart(), T)), "theta")
+            liouville(extend_d(extend_chart(base_chart(), T)), "theta", ORDER)
 
 
 class TestOperators:
@@ -168,6 +178,15 @@ class TestPoisson:
             rhs = mid + pb(b, pb(a, d)).scale(sign)
             assert lhs == rhs
 
+    @pytest.mark.parametrize("structure", ["even", "odd"])
+    def test_darboux_on_a_coordinate_named_d(self, structure):
+        # d_y is a coordinate here, not the form level of a y
+        bundle = COTANGENT[structure]
+        c = extend_chart(Chart("M", [Variable("x", EVEN), Variable("d_y", EVEN)]), bundle)
+        y = SuperSeries.of_var(c, "d_y", ORDER)
+        m = SuperSeries.of_var(c, partner("d_y", bundle), ORDER)
+        assert poisson_bracket(y, m, structure) == SuperSeries.const(c, 1, ORDER)
+
     def test_odd_bracket_darboux(self):
         c = extend_chart(base_chart(1, 1), PITSTAR)
         x = SuperSeries.of_var(c, "x0", ORDER)
@@ -191,7 +210,7 @@ class TestIdentifications:
 
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError):
-            verify_identification("bogus", base_chart())
+            verify_identification("bogus", base_chart(), order=4)
 
 
 class TestProlongation:

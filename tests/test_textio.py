@@ -332,6 +332,57 @@ class TestCli:
             assert main(argv) == 2
             assert capsys.readouterr() == ("", message)
 
+    @pytest.mark.parametrize("text, argv, message", [
+        # the form level of x: the check's d-extension would declare d_x again
+        ("chart M { x : even, d_x : even }\nchart N { y : even }\n"
+         "morphism Phi : M -> N kind=even { S = x*q_y + d_x*q_y^2 }\n", ["check"],
+         "error: 1:21: coordinate 'd_x' names the odd-velocity of 'x'\n"),
+        # the velocity of the target momentum q_y in the tangent lift
+        ("chart M { x : even, dot_q_y : even }\nchart N { y : even }\n"
+         "morphism Phi : M -> N kind=even { S = x*q_y + 1/2*q_y^2 }\n",
+         ["lift", "--morphism", "Phi", "--tangent"],
+         "error: 1:21: coordinate 'dot_q_y' names the velocity of 'q_y'\n"),
+        # the velocity of par_x, which a function mentioning both derives
+        ("chart M { x : even, dot_par_x : even }\nfunction f on M { par_x*dot_x }\n",
+         ["check"], "error: 1:21: coordinate 'dot_par_x' names the velocity of 'par_x'\n"),
+    ], ids=["d", "momentum", "par"])
+    def test_derived_name_coordinate_positioned(self, tmp_path, capsys, text, argv, message):
+        bad = tmp_path / "derived.mfc"
+        bad.write_text(text)
+        assert main([argv[0], str(bad), *argv[1:]]) == 2
+        assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("body, message", [
+        ("7" * 5000 + "*y", "error: 3:19: number exceeds 10000 bits\n"),
+        ("1/" + "7" * 3400 + "*y", "error: 3:19: number exceeds 10000 bits\n"),
+        ("9999999999^1000*y", "error: 3:30: number exceeds 10000 bits\n"),
+        ("9999999999^400*y", "error: 3:30: number exceeds 10000 bits\n"),
+        ("9999999999^300*9999999999^300*y", "error: 3:33: number exceeds 10000 bits\n"),
+    ], ids=["literal", "denominator", "power", "power400", "product"])
+    def test_large_number_positioned(self, tmp_path, capsys, body, message):
+        bad = tmp_path / "number.mfc"
+        bad.write_text(f"chart M {{ x : even }}\nchart N {{ y : even }}\n"
+                       f"function f on N {{ {body} }}\n"
+                       "morphism Phi : M -> N kind=even { S = x*q_y }\n")
+        for argv in (["check", str(bad)],
+                     ["pullback", str(bad), "--morphism", "Phi", "--function", "f"]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", message)
+
+    def test_unprintable_output_usage_error(self, tmp_path, capsys):
+        # c has about 3000 digits, within the bound; the pullback's c^2 has
+        # 6000, past what str() prints
+        bad = tmp_path / "output.mfc"
+        bad.write_text("chart M { x : even }\nchart N { y : even }\n"
+                       "function f on N { 9999999999^300*y }\n"
+                       "morphism Phi : M -> N kind=even { S = x*q_y + 1/2*q_y^2 }\n")
+        assert main(["check", str(bad)]) == 0
+        capsys.readouterr()
+        assert main(["pullback", str(bad), "--morphism", "Phi", "--function", "f"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "4300 digits" in err
+
     def test_parser_reuse_is_stateless(self, ws_file, capsys, monkeypatch):
         # main reuses one parser: each command, run after the others in this
         # process, must print what it prints as the first of a fresh process

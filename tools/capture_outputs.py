@@ -1,9 +1,10 @@
 """pytest plugin: record the serialized output of every pullback_series,
-compose and _lift call that a test run makes, of every kernel call
-(``superalg.mul``, ``deriv`` and ``substitute``) made from outside
-``superalg``, and of what every ``textio.parse_workspace`` call builds.
+compose, _lift, ``superforms.liouville`` and ``poisson_bracket`` call that a
+test run makes, of every kernel call (``superalg.mul``, ``deriv`` and
+``substitute``) made from outside ``superalg``, and of what every
+``textio.parse_workspace`` call builds.
 
-A refactor of the kernel, the solver or the lifts should leave these
+A refactor of the kernel, the solver, the forms or the lifts should leave these
 outputs byte-identical.  Record them on the parent commit and on the
 change, each with the same tests, then compare the two files:
 
@@ -44,6 +45,8 @@ TARGETS = (
     ("mfc.functors", "_lift",
      lambda out: [["_lift", out.kind, serialize(out.S),
                    [[c.coord, c.momentum, c.sign] for c in out.conjugates]]]),
+    ("mfc.superforms", "liouville", _series("liouville")),
+    ("mfc.superforms", "poisson_bracket", _series("poisson_bracket")),
     ("mfc.textio", "parse_workspace",
      lambda ws: [["parse_workspace", "morphism", name, serialize(phi.S)]
                  for name, phi in ws.morphisms.items()]
