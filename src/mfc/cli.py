@@ -127,7 +127,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.order = SUITES[args.suite][0] if ws is None else ws.default_order
         result = args.run(ws, args)
         # rendered here: str() refuses an integer past 4300 digits with a ValueError
-        text = result.render() if isinstance(result, Report) else serialize(result)
+        # whose advice, sys.set_int_max_str_digits(), is no option of this command
+        try:
+            text = result.render() if isinstance(result, Report) else serialize(result)
+        except ValueError:
+            raise ValueError(f"output has a coefficient of more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
     except TimeoutError:  # an OSError, but raised by a caller's alarm, not by a file
         raise
     except (KeyError, OSError, ValueError) as exc:  # a ParseError is a ValueError

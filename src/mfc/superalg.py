@@ -12,7 +12,8 @@ denominator, and each output term becomes a ``Fraction`` once.  Every
 intermediate of a substitution (image powers, partial products of a
 monomial's factors) stays in that integer form, and ``substitute_all``
 substitutes several series under one image map with one shared table of
-image powers.
+image powers.  Weights only add up, so a partial product of a term's factors
+stops at the order less the least weights of the factors still to come.
 """
 
 from __future__ import annotations
@@ -455,7 +456,12 @@ def substitute_all(series: Sequence[SuperSeries], images: Mapping[str, SuperSeri
                    chart: Chart, order: int) -> list:
     """``substitute`` of each series, all on one chart, under one image map.
 
-    The powers of each image are computed once for all the series.
+    The powers of each image are computed once for all the series.  A term
+    c * prod image_i^e_i is built one factor at a time in chart order, each
+    partial product truncated at the order less the sum of ``least(i, e)``
+    over the later factors: e times the least row weight of image_i (``order
+    + 1`` if empty), a bound below image_i^e's that needs no power of it.
+    Only terms of three or more factors look it up.
     """
     if not series:
         return []
@@ -501,6 +507,13 @@ def substitute_all(series: Sequence[SuperSeries], images: Mapping[str, SuperSeri
             p.append(_rows(chart, acc.items()))
         return p[e - 1]
 
+    least_weights: dict = {}  # i -> least row weight of image_i, order + 1 if empty
+
+    def least(i: int, e: int) -> int:
+        if i not in least_weights:
+            least_weights[i] = min([r[2] for r in power(i, 1)], default=order + 1)
+        return e * least_weights[i]
+
     out = []
     unit = (0,) * len(chart)
     for a in series:
@@ -519,14 +532,16 @@ def substitute_all(series: Sequence[SuperSeries], images: Mapping[str, SuperSeri
             n = c.numerator * (den // d)
             factors = [(i, e) for i, e in enumerate(m) if e]
             # n times the first factor, times each further one in chart
-            # order; the last product goes straight into acc
+            # order; the last product goes straight into acc, and each one
+            # before it leaves room for the least weights of the later factors
             rows = ([(mono, n * k, w, o) for mono, k, w, o in power(*factors[0])]
                     if factors else [(unit, n, 0, 0)])
-            for i, e in factors[1:-1]:
+            for j in range(1, len(factors) - 1):
                 if not rows:
                     break
                 part: dict = {}
-                _add_products(part, rows, power(i, e), order, caps)
+                _add_products(part, rows, power(*factors[j]),
+                              order - sum([least(*f) for f in factors[j + 1:]]), caps)
                 rows = _rows(chart, part.items())
             if len(factors) < 2:
                 for mono, k, _, _ in rows:

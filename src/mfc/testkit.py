@@ -35,6 +35,7 @@ from .morphisms import (
     KIND_EVEN,
     KIND_ODD,
     ClassicalMap,
+    MorphismError,
     ThickMorphism,
     canonical_conjugates,
     combined_chart,
@@ -160,9 +161,10 @@ def oracle_pullback_naive(phi: ThickMorphism, g: SuperSeries,
                           n_eps: int) -> SuperSeries:
     """Brute-force evaluation of the stationary-point formula.
 
-    Re-solves the coupled relation equations by plain re-substitution,
-    in a fixed ``2 * n_eps`` sweeps that it does not certify, then
-    assembles eps*g(w) + S(x; mu) - <w, mu>.  It shares the relations
+    Re-solves the coupled relation equations by plain re-substitution
+    until a sweep leaves w and mu unchanged, and raises if that takes
+    more than ``n_eps + 1`` sweeps; then it assembles
+    eps*g(w) + S(x; mu) - <w, mu>.  It shares the relations
     (``phi.coordinate_relations()``) with the solver, but not the sweeps
     or the value: the solver takes the value from the envelope theorem,
     which holds only at a true stationary point of this action.
@@ -180,13 +182,21 @@ def oracle_pullback_naive(phi: ThickMorphism, g: SuperSeries,
         w[c.coord] = substitute(set_to_zero(relations[c.coord], momenta), x_here,
                                 chart=work, order=n_eps)
     mu = {c.momentum: SuperSeries.zero(work, n_eps) for c in phi.conjugates}
-    for _ in range(2 * n_eps):
-        mu = {c.momentum: substitute(partial(h, c.coord), w,
-                                     chart=work, order=n_eps).scale(c.sign)
-              for c in phi.conjugates}
-        w = {c.coord: substitute(relations[c.coord], {**x_here, **mu},
-                                 chart=work, order=n_eps)
-             for c in phi.conjugates}
+    # h = eps*g has weight >= 1, so each sweep makes mu, and then w, exact
+    # through one more weight: n_eps sweeps reach the fixed point and the
+    # next one changes nothing
+    for _ in range(n_eps + 1):
+        new_mu = {c.momentum: substitute(partial(h, c.coord), w,
+                                         chart=work, order=n_eps).scale(c.sign)
+                  for c in phi.conjugates}
+        new_w = {c.coord: substitute(relations[c.coord], {**x_here, **new_mu},
+                                     chart=work, order=n_eps)
+                 for c in phi.conjugates}
+        if new_mu == mu and new_w == w:
+            break
+        mu, w = new_mu, new_w
+    else:
+        raise MorphismError(f"naive sweeps still moving after {n_eps + 1} sweeps")
     out = substitute(h, w, chart=work, order=n_eps)
     out = out + substitute(phi.S, {**x_here, **mu}, chart=work, order=n_eps)
     for c in phi.conjugates:

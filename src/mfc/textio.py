@@ -117,7 +117,7 @@ MAX_POWER_TERMS = 1000
 # its products and power steps.  A bound on each product alone would still
 # let (x+1)^500 take seconds through five hundred small steps.
 MAX_TERM_PAIRS = 10000
-# A number (a literal, or a product or power of numbers) may have at most this
+# A number (a literal, or a sum, product or power of numbers) may have at most this
 # many bits above and below the line, about 3000 digits: output is decimal, and
 # CPython turns no integer of more than 4300 digits into text or back.
 MAX_NUMBER_BITS = 10000
@@ -197,9 +197,11 @@ class _Parser:
     def expr(self, chart: Chart, order: int) -> Fraction | SuperSeries:
         out = self.term(chart, order)
         while self.peek().text in ("+", "-"):
-            op = self.next().text
+            op = self.next()
             rhs = self.term(chart, order)
-            out = out + rhs if op == "+" else out - rhs
+            out = out + rhs if op.text == "+" else out - rhs
+            if not isinstance(out, SuperSeries):  # 1/a + 1/b has denominator a*b
+                out = self.number(out, op)
         return out
 
     def term(self, chart: Chart, order: int) -> Fraction | SuperSeries:

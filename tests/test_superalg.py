@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mfc import superalg
 from mfc.superalg import (
     EVEN,
     ODD,
@@ -428,6 +429,82 @@ class TestReferenceKernel:
             if "t" in unmapped & used:
                 seen.add("capped identity")
         assert seen == {"shared odd", "weight-1 identity at order 0", "capped identity"}
+
+    def test_substitute_all_budget_matches_reference(self):
+        """Terms of 3-4 factors, at every order, whose weighted variables
+        have images of least weight 1 or 2 (in every other draw one image is
+        zero): each partial product leaves room for the later factors' least
+        weights, and the output must not lose a term to that."""
+        rng = random.Random(17)
+        chart = ref_chart()
+        base = [v for v in chart if not v.weight]
+        weighted = [v for v in chart if v.weight]
+        t = SuperSeries.of_var(chart, "t", REF_ORDER)
+
+        def image(v, least, order):
+            """v (times t when least is 2) plus terms of weight >= least."""
+            while True:
+                terms = {m: c for m, c in draw(rng, chart, 3, v.parity).terms.items()
+                         if chart.mono_weight(m) >= least}
+                if terms:
+                    lead = SuperSeries.of_var(chart, v.name, REF_ORDER)
+                    return truncate(lead * t ** (least - v.weight) +
+                                    SuperSeries(chart, terms, REF_ORDER), order)
+
+        seen = set()
+        for order in range(REF_ORDER + 1):
+            for k in range(20):
+                images = {v.name: image(v, v.weight * rng.choice([1, 1, 2]), order)
+                          for v in chart}
+                if k % 2:
+                    images[rng.choice(weighted).name] = SuperSeries.zero(chart, order)
+                series = []
+                for _ in range(rng.randint(1, 3)):
+                    terms = {}
+                    for _ in range(rng.randint(1, 3)):
+                        n_base, n_weighted = rng.choice([(1, 2), (2, 1), (2, 2)])
+                        picked = rng.sample(base, n_base) + rng.sample(weighted, n_weighted)
+                        exps = {v.name: 1 if v.parity == ODD else rng.randint(1, 2)
+                                for v in picked}
+                        terms.update(SuperSeries.monomial(
+                            chart, exps, rng.choice(REF_COEFFS), REF_ORDER).terms)
+                    series.append(SuperSeries(chart, terms, REF_ORDER))
+                outs = substitute_all(series, images, chart=chart, order=order)
+                assert [s.terms for s in outs] == \
+                    [ref_substitute(a, images, chart, order).terms for a in series]
+                for out in outs:
+                    assert_clean(out)
+                    seen.add((order, bool(out.terms)))
+        assert seen == {(order, nonzero) for order in range(REF_ORDER + 1)
+                        for nonzero in (False, True)} - {(0, True)}
+
+    def test_partial_products_truncated_at_budget(self, monkeypatch):
+        """x*q*y*t under x -> x + q, q -> q*t + q^2, y -> y + t, t -> t at
+        order 3: the later factors' least weights are 0 and 1 after x*q and
+        1 after x*q*y, so both partial products stop at weight 2; only the
+        last product, into the output, runs to the order."""
+        chart = ref_chart()
+        v = lambda name: SuperSeries.of_var(chart, name, REF_ORDER)
+        x, q, y, t = v("x"), v("q"), v("y"), v("t")
+        images = {"x": x + q, "q": q * t + q * q, "y": y + t, "t": t}
+        term = SuperSeries.monomial(chart, {"x": 1, "q": 1, "y": 1, "t": 1},
+                                    Fraction(2, 3), REF_ORDER)
+        truncations = []
+        products = superalg._add_products
+
+        def recording(acc, rows_a, rows_b, order, caps):
+            truncations.append(order)
+            products(acc, rows_a, rows_b, order, caps)
+
+        monkeypatch.setattr(superalg, "_add_products", recording)
+        out = substitute(term, images, chart=chart, order=REF_ORDER)
+        assert truncations == [2, 2, REF_ORDER]
+        assert out.terms and out.terms == ref_substitute(term, images, chart, REF_ORDER).terms
+        # a term of two factors multiplies once, at the order
+        truncations.clear()
+        substitute(SuperSeries.monomial(chart, {"x": 1, "t": 1}, 1, REF_ORDER), images,
+                   chart=chart, order=REF_ORDER)
+        assert truncations == [REF_ORDER]
 
     def test_substitute_all_edges(self):
         chart = ref_chart()

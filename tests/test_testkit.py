@@ -1,10 +1,16 @@
 """The generators and oracles themselves: determinism, worked examples,
 and solver/oracle agreement."""
 
+import itertools
+
+import pytest
+
+from mfc import testkit
 from mfc.morphisms import (
     KIND_EVEN,
     KIND_ODD,
     ClassicalMap,
+    MorphismError,
     pullback,
 )
 from mfc.superalg import EVEN, ODD, Chart, SuperSeries, Variable, mul
@@ -76,6 +82,16 @@ class TestNaiveOracle:
                            max_degree=2)
             assert serialize(pullback(phi, g, ORDER)) == \
                 serialize(oracle_pullback_naive(phi, g, ORDER))
+
+    def test_moving_sweeps_raise(self, monkeypatch):
+        # a gradient that changes at every sweep never settles
+        phi = random_morphism(Generator(71), KIND_EVEN, ORDER, max_momentum_degree=2)
+        g = SuperSeries.of_var(phi.target, phi.target.variables[0].name, ORDER)
+        counter = itertools.count(1)
+        monkeypatch.setattr(testkit, "partial", lambda a, name: SuperSeries.const(
+            a.chart, next(counter), a.order))
+        with pytest.raises(MorphismError, match=f"after {ORDER + 1} sweeps"):
+            oracle_pullback_naive(phi, g, ORDER)
 
 
 class TestSuites:

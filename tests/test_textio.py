@@ -369,6 +369,19 @@ class TestCli:
             assert main(argv) == 2
             assert capsys.readouterr() == ("", message)
 
+    @pytest.mark.parametrize("op", ["+", "-"])
+    def test_large_number_sum_positioned(self, tmp_path, capsys, op):
+        # each literal is within the bound; their sum's denominator, the
+        # product of the two, is about 6000 digits
+        bad = tmp_path / "sum.mfc"
+        bad.write_text("chart M { x : even }\nchart N { y : even }\n"
+                       f"function f on N {{ (1/{'7' * 3000} {op} 1/{'3' * 2999}1)*y }}\n"
+                       "morphism Phi : M -> N kind=even { S = x*q_y }\n")
+        for argv in (["check", str(bad)],
+                     ["pullback", str(bad), "--morphism", "Phi", "--function", "f"]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", "error: 3:3023: number exceeds 10000 bits\n")
+
     def test_unprintable_output_usage_error(self, tmp_path, capsys):
         # c has about 3000 digits, within the bound; the pullback's c^2 has
         # 6000, past what str() prints
@@ -382,6 +395,8 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and "4300 digits" in err
+        # the interpreter's advice names a call no command line can make
+        assert "set_int_max_str_digits" not in err
 
     def test_parser_reuse_is_stateless(self, ws_file, capsys, monkeypatch):
         # main reuses one parser: each command, run after the others in this
