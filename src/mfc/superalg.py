@@ -6,9 +6,11 @@ substitutions apply the Koszul sign rule; odd variables square to zero.
 Momentum-class variables (and formal parameters) carry weight 1 and the
 series is truncated at a fixed total weight (the filtration order).
 
-Coefficients are stored as ``Fraction``s, but inside ``mul``, ``deriv``
-and ``substitute`` they are summed as integer numerators over a common
-denominator, and each output term becomes a ``Fraction`` once.  Every
+Coefficients are stored as ``Fraction``s.  ``mul``, ``deriv`` and
+``substitute`` work in integer rows: they sum integer numerators over a
+common denominator, and each output term becomes a ``Fraction`` once.
+``partial`` has no sums to make; it works term by term on the
+``Fraction``s, shifting one exponent down.  Every
 intermediate of a substitution (image powers, partial products of a
 monomial's factors) stays in that integer form, and ``substitute_all``
 substitutes several series under one image map with one shared table of
@@ -149,7 +151,7 @@ class Chart:
         return p
 
     def mono_weight(self, mono: tuple) -> int:
-        return sum(e * w for e, w in zip(mono, self.weights) if e)
+        return sum(map(operator.mul, mono, self.weights))
 
     def mono_base_degree(self, mono: tuple) -> int:
         return sum(e for e, w in zip(mono, self.weights) if w == 0)
@@ -239,14 +241,6 @@ class SuperSeries:
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.chart), Fraction(0))
-
-    def variables_used(self):
-        used = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(self.chart.variables[i].name)
-        return used
 
     # -- arithmetic ----------------------------------------------------
 
@@ -434,10 +428,22 @@ def deriv(a: SuperSeries, images: Mapping[str, SuperSeries], parity: Parity) -> 
 
 
 def partial(a: SuperSeries, name: str) -> SuperSeries:
-    """Left partial derivative with respect to a chart variable."""
-    v = a.chart.var(name)
-    one = SuperSeries.const(a.chart, 1, a.order)
-    return deriv(a, {v.name: one}, v.parity)
+    """Left partial derivative with respect to a chart variable.
+
+    Term by term: c*left*v^e*right goes to e*c*left*v^(e-1)*right, negated
+    when v is odd and left holds an odd number of odd factors.  A lower power
+    of v only loses weight, so truncation and caps still hold.
+    """
+    chart = a.chart
+    k = chart.index(name)
+    before = [i for i in chart.odd_indices if i < k] if chart.parities[k] else []
+    out = {}
+    for m, c in a.terms.items():
+        e = m[k]
+        if e:
+            c = e * c if e > 1 else c  # a Fraction product costs a microsecond
+            out[m[:k] + (e - 1,) + m[k + 1:]] = -c if sum([m[i] for i in before]) & 1 else c
+    return SuperSeries(chart, out, a.order, _checked=True)
 
 
 def substitute(a: SuperSeries, images: Mapping[str, SuperSeries],

@@ -215,7 +215,12 @@ class TestHelpers:
         bigger = Chart("M2", tuple(c.variables) + (Variable("z", EVEN),))
         a = mul(var(c, "th"), var(c, "et")) + var(c, "x")
         moved = embed(a, bigger, ORDER)
-        assert set(moved.variables_used()) == {"th", "et", "x"}
+        assert variables_used(moved) == {"th", "et", "x"}
+
+
+def variables_used(a):
+    """Names of the variables that occur in some term of ``a``."""
+    return {a.chart.variables[i].name for m in a.terms for i, e in enumerate(m) if e}
 
 
 # -- reference kernel ----------------------------------------------------
@@ -374,9 +379,37 @@ class TestReferenceKernel:
             out = deriv(a, images, parity)
             assert out.terms == ref_deriv(a, images, parity).terms
             assert_clean(out)
-            v = rng.choice(chart.variables)
-            one = SuperSeries.const(chart, 1, REF_ORDER)
-            assert partial(a, v.name).terms == ref_deriv(a, {v.name: one}, v.parity).terms
+
+    def test_partial_matches_reference(self):
+        """Every variable of every draw: odd variables behind and ahead of
+        other odd factors, the capped parameter at its cap, and variables
+        that occur in no term."""
+        rng = random.Random(18)
+        chart = ref_chart()
+        one = SuperSeries.const(chart, 1, REF_ORDER)
+        odd = chart.odd_indices
+        seen = set()
+        for _ in range(40):
+            a = draw(rng, chart, rng.randint(1, 6))
+            if rng.random() < 0.25:
+                a = set_to_zero(a, rng.sample([v.name for v in chart], 2))
+            for k, v in enumerate(chart):
+                out = partial(a, v.name)
+                assert out.terms == ref_deriv(a, {v.name: one}, v.parity).terms
+                assert_clean(out)
+                assert (out.chart, out.order) == (chart, REF_ORDER)
+                hit = [m for m in a.terms if m[k]]
+                if not hit:
+                    assert out.is_zero()
+                    seen.add("absent")
+                elif v.parity == ODD:
+                    for m in hit:
+                        seen.add(("odd", sum(m[i] for i in odd if i < k) % 2,
+                                  any(m[i] for i in odd if i > k)))
+                elif v.max_power is not None and any(m[k] == v.max_power for m in hit):
+                    seen.add("capped")
+        assert seen == {"absent", "capped"} | {("odd", before, after)
+                                               for before in (0, 1) for after in (False, True)}
 
     def test_substitute_matches_reference(self):
         rng = random.Random(13)
@@ -423,7 +456,7 @@ class TestReferenceKernel:
             for out in outs:
                 assert_clean(out)
                 assert (out.chart, out.order) == (chart, order)
-            used = set().union(*(a.variables_used() for a in series))
+            used = set().union(*(variables_used(a) for a in series))
             if order == 0 and unmapped & {"q", "p"} & used:
                 seen.add("weight-1 identity at order 0")
             if "t" in unmapped & used:

@@ -1,7 +1,7 @@
 """pytest plugin: record the serialized output of every pullback_series,
 compose, _lift, ``superforms.liouville`` and ``poisson_bracket`` call that a
-test run makes, of every kernel call (``superalg.mul``, ``deriv`` and
-``substitute``) made from outside ``superalg``, and of what every
+test run makes, of every kernel call (``superalg.mul``, ``deriv``,
+``partial`` and ``substitute``) made from outside ``superalg``, and of what every
 ``textio.parse_workspace`` call builds.
 
 A refactor of the kernel, the solver, the forms or the lifts should leave these
@@ -17,9 +17,12 @@ function name and its output (``serialize`` of the series, plus the kind
 and the conjugacy table for a lifted morphism; each morphism's ``S`` and
 each function of a parsed workspace, in declaration order).  A
 ``substitute_all`` call writes one ``substitute`` line per series, as the
-``substitute`` calls it replaces would.  Kernel calls that ``superalg`` makes itself
-(``partial`` calling ``deriv``, ``a * b`` calling ``mul``) are not
-recorded: they are internals a kernel change may add or drop.  Targets
+``substitute`` calls it replaces would.  An output with a number too long
+for ``str`` is recorded as ``[name, "<unprintable>"]`` and passed on
+unchanged, so the caller still meets the error it would meet without the
+plugin.  Kernel calls that ``superalg`` makes itself (``substitute`` calling
+``substitute_all``, ``a * b`` calling ``mul``) are not recorded: they are
+internals a kernel change may add or drop.  Targets
 a commit does not define are skipped.  ``PYTHONHASHSEED=0`` fixes the
 order of any set iteration, so equal code gives equal files.
 """
@@ -54,6 +57,7 @@ TARGETS = (
         for name, f in ws.functions.items()]),
     (KERNEL, "mul", _series("mul")),
     (KERNEL, "deriv", _series("deriv")),
+    (KERNEL, "partial", _series("partial")),
     (KERNEL, "substitute", _series("substitute")),
     (KERNEL, "substitute_all", lambda outs: [["substitute", serialize(s)] for s in outs]),
 )
@@ -69,11 +73,15 @@ def pytest_addoption(parser):
                      help="write one JSON line per wrapped output to PATH")
 
 
-def _wrap(fh, fn, record):
+def _wrap(fh, name, fn, record):
     def wrapper(*args, **kwargs):
         out = fn(*args, **kwargs)
         if sys._getframe(1).f_globals.get("__name__") != KERNEL:
-            for line in record(out):
+            try:
+                lines = record(out)
+            except ValueError:  # a number too long to print: the caller reports it
+                lines = [[name, "<unprintable>"]]
+            for line in lines:
                 fh.write(json.dumps(line) + "\n")
         return out
     return wrapper
@@ -92,7 +100,7 @@ def pytest_configure(config):
         original = getattr(importlib.import_module(module), name, None)
         if original is None:
             continue
-        wrapper = _wrap(fh, original, record)
+        wrapper = _wrap(fh, name, original, record)
         # patch every mfc module that bound the name, as ``from .m import f`` does
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("mfc") and getattr(mod, name, None) is original:
