@@ -83,8 +83,7 @@ def check_bundle_morphism(phi: ThickMorphism, g: SuperSeries, n_eps: int) -> Rep
     """
     lifted = tangent_lift(phi)
     lhs = pullback(lifted, embed(g, lifted.target, g.order), n_eps)
-    on_base = substitute(g, base_map(phi).components, chart=phi.source,
-                         order=phi.order)
+    on_base = substitute(g, base_map(phi), chart=phi.source, order=phi.order)
     rhs = mul(SuperSeries.of_var(lhs.chart, EPS, n_eps),
               embed(on_base, lhs.chart, n_eps))
     return Report.single("bundle_morphism", lhs - rhs)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .report import Report
 from .superalg import (
@@ -139,58 +139,12 @@ def mk_thick(source: Chart, target: Chart, kind: str, S: SuperSeries,
     return ThickMorphism(source, target, kind, S, order, conjugates, normalized)
 
 
-# -- classical maps -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClassicalMap:
-    """An ordinary map, one source-chart series per target coordinate."""
-    source: Chart
-    target: Chart
-    components: Mapping[str, SuperSeries]
-
-    def __post_init__(self):
-        for v in self.target:
-            comp = self.components[v.name]
-            if not comp.has_parity(v.parity):
-                raise ParityError(f"component for {v.name!r} has wrong parity")
-
-    def compose(self, inner: "ClassicalMap", order: Optional[int] = None) -> "ClassicalMap":
-        if order is None:
-            order = next(iter(inner.components.values())).order
-        comps = {
-            name: substitute(comp, {w.name: inner.components[w.name]
-                                    for w in self.source},
-                             chart=inner.source, order=order)
-            for name, comp in self.components.items()
-        }
-        return ClassicalMap(inner.source, self.target, comps)
-
-
-def identity_map(chart: Chart, order: int) -> ClassicalMap:
-    return ClassicalMap(chart, chart,
-                        {v.name: SuperSeries.of_var(chart, v.name, order)
-                         for v in chart})
-
-
-def from_classical(phi: ClassicalMap, kind: str, order: int) -> ThickMorphism:
-    """S = phi^i(x) q_i (even kind) or phi^i(x) ys_i (odd kind)."""
-    chart = combined_chart(phi.source, phi.target, kind)
-    S = SuperSeries.zero(chart, order)
-    for c in canonical_conjugates(phi.target, kind):
-        comp = embed(phi.components[c.coord], chart, order)
-        S = S + mul(comp, SuperSeries.of_var(chart, c.momentum, order))
-    return mk_thick(phi.source, phi.target, kind, S, order)
-
-
-def base_map(phi: ThickMorphism) -> ClassicalMap:
-    """The underlying ordinary map, from the relation at zero momenta."""
+def base_map(phi: ThickMorphism) -> Dict[str, SuperSeries]:
+    """The underlying ordinary map, read off the relation at zero momenta:
+    each target coordinate as a series on ``phi.source`` at ``phi.order``."""
     momenta = phi.momentum_names()
-    comps = {}
-    for coord, series in phi.coordinate_relations().items():
-        at_zero = set_to_zero(series, momenta)
-        comps[coord] = substitute(at_zero, {}, chart=phi.source, order=phi.order)
-    return ClassicalMap(phi.source, phi.target, comps)
+    return {coord: embed(set_to_zero(series, momenta), phi.source, phi.order)
+            for coord, series in phi.coordinate_relations().items()}
 
 
 # -- relation identity ------------------------------------------------------
@@ -247,26 +201,27 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
     """Stationary value of h(w) + S(x; mu) - <w, mu> over the middle point.
 
     ``h`` lives on the target coordinates plus variables that map by
-    name onto ``work``.  Starting from the base map, sweep i sets
-    mu_i = sign_i dh/dw^i(w) and then w from the relation at mu, both
-    truncated at weight t = min(i + 1, order - 1).  Each half-sweep is one
-    ``substitute_all`` call (all dh/dw^i at w, then all relations at mu),
-    so the powers of w, then of mu, are made once for all coordinates.
-    It raises unless a sweep at t = order - 1 leaves w unchanged within
-    ``order + 2`` sweeps, and takes the value from the envelope theorem.
+    name onto ``work``.  Starting from the base map (the relations at zero
+    momenta), sweep i sets mu_i = sign_i dh/dw^i(w) and then w from the
+    relation at mu, both truncated at weight t = min(i + 1, order - 1).
+    Each half-sweep is one ``substitute_all`` call (all dh/dw^i at w, then
+    all relations at mu), so the powers of w, then of mu, are made once for
+    all coordinates.  It raises unless a sweep at t = order - 1 leaves w
+    unchanged within ``order + 2`` sweeps, and takes the value from the
+    envelope theorem.
     """
     if any(v.weight for v in (*phi.source, *phi.target)):
         raise MorphismError("source and target coordinates must have weight 0")
     coords = [h.chart.index(v.name) for v in phi.target]
     if any(m[i] for m in h.terms if not h.chart.mono_weight(m) for i in coords):
         raise MorphismError("coordinate-dependent terms need weight, or the sweeps may not settle")
-    base = base_map(phi)
-    w = {v.name: embed(base.components[v.name], work, 0) for v in phi.target}
     series = lambda chart, terms, t: SuperSeries(chart, terms, t, _checked=True)
     dh = [partial(h, c.coord) for c in phi.conjugates]
+    relations = phi.coordinate_relations()
+    momenta = phi.momentum_names()
+    w = {k: embed(set_to_zero(rel, momenta), work, 0) for k, rel in relations.items()}
     # mu_i = sign_i dh/dw^i(w): the signs go into the relations once, so a
     # sweep substitutes the gradient itself
-    relations = phi.coordinate_relations()
     signs = [(phi.chart.index(c.momentum), c.sign) for c in phi.conjugates]
     signed = [series(phi.chart, {m: c * prod([s ** m[k] for k, s in signs])
                                  for m, c in rel.terms.items()}, phi.order)
@@ -278,7 +233,7 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
     for i in range(order + 2):
         t = min(i + 1, order - 1)
         w = {k: series(work, s.terms, t) for k, s in w.items()}  # t >= s.order
-        grad = dict(zip(phi.momentum_names(), substitute_all(dh, w, chart=work, order=t)))
+        grad = dict(zip(momenta, substitute_all(dh, w, chart=work, order=t)))
         new = dict(zip(relations, substitute_all(signed, grad, chart=work, order=t)))
         if t == order - 1 and new == w:
             break
@@ -297,8 +252,7 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
     value = substitute(eh, {k: series(work, s.terms, order) for k, s in w.items()},
                        chart=work, order=order)
     out = series(work, {m: c / weight(work, m) for m, c in value.terms.items()}, order)
-    return out + substitute(set_to_zero(phi.S, phi.momentum_names()), {},
-                            chart=work, order=order)
+    return out + embed(set_to_zero(phi.S, momenta), work, order)
 
 
 def pullback_series(phi: ThickMorphism, h: SuperSeries, n_eps: int,
@@ -344,7 +298,7 @@ def pullback_derivative(phi: ThickMorphism, f: SuperSeries, direction: SuperSeri
     probe = embed(f, chart, f.order) + mul(SuperSeries.of_var(chart, "t", f.order),
                                            embed(direction, chart, f.order))
     linear = partial(pullback(phi, probe, n_eps, params=(t,)), "t")
-    return substitute(linear, {}, chart=pullback_chart(phi), order=n_eps)
+    return embed(linear, pullback_chart(phi), n_eps)
 
 
 # -- composition --------------------------------------------------------------

@@ -206,7 +206,7 @@ class SuperSeries:
     @classmethod
     def of_var(cls, chart: Chart, name: str, order: int) -> "SuperSeries":
         i = chart.index(name)
-        mono = tuple(1 if j == i else 0 for j in range(len(chart)))
+        mono = (0,) * i + (1,) + (0,) * (len(chart) - i - 1)
         terms = {mono: _ONE} if chart.admits(mono, order) else {}
         return cls(chart, terms, order, _checked=True)
 
@@ -500,10 +500,7 @@ def substitute_all(series: Sequence[SuperSeries], images: Mapping[str, SuperSeri
             if name in images:
                 rows = _rows(chart, _numerators(images[name].terms, dens[i]))
             elif name in chart:  # identity, dropped if truncation or a cap forbids it
-                j = chart.index(name)
-                mono = tuple(1 if k == j else 0 for k in range(len(chart)))
-                rows = ([(mono, 1, chart.weights[j], chart.parities[j] << j)]
-                        if chart.admits(mono, order) else [])
+                rows = _rows(chart, _numerators(SuperSeries.of_var(chart, name, order).terms, 1))
             else:
                 raise KeyError(f"variable {name!r} has no image on chart {chart.name!r}")
             p = powers[i] = [rows]
@@ -582,14 +579,23 @@ def set_to_zero(a: SuperSeries, names: Sequence[str]) -> SuperSeries:
 
 
 def embed(a: SuperSeries, chart: Chart, order: int) -> SuperSeries:
-    """Re-express a series on a larger chart (by variable name)."""
-    out: dict = {}
-    idx = [chart.index(v.name) for v in a.chart]
+    """Re-express a series on another chart, larger or smaller, by name.
+
+    The one re-charting step: each variable that occurs in a term maps to
+    the same-named variable of ``chart`` (``KeyError`` if it has none), and
+    terms past ``order`` or a cap of ``chart`` are dropped.  It takes no
+    Koszul sign, so odd variables must stand in the same order on both charts.
+    """
+    idx = [chart._index.get(v.name) for v in a.chart]
     n = len(chart)
+    out: dict = {}
     for m, c in a.terms.items():
         mono = [0] * n
         for i, e in enumerate(m):
             if e:
+                if idx[i] is None:
+                    raise KeyError(f"variable {a.chart.variables[i].name!r} occurs "
+                                   f"but is not on chart {chart.name!r}")
                 mono[idx[i]] = e
         out[tuple(mono)] = c
     return SuperSeries(chart, out, order)

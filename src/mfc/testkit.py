@@ -2,10 +2,13 @@
 
 Everything here is deliberately simple-minded: the oracles recompute
 pullbacks by direct substitution (classical case) or by a brute-force
-fixed-point iteration of their own.  The thick oracle shares one thing
-with the solver, the relations of ``ThickMorphism.coordinate_relations``;
-it values the action at its own point where the solver uses the envelope
-theorem, so a relation error that changes a pullback makes them disagree.
+fixed-point iteration of their own.  An ordinary map is a ``ClassicalMap``
+here (``from_classical`` makes its thick morphism S = phi^i(x) q_i), and
+its ``compose``, by substitution, is an oracle for ``morphisms.compose``.
+The thick oracle shares one thing with the solver, the relations of
+``ThickMorphism.coordinate_relations``; it values the action at its own
+point where the solver uses the envelope theorem, so a relation error
+that changes a pullback makes them disagree.
 
 The ``suite_*`` functions run seeded verification suites, whose checks are
 named residuals; ``cli.SUITES`` holds the defaults that ``mfc verify`` applies.
@@ -16,12 +19,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .superalg import (
     EVEN,
     ODD,
     Chart,
+    ParityError,
     SuperSeries,
     Variable,
     embed,
@@ -34,12 +38,10 @@ from .morphisms import (
     EPS,
     KIND_EVEN,
     KIND_ODD,
-    ClassicalMap,
     MorphismError,
     ThickMorphism,
     canonical_conjugates,
     combined_chart,
-    from_classical,
     mk_thick,
     pullback,
     pullback_chart,
@@ -146,6 +148,44 @@ class Generator:
 
 
 # -- independent oracles ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ClassicalMap:
+    """An ordinary map, one source-chart series per target coordinate."""
+    source: Chart
+    target: Chart
+    components: Mapping[str, SuperSeries]
+
+    def __post_init__(self):
+        for v in self.target:
+            comp = self.components[v.name]
+            if not comp.has_parity(v.parity):
+                raise ParityError(f"component for {v.name!r} has wrong parity")
+
+    def compose(self, inner: "ClassicalMap", order: Optional[int] = None) -> "ClassicalMap":
+        if order is None:
+            order = next(iter(inner.components.values())).order
+        images = {w.name: inner.components[w.name] for w in self.source}
+        comps = {name: substitute(comp, images, chart=inner.source, order=order)
+                 for name, comp in self.components.items()}
+        return ClassicalMap(inner.source, self.target, comps)
+
+
+def identity_map(chart: Chart, order: int) -> ClassicalMap:
+    return ClassicalMap(chart, chart,
+                        {v.name: SuperSeries.of_var(chart, v.name, order)
+                         for v in chart})
+
+
+def from_classical(phi: ClassicalMap, kind: str, order: int) -> ThickMorphism:
+    """S = phi^i(x) q_i (even kind) or phi^i(x) ys_i (odd kind)."""
+    chart = combined_chart(phi.source, phi.target, kind)
+    S = SuperSeries.zero(chart, order)
+    for c in canonical_conjugates(phi.target, kind):
+        comp = embed(phi.components[c.coord], chart, order)
+        S = S + mul(comp, SuperSeries.of_var(chart, c.momentum, order))
+    return mk_thick(phi.source, phi.target, kind, S, order)
 
 
 def oracle_pullback_classical(phi: ClassicalMap, g: SuperSeries,

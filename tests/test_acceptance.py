@@ -19,7 +19,6 @@ from mfc.morphisms import (
     KIND_EVEN,
     KIND_ODD,
     combined_chart,
-    from_classical,
     mk_thick,
     pullback,
 )
@@ -57,6 +56,7 @@ from mfc.superforms import (
 )
 from mfc.testkit import (
     Generator,
+    from_classical,
     oracle_pullback_classical,
     oracle_pullback_naive,
     random_morphism,

@@ -18,7 +18,6 @@ from mfc.morphisms import (
     KIND_ODD,
     base_map,
     combined_chart,
-    from_classical,
     mk_thick,
     pullback,
     relation_check,
@@ -36,6 +35,7 @@ from mfc.superalg import (
 )
 from mfc.testkit import (
     Generator,
+    from_classical,
     random_morphism,
     random_pair_of_morphisms,
     worked_example,
@@ -104,10 +104,13 @@ class TestLiftExamples:
         for kind in (KIND_EVEN, KIND_ODD):
             phi = random_morphism(gen, kind, ORDER, max_momentum_degree=2)
             lifted = tangent_lift(phi)
-            got = base_map(lifted).components
-            base = base_map(phi).components
+            got = base_map(lifted)
+            base = base_map(phi)
             src = lifted.source  # TM chart of phi.source
+            assert set(got) == {v.name for v in lifted.target}
             for v in phi.target:
+                assert (base[v.name].chart, base[v.name].order) == (phi.source, phi.order)
+                assert (got[v.name].chart, got[v.name].order) == (src, lifted.order)
                 assert got[v.name] == embed(base[v.name], src, ORDER)
                 expect = SuperSeries.zero(src, ORDER)
                 for u in phi.source:

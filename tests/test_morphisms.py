@@ -9,7 +9,6 @@ from mfc.morphisms import (
     EPS,
     KIND_EVEN,
     KIND_ODD,
-    ClassicalMap,
     Conjugate,
     MorphismError,
     ThickMorphism,
@@ -17,8 +16,6 @@ from mfc.morphisms import (
     base_map,
     combined_chart,
     compose,
-    from_classical,
-    identity_map,
     mk_thick,
     pullback,
     pullback_chart,
@@ -43,7 +40,10 @@ from mfc.superalg import (
 )
 from mfc.superforms import kind_parity
 from mfc.testkit import (
+    ClassicalMap,
     Generator,
+    from_classical,
+    identity_map,
     oracle_pullback_classical,
     random_morphism,
     worked_example,
@@ -81,7 +81,7 @@ def ref_eliminate(phi, h, work, order):
     unchanged below weight ``order``; the value is assembled from all three
     terms h(w) + S(x; mu) - <w, mu>."""
     base = base_map(phi)
-    w = {v.name: embed(base.components[v.name], work, order) for v in phi.target}
+    w = {v.name: embed(base[v.name], work, order) for v in phi.target}
     relations = phi.coordinate_relations()
     dh = {c.coord: partial(h, c.coord) for c in phi.conjugates}
     for _ in range(order + 1):
@@ -194,11 +194,13 @@ class TestClassical:
         for kind in (KIND_EVEN, KIND_ODD):
             cmap = gen.classical_map(src, tgt, ORDER)
             back = base_map(from_classical(cmap, kind, ORDER))
+            assert set(back) == {v.name for v in tgt}
             for v in tgt:
-                assert back.components[v.name] == cmap.components[v.name]
+                assert (back[v.name].chart, back[v.name].order) == (src, ORDER)
+                assert back[v.name] == cmap.components[v.name]
 
     def test_base_map_of_golden(self):
-        comps = base_map(worked_example()).components
+        comps = base_map(worked_example())
         assert serialize(comps["y"]) == "x"
 
     def test_parity_checked(self):
@@ -396,7 +398,8 @@ class TestPullbackDerivative:
             g = gen.series(phi.target, ORDER, parity=gen.rng.choice([EVEN, ODD]),
                            n_terms=2, max_degree=2)
             got = pullback_derivative(phi, SuperSeries.zero(phi.target, ORDER), g, ORDER)
-            want = self.eps_times(phi, oracle_pullback_classical(base_map(phi), g))
+            base = ClassicalMap(phi.source, phi.target, base_map(phi))
+            want = self.eps_times(phi, oracle_pullback_classical(base, g))
             assert got == want
             nonzero += not want.is_zero()
         assert nonzero >= 4
@@ -493,9 +496,10 @@ class TestCompose:
             outer, inner = random_pair_of_morphisms(gen, kind, ORDER,
                                                     max_momentum_degree=2)
             whole = base_map(compose(outer, inner, ORDER))
-            parts = base_map(outer).compose(base_map(inner), ORDER)
+            parts = ClassicalMap(outer.source, outer.target, base_map(outer)).compose(
+                ClassicalMap(inner.source, inner.target, base_map(inner)), ORDER)
             for v in outer.target:
-                assert whole.components[v.name] == parts.components[v.name]
+                assert whole[v.name] == parts.components[v.name]
 
     def test_contravariance(self):
         phi, psi = worked_example(), golden_psi()

@@ -8,7 +8,6 @@ from mfc.morphisms import (
     KIND_EVEN,
     KIND_ODD,
     combined_chart,
-    from_classical,
     mk_thick,
     pullback,
 )
@@ -38,7 +37,7 @@ from mfc.superforms import (
     extend_chart,
     poisson_bracket,
 )
-from mfc.testkit import Generator, random_morphism, worked_example
+from mfc.testkit import Generator, from_classical, random_morphism, worked_example
 from mfc.textio import serialize
 
 ORDER = 3

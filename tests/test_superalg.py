@@ -216,6 +216,21 @@ class TestHelpers:
         a = mul(var(c, "th"), var(c, "et")) + var(c, "x")
         moved = embed(a, bigger, ORDER)
         assert variables_used(moved) == {"th", "et", "x"}
+        # a smaller chart needs only the variables that occur in some term
+        smaller = Chart("M3", [c.var("x"), c.var("th"), c.var("et")])
+        assert embed(a, smaller, ORDER) == (
+            SuperSeries.monomial(smaller, {"th": 1, "et": 1}, 1, ORDER) + var(smaller, "x"))
+        with pytest.raises(KeyError, match="'th'"):
+            embed(a, Chart("M4", [c.var("x"), c.var("et")]), ORDER)
+        # truncated at ``order`` and at the target chart's caps
+        w = Chart("W", [Variable("eps", EVEN, ROLE_PARAM, weight=1), c.var("x")])
+        capped = Chart("W1", [Variable("eps", EVEN, ROLE_PARAM, weight=1, max_power=1),
+                              c.var("x")])
+        b = (SuperSeries.monomial(w, {"eps": 1}, 2, ORDER)
+             + SuperSeries.monomial(w, {"eps": 2, "x": 1}, 3, ORDER))
+        low = embed(b, w, 1)
+        assert low.order == 1 and low == SuperSeries.monomial(w, {"eps": 1}, 2, 1)
+        assert embed(b, capped, ORDER) == SuperSeries.monomial(capped, {"eps": 1}, 2, ORDER)
 
 
 def variables_used(a):

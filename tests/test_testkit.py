@@ -9,12 +9,12 @@ from mfc import testkit
 from mfc.morphisms import (
     KIND_EVEN,
     KIND_ODD,
-    ClassicalMap,
     MorphismError,
     pullback,
 )
 from mfc.superalg import EVEN, ODD, Chart, SuperSeries, Variable, mul
 from mfc.testkit import (
+    ClassicalMap,
     Generator,
     oracle_pullback_classical,
     oracle_pullback_naive,

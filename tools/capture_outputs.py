@@ -6,11 +6,15 @@ test run makes, of every kernel call (``superalg.mul``, ``deriv``,
 
 A refactor of the kernel, the solver, the forms or the lifts should leave these
 outputs byte-identical.  Record them on the parent commit and on the
-change, each with the same tests, then compare the two files:
+change, each with its own tests, then compare the two files:
 
     PYTHONHASHSEED=0 PYTHONPATH=src:tools python -m pytest -q \\
         -p capture_outputs --capture-outputs=/tmp/change.jsonl
-    cmp /tmp/parent.jsonl /tmp/change.jsonl
+    python tools/compare_captures.py /tmp/parent.jsonl /tmp/change.jsonl
+
+``compare_captures.py`` requires the non-kernel records to be equal and in
+order, and lets the change drop kernel records but not add or alter one, so
+a refactor that saves kernel calls still passes where ``cmp`` would not.
 
 Each line of the file is one output, in call order: a JSON list of the
 function name and its output (``serialize`` of the series, plus the kind
