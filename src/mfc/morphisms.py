@@ -206,9 +206,15 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
     relation at mu, both truncated at weight t = min(i + 1, order - 1).
     Each half-sweep is one ``substitute_all`` call (all dh/dw^i at w, then
     all relations at mu), so the powers of w, then of mu, are made once for
-    all coordinates.  It raises unless a sweep at t = order - 1 leaves w
-    unchanged within ``order + 2`` sweeps, and takes the value from the
-    envelope theorem.
+    all coordinates.  What certifies is a fixed point at t = order - 1: a
+    sweep there that leaves w unchanged, or whose gradient equals the one
+    before it at that truncation.  The two are equally strong, because the
+    new w is the relation at the gradient and nothing else.  Since every
+    coordinate-dependent term of h has weight >= 1 (checked first), the
+    gradient through weight t needs w only through weight t - 1, so the
+    first gradient at t = order - 1 is already final and the next one
+    certifies without its relation half.  It raises unless certified within
+    ``order + 2`` sweeps, and takes the value from the envelope theorem.
     """
     if any(v.weight for v in (*phi.source, *phi.target)):
         raise MorphismError("source and target coordinates must have weight 0")
@@ -229,11 +235,18 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
     # Every coordinate-dependent term of h has weight >= 1, so sweep i makes
     # w right through weight i + 1.  An unchanged w at a lower truncation
     # proves nothing (h may enter only at even weights): only t = order - 1,
-    # which is all of w the value needs, certifies.
+    # which is all of w the value needs, certifies: an unchanged w, or a
+    # gradient equal to the last one at that truncation, whose relation half
+    # would return w unchanged and is not made.
+    last = None
     for i in range(order + 2):
         t = min(i + 1, order - 1)
         w = {k: series(work, s.terms, t) for k, s in w.items()}  # t >= s.order
         grad = dict(zip(momenta, substitute_all(dh, w, chart=work, order=t)))
+        if t == order - 1:
+            if grad == last:
+                break
+            last = grad
         new = dict(zip(relations, substitute_all(signed, grad, chart=work, order=t)))
         if t == order - 1 and new == w:
             break

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mfc import morphisms
 from mfc.morphisms import (
     EPS,
     KIND_EVEN,
@@ -36,6 +37,7 @@ from mfc.superalg import (
     mul,
     partial,
     substitute,
+    substitute_all,
     truncate,
 )
 from mfc.superforms import kind_parity
@@ -363,6 +365,43 @@ class TestPullback:
             expected = expected + SuperSeries.monomial(
                 work, {EPS: 2 * k, "x": 2}, G / 2 * G ** (k - 1), order)
         assert pullback_series(phi, h, order) == expected
+
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    def test_constant_gradient_certificate(self, order):
+        """h = 3 eps y - 5/2 eps^2 y has the gradient 3 eps - 5/2 eps^2 at
+        every truncation >= 2, while w = x + mu + 2 mu^2 still gains a term
+        of weight order - 1 there.  A gradient from below t = order - 1 must
+        not certify, or that term of w is missing from the value."""
+        src, tgt = chart_x(), chart_y()
+        c = combined_chart(src, tgt, KIND_EVEN)
+        x = SuperSeries.of_var(c, "x", order)
+        q = SuperSeries.of_var(c, "q_y", order)
+        S = mul(x, q) + (q ** 2).scale(Fraction(1, 2)) + (q ** 3).scale(Fraction(2, 3))
+        phi = mk_thick(src, tgt, KIND_EVEN, S, order)
+        work = pullback_chart(phi)
+        h_chart = Chart("h", (work.var(EPS),) + tuple(phi.target.variables))
+        h = (SuperSeries.monomial(h_chart, {EPS: 1, "y": 1}, 3, order)
+             + SuperSeries.monomial(h_chart, {EPS: 2, "y": 1}, Fraction(-5, 2), order))
+        assert pullback_series(phi, h, order) == ref_eliminate(phi, h, work, order)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+    def test_substitute_all_calls(self, n, monkeypatch):
+        """A pullback at eps-order n >= 2 makes n - 1 sweeps of two
+        ``substitute_all`` calls and certifies on the next gradient alone:
+        2n - 1 calls.  At n = 1 the first sweep leaves w unchanged (2).
+        compose certifies on an unchanged w: 2n - 2 calls here."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["order"])
+            return substitute_all(*args, **kwargs)
+        monkeypatch.setattr(morphisms, "substitute_all", counted)
+        pullback(worked_example(n), SuperSeries.of_var(chart_y(), "y", n) ** 2, n)
+        assert len(calls) == (2 * n - 1 if n > 1 else 2)
+        if n > 2:
+            calls.clear()
+            compose(golden_psi(), worked_example(n), n)
+            assert len(calls) <= 2 * n - 2
 
     @pytest.mark.parametrize("order", [0, -1])
     def test_order_below_one_rejected(self, order):
