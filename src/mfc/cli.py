@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_lift)
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
-    p.add_argument("--suite", required=True, choices=SUITES)
+    p.add_argument("--suite", required=True, choices=SUITES, metavar="SUITE",
+                   help=", ".join(SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_bounded_flag("trials", MAX_TRIALS), default=10)
     p.add_argument("--order", type=order)

@@ -14,8 +14,10 @@ common denominator, and each output term becomes a ``Fraction`` once.
 intermediate of a substitution (image powers, partial products of a
 monomial's factors) stays in that integer form, and ``substitute_all``
 substitutes several series under one image map with one shared table of
-image powers.  Weights only add up, so a partial product of a term's factors
-stops at the order less the least weights of the factors still to come.
+image powers.  Only even variables reach an exponent of 2, and their images
+are even, so the table squares each image over its unordered pairs of rows.
+Weights only add up, so a partial product of a term's factors stops at the
+order less the least weights of the factors still to come.
 """
 
 from __future__ import annotations
@@ -342,12 +344,19 @@ def _rows(chart: Chart, numerators: Iterable) -> list:
 
 def _add_products(acc: dict, rows_a: list, rows_b: list, order: int,
                   caps: tuple) -> None:
-    """acc[m1*m2] += sign*n1*n2 for every pair of rows the truncation keeps."""
+    """acc[m1*m2] += sign*n1*n2 for every pair of rows the truncation keeps.
+
+    Handed one list twice (only ``power``'s image^2 step does so), it squares:
+    row j times itself, then each later row k with 2*n_k.  That needs even
+    rows, whose pairs (j, k) and (k, j) make one monomial with one sign;
+    ``mul(a, a)`` builds two lists, so an odd a*a still cancels.
+    """
     get = acc.get
     add = operator.add
-    for m1, n1, w1, o1 in rows_a:
+    twice = [(m, n << 1, w, o) for m, n, w, o in rows_b] if rows_a is rows_b else None
+    for j, (m1, n1, w1, o1) in enumerate(rows_a):
         room = order - w1
-        for m2, n2, w2, o2 in rows_b:
+        for m2, n2, w2, o2 in ([rows_a[j], *twice[j + 1:]] if twice is not None else rows_b):
             if w2 > room or o1 & o2:  # too heavy, or an odd variable squared
                 continue
             mono = tuple(map(add, m1, m2))
@@ -493,7 +502,7 @@ def substitute_all(series: Sequence[SuperSeries], images: Mapping[str, SuperSeri
     powers: dict = {}  # source index -> [rows of image, of image^2, ...]
 
     def power(i: int, e: int) -> list:
-        """Rows of image_i^e over dens[i]^e."""
+        """Rows of image_i^e over dens[i]^e; image^2 is a square of even rows."""
         p = powers.get(i)
         if p is None:
             name = source.variables[i].name

@@ -1,5 +1,6 @@
 """Kernel tests: Koszul signs, left derivatives, substitution, filtration."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -553,6 +554,105 @@ class TestReferenceKernel:
         substitute(SuperSeries.monomial(chart, {"x": 1, "t": 1}, 1, REF_ORDER), images,
                    chart=chart, order=REF_ORDER)
         assert truncations == [REF_ORDER]
+
+    def test_square_closed_form(self):
+        """x -> y + th1*th3 + th2*th4 on four odd variables: the product of
+        the two odd pairs takes a minus sign in either order, so x^2 goes to
+        y^2 + 2y*th1*th3 + 2y*th2*th4 - 2*th1*th2*th3*th4 and x^3 to
+        y^3 + 3y^2*th1*th3 + 3y^2*th2*th4 - 6y*th1*th2*th3*th4."""
+        chart = Chart("Q", [Variable("x", EVEN), Variable("y", EVEN)]
+                      + [Variable(f"th{i}", ODD) for i in range(1, 5)])
+        mono = lambda coeff, **exps: SuperSeries.monomial(chart, exps, coeff, ORDER)
+        image = mono(1, y=1) + mono(1, th1=1, th3=1) + mono(1, th2=1, th4=1)
+        square = (mono(1, y=2) + mono(2, y=1, th1=1, th3=1) + mono(2, y=1, th2=1, th4=1)
+                  - mono(2, th1=1, th2=1, th3=1, th4=1))
+        cube = (mono(1, y=3) + mono(3, y=2, th1=1, th3=1) + mono(3, y=2, th2=1, th4=1)
+                - mono(6, y=1, th1=1, th2=1, th3=1, th4=1))
+        assert substitute(mono(1, x=2), {"x": image}, chart=chart, order=ORDER) == square
+        assert substitute(mono(1, x=3), {"x": image}, chart=chart, order=ORDER) == cube
+        assert mul(image, image) == square
+
+    def test_powers_match_reference(self):
+        """Even variables at exponents 2 and 3 under even images, on a chart
+        with four odd variables, so that two rows of an image hold disjoint
+        odd pairs whose product may take a minus sign; the capped parameter t
+        (max_power 2) drops t^3 at weight 3."""
+        rng = random.Random(19)
+        chart = ref_chart().extended("R4", [Variable("ze", ODD)])
+        evens = [v for v in chart if v.parity == EVEN]
+        odds = [v.name for v in chart if v.parity == ODD]
+        t = chart.index("t")
+
+        def image():
+            """An even variable, plus two more times the two halves of a
+            random split of the odd variables (a minus sign in one split of
+            three)."""
+            split = rng.sample(odds, 4)
+            terms = {}
+            for odd in ([], split[:2], split[2:]):
+                exps = dict.fromkeys([rng.choice(evens).name, *odd], 1)
+                terms.update(SuperSeries.monomial(
+                    chart, exps, rng.choice(REF_COEFFS), REF_ORDER).terms)
+            return SuperSeries(chart, terms, REF_ORDER)
+
+        seen = set()
+        for _ in range(40):
+            images = {v.name: image() for v in evens}
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                exps = {v.name: rng.choice([2, 3]) for v in rng.sample(evens, rng.randint(1, 2))}
+                terms.update(SuperSeries.monomial(
+                    chart, exps, rng.choice(REF_COEFFS), REF_ORDER).terms)
+            a = SuperSeries(chart, terms, REF_ORDER)
+            out = substitute(a, images, chart=chart, order=REF_ORDER)
+            assert out.terms == ref_substitute(a, images, chart, REF_ORDER).terms
+            assert_clean(out)
+            powers = {(v.name, e) for m in a.terms for v, e in zip(chart, m) if e > 1}
+            for name, e in powers:
+                rows = images[name].terms
+                seen.add(("exponent", e))
+                for m1, m2 in itertools.combinations(rows, 2):
+                    m, sign = _ref_mul_mono(chart, m1, m2)
+                    if m is not None and sign < 0 and chart.mono_weight(m) <= REF_ORDER:
+                        seen.add("minus sign")
+                if any(e * m[t] > 2 and e * chart.mono_weight(m) <= REF_ORDER for m in rows):
+                    seen.add("t capped")
+            if any(all(m[chart.index(name)] for name in odds) for m in out.terms):
+                seen.add("four odd")
+        assert seen == {"minus sign", "t capped", "four odd", ("exponent", 2), ("exponent", 3)}
+
+    def test_square_visits_unordered_pairs(self, monkeypatch):
+        """The power table squares an image of r rows in r(r + 1)/2 products
+        and multiplies image^2 by image over every ordered pair, as mul(a, a)
+        does.  No pair is truncated here, so each pair visited adds once."""
+        class Tally(dict):
+            gets = 0
+
+            def get(self, key, default=None):
+                self.gets += 1
+                return super().get(key, default)
+
+        calls = []
+        products = superalg._add_products
+
+        def counting(acc, rows_a, rows_b, order, caps):
+            tally = Tally(acc)
+            products(tally, rows_a, rows_b, order, caps)
+            calls.append((len(rows_a), len(rows_b), rows_a is rows_b, tally.gets))
+            acc.update(tally)
+
+        monkeypatch.setattr(superalg, "_add_products", counting)
+        chart = make_chart()
+        x, y = var(chart, "x"), var(chart, "y")
+        images = {"x": 1 + x + y + x * y}
+        calls.clear()
+        cube = SuperSeries.monomial(chart, {"x": 3}, Fraction(2, 3), ORDER)
+        out = substitute(cube, images, chart=chart, order=ORDER)
+        assert calls == [(4, 4, True, 10), (9, 4, False, 36)]
+        assert out.terms == ref_substitute(cube, images, chart, ORDER).terms
+        calls.clear()
+        mul(images["x"], images["x"])
+        assert calls == [(4, 4, False, 16)]
 
     def test_substitute_all_edges(self):
         chart = ref_chart()
