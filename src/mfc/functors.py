@@ -1,9 +1,9 @@
 """Tangent and antitangent lifts of thick morphisms.
 
-The lift applies the dot (even) or par (odd) derivation to the
-generating function.  On the lifted cotangent side the conjugacy is
-swapped: the dotted momentum is conjugate to the undotted coordinate
-and vice versa; the antitangent case additionally signs the
+The lift applies the derivation its bundle names, T's (even) or PiT's
+(odd), to the generating function.  On the lifted cotangent side the
+conjugacy is swapped: the dotted momentum is conjugate to the undotted
+coordinate and vice versa; the antitangent case additionally signs the
 par-momentum by the coordinate parity.
 """
 
@@ -42,7 +42,7 @@ def _lift(phi: ThickMorphism, bundle: str) -> ThickMorphism:
     order = phi.order
     # the derivation maps each source coordinate and old momentum to its
     # partner; the new variables have none on this chart
-    lifted = apply_operator(embed(phi.S, chart, order), BUNDLES[bundle].operator)
+    lifted = apply_operator(embed(phi.S, chart, order), bundle)
     conjugates = [Conjugate(partner(c.coord, bundle), c.momentum, c.sign)
                   for c in phi.conjugates]
     for c in phi.conjugates:

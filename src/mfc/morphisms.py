@@ -42,7 +42,7 @@ from .superforms import (
     COTANGENT,
     D,
     apply_operator,
-    extend_d,
+    extend_chart,
     fiber_variables,
     kind_parity,
     partner,
@@ -60,9 +60,7 @@ def combined_chart(source: Chart, target: Chart, kind: str,
                    momenta: Optional[Sequence[Variable]] = None) -> Chart:
     if momenta is None:
         momenta = fiber_variables(target, COTANGENT[kind])
-    return Chart(f"{source.name}=>{target.name}",
-                 tuple(source.variables) + tuple(momenta),
-                 depth=max(source.depth, target.depth))
+    return Chart(f"{source.name}=>{target.name}", tuple(source.variables) + tuple(momenta))
 
 
 @dataclass(frozen=True)
@@ -153,7 +151,7 @@ def base_map(phi: ThickMorphism) -> Dict[str, SuperSeries]:
 def relation_check(phi: ThickMorphism) -> Report:
     """Residual of d(w^i) m_i - d(x^a) p_a - d(w^i m_i - S), which must
     vanish identically when the relation equations are substituted in."""
-    chart = extend_d(phi.chart)
+    chart = extend_chart(phi.chart, D)
     order = phi.order
     lift = lambda s: embed(s, chart, order)
     var = lambda n: SuperSeries.of_var(chart, n, order)
@@ -164,12 +162,12 @@ def relation_check(phi: ThickMorphism) -> Report:
     for c in phi.conjugates:
         w = lift(relations[c.coord])
         m = var(c.momentum).scale(c.sign)
-        lhs = lhs + mul(apply_operator(w, "d"), m)
+        lhs = lhs + mul(apply_operator(w, D), m)
         action = action + mul(w, m)
     for v in phi.source:
         p = lift(partial(phi.S, v.name))
         lhs = lhs - mul(var(partner(v.name, D)), p)
-    return Report.single("relation_identity", lhs - apply_operator(action - S, "d"))
+    return Report.single("relation_identity", lhs - apply_operator(action - S, D))
 
 
 # -- pullback ----------------------------------------------------------------
@@ -181,9 +179,7 @@ _EPS = Variable(EPS, EVEN, ROLE_PARAM, 1)
 
 def pullback_chart(phi: ThickMorphism, params: Sequence[Variable] = ()) -> Chart:
     """(eps, params, source coordinates): where a pullback lives."""
-    return Chart(f"{phi.source.name}+eps",
-                 (_EPS,) + tuple(params) + tuple(phi.source.variables),
-                 depth=phi.source.depth)
+    return Chart(f"{phi.source.name}+eps", (_EPS,) + tuple(params) + tuple(phi.source.variables))
 
 
 def series_chart(phi: ThickMorphism, params: Sequence[Variable] = ()) -> Chart:

@@ -93,13 +93,12 @@ class Chart:
     reordering costs the Koszul sign.
     """
 
-    __slots__ = ("name", "variables", "depth", "_index", "parities",
+    __slots__ = ("name", "variables", "_index", "parities",
                  "weights", "caps", "odd_indices", "even_caps", "capped")
 
-    def __init__(self, name: str, variables: Iterable[Variable], depth: int = 0):
+    def __init__(self, name: str, variables: Iterable[Variable]):
         self.name = name
         self.variables = tuple(variables)
-        self.depth = depth
         self._index = {}
         for i, v in enumerate(self.variables):
             if v.name in self._index:
@@ -142,9 +141,8 @@ class Chart:
         names = ", ".join(v.name for v in self.variables)
         return f"Chart({self.name!r}: {names})"
 
-    def extended(self, name: str, extra: Iterable[Variable], depth: Optional[int] = None) -> "Chart":
-        d = self.depth + 1 if depth is None else depth
-        return Chart(name, self.variables + tuple(extra), depth=d)
+    def extended(self, name: str, extra: Iterable[Variable]) -> "Chart":
+        return Chart(name, self.variables + tuple(extra))
 
     def mono_parity(self, mono: tuple) -> Parity:
         p = 0

@@ -10,10 +10,12 @@ parities: each extension gives every variable v a partner ``prefix + v``.
     d       d_<v>     flipped parity   (the form level)
 
 ``COTANGENT`` maps a morphism kind, and the Poisson structure of the same
-name, to the bundle of its momenta.  The derivations dot, par and d map v
-to its T, PiT and d partner; d and par anticommute, dot commutes with both.
-A derived variable is told by its ``base`` (the variable it is the partner
-of), never by its name: a coordinate may be called ``d_y`` or ``dot_z``.
+name, to the bundle of its momenta.  Each other bundle is tangent-type and
+names its derivation, which maps v to its partner there: the lift through
+T or PiT and the differential at the d or PiT level are ``apply_operator``
+by that key.  d and PiT anticommute, T commutes with both.  A derived
+variable is told by its ``base`` (the variable it is the partner of), never
+by its name: a coordinate may be called ``d_y`` or ``dot_z``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ class Bundle(NamedTuple):
     shift: int  # added to v's parity, mod 2
     role: str
     weight: Optional[int]  # None: the partner keeps v's weight
-    operator: Optional[str] = None  # the derivation v -> partner, if any
 
 
 T = "T"
@@ -57,18 +58,14 @@ PITSTAR = "PiT*"
 D = "d"
 
 BUNDLES: Dict[str, Bundle] = {
-    T: Bundle("dot_", EVEN, ROLE_VELOCITY, None, "dot"),
-    PIT: Bundle("par_", ODD, ROLE_ODD_VELOCITY, None, "par"),
+    T: Bundle("dot_", EVEN, ROLE_VELOCITY, None),
+    PIT: Bundle("par_", ODD, ROLE_ODD_VELOCITY, None),
     TSTAR: Bundle("q_", EVEN, ROLE_MOMENTUM, 1),
     PITSTAR: Bundle("ys_", ODD, ROLE_ANTIMOMENTUM, 1),
-    D: Bundle("d_", ODD, ROLE_ODD_VELOCITY, None, "d"),
+    D: Bundle("d_", ODD, ROLE_ODD_VELOCITY, None),
 }
 
-BUNDLE_KINDS = (T, PIT, TSTAR, PITSTAR)
-
 COTANGENT = {"even": TSTAR, "odd": PITSTAR}
-
-_OPERATORS = {b.operator: name for name, b in BUNDLES.items() if b.operator}
 
 
 class StructureError(ValueError):
@@ -81,7 +78,7 @@ def partner(name: str, bundle: str) -> str:
 
 
 def _is_form_level(v: Variable) -> bool:
-    """Whether ``v`` is the d-level partner of its base, as ``extend_d`` makes it."""
+    """Whether ``v`` is the d-level partner of its base, as ``extend_chart`` makes it."""
     return v.base is not None and v.name == partner(v.base, D)
 
 
@@ -98,27 +95,20 @@ def fiber_variables(chart: Chart, bundle: str) -> List[Variable]:
             for v in chart]
 
 
-def extend_chart(chart: Chart, kind: str) -> Chart:
-    """Append the derived variables of one bundle extension."""
-    if kind not in BUNDLE_KINDS:
-        raise ValueError(f"unknown bundle kind {kind!r}")
-    if chart.depth >= 2:
-        raise StructureError(f"chart {chart.name!r} already at iteration depth 2")
-    return chart.extended(f"{kind}({chart.name})", fiber_variables(chart, kind))
+def extend_chart(chart: Chart, bundle: str) -> Chart:
+    """Append the derived variables of one bundle extension (any key of
+    ``BUNDLES``, the d level included)."""
+    if bundle not in BUNDLES:
+        raise ValueError(f"unknown bundle {bundle!r}")
+    return chart.extended(f"{bundle}({chart.name})", fiber_variables(chart, bundle))
 
 
-def extend_d(chart: Chart) -> Chart:
-    """Append the d-level (form) variables for every current variable."""
-    return chart.extended(f"d({chart.name})", fiber_variables(chart, D),
-                          depth=chart.depth)
-
-
-def apply_operator(a: SuperSeries, op: str) -> SuperSeries:
-    """Apply d, par or dot as a derivation of the matching parity: v maps
-    to its partner, d_v to -d_par_v under par and to d_dot_v under dot."""
-    if op not in _OPERATORS:
-        raise ValueError(f"unknown operator {op!r}")
-    bundle = _OPERATORS[op]
+def apply_operator(a: SuperSeries, bundle: str) -> SuperSeries:
+    """Apply the derivation a tangent-type bundle (T, PiT or d) names, of its
+    parity shift: v maps to its partner, d_v to -d_par_v under PiT and to
+    d_dot_v under T.  A cotangent bundle names no derivation."""
+    if bundle not in BUNDLES or bundle in COTANGENT.values():
+        raise ValueError(f"bundle {bundle!r} names no derivation")
     shift = BUNDLES[bundle].shift
     images = {}
     for v in a.chart:
@@ -135,11 +125,11 @@ def apply_operator(a: SuperSeries, op: str) -> SuperSeries:
 
 
 def de_rham(omega: SuperSeries, level: str) -> SuperSeries:
-    """The exterior differential at the requested level (``d`` or ``par``)."""
-    if level not in ("d", "par"):
-        raise ValueError("level must be 'd' or 'par'")
+    """The exterior differential at the requested level (``D`` or ``PIT``)."""
+    if level not in (D, PIT):
+        raise ValueError(f"level must be {D!r} or {PIT!r}")
     chart = omega.chart
-    if not any(partner(v.name, _OPERATORS[level]) in chart for v in chart):
+    if not any(partner(v.name, level) in chart for v in chart):
         raise StructureError(f"chart {chart.name!r} carries no {level}-level")
     return apply_operator(omega, level)
 
@@ -253,7 +243,7 @@ def verify_identification(case: str, base_chart: Chart, order: int,
         if fiber is None:
             fiber = [Variable("u_%d" % i, v.parity) for i, v in enumerate(base_chart)]
         total = Chart(f"E({base_chart.name})", tuple(base_chart.variables) + tuple(fiber))
-        chart = extend_d(extend_chart(total, mom))
+        chart = extend_chart(extend_chart(total, mom), D)
         one_form = liouville(chart, form, order)
         var = lambda n: SuperSeries.of_var(chart, n, order)
         # the dual-side Liouville form, expressed through the identification
@@ -265,28 +255,27 @@ def verify_identification(case: str, base_chart: Chart, order: int,
             dual_mom = var(u.name) if u.parity == ODD and not shift else -var(u.name)
             dual = dual + mul(var(partner(mu, D)), dual_mom)
             pairing = pairing + mul(var(u.name), var(mu))
-        report.check_zero("legendre", dual - (-apply_operator(pairing, "d") + one_form))
-        report.check_zero("symplectic", apply_operator(dual, "d") - apply_operator(one_form, "d"))
+        report.check_zero("legendre", dual - (-apply_operator(pairing, D) + one_form))
+        report.check_zero("symplectic", apply_operator(dual, D) - apply_operator(one_form, D))
         literal = SuperSeries.zero(chart, order)
         for v in total:
             term = mul(var(partner(partner(v.name, mom), D)), var(partner(v.name, D)))
             if shift and v.parity == EVEN:
                 term = -term  # the (-1)^(a+1) factor of the odd symplectic form
             literal = literal + term
-        report.check_zero("omega_literal", apply_operator(one_form, "d") - literal)
+        report.check_zero("omega_literal", apply_operator(one_form, D) - literal)
         return report
 
     base_form = next(f for f, (m, t) in LIOUVILLE_FORMS.items() if m == mom and t is None)
-    op = BUNDLES[tan].operator
-    chart = extend_d(extend_chart(extend_chart(base_chart, mom), tan))
+    chart = extend_chart(extend_chart(extend_chart(base_chart, mom), tan), D)
     lifted = liouville(chart, form, order)
     base = liouville(chart, base_form, order)
     # the lift is dot(base) through T and -par(base) through PiT; on the
     # 2-forms par's sign cancels against d and par anticommuting
     sign = -1 if BUNDLES[tan].shift else 1
-    report.check_zero("lift", lifted - apply_operator(base, op).scale(sign))
-    report.check_zero("omega", apply_operator(lifted, "d")
-                      - apply_operator(apply_operator(base, "d"), op))
+    report.check_zero("lift", lifted - apply_operator(base, tan).scale(sign))
+    report.check_zero("omega", apply_operator(lifted, D)
+                      - apply_operator(apply_operator(base, D), tan))
     return report
 
 
@@ -322,13 +311,11 @@ def prolong_coordinate_change(F: Mapping[str, SuperSeries], base_chart: Chart,
     ``(chart, sigma)`` with sigma mapping every chart variable name to
     its image series.
     """
-    stages = [list(v.name for v in base_chart)]
+    stages = []  # (bundle, the names it derives partners of)
     chart = base_chart
-    for kind in kinds:
-        chart = extend_chart(chart, kind)
-        stages.append([v.name for v in chart])
-    pre_d = [v.name for v in chart]
-    chart = extend_d(chart)
+    for bundle in (*kinds, D):
+        stages.append((bundle, [v.name for v in chart]))
+        chart = extend_chart(chart, bundle)
 
     s_order = max(order, 2 * (len(kinds) + 1))
     sigma: Dict[str, SuperSeries] = {}
@@ -338,11 +325,10 @@ def prolong_coordinate_change(F: Mapping[str, SuperSeries], base_chart: Chart,
             raise ValueError("base change images must live on the base chart")
         sigma[v.name] = embed(img, chart, s_order)
 
-    for kind, names in zip(kinds, stages):
-        op = BUNDLES[kind].operator
-        if op is not None:
+    for bundle, names in stages:
+        if bundle not in COTANGENT.values():
             for name in names:
-                sigma[partner(name, kind)] = apply_operator(sigma[name], op)
+                sigma[partner(name, bundle)] = apply_operator(sigma[name], bundle)
         else:
             # solve sum_v K_b^v sigma(mu_v) = mu_b, K_b^v = left d(sigma v)/d b,
             # by sweeping u <- K0^-1 (mu - dK u) with dK = K - K0
@@ -353,7 +339,7 @@ def prolong_coordinate_change(F: Mapping[str, SuperSeries], base_chart: Chart,
                 raise ValueError("coordinate change has non-invertible linear part")
             dK = [[k - c for k, c in zip(row, row0)] for row, row0 in zip(K, K0)]
             zero = SuperSeries.zero(chart, s_order)
-            mu = [SuperSeries.of_var(chart, partner(v, kind), s_order) for v in names]
+            mu = [SuperSeries.of_var(chart, partner(v, bundle), s_order) for v in names]
             u = [zero] * len(names)
             # Every monomial of dK has base degree + weight >= 1, so a sweep
             # raises that sum by one in u's error; the truncations keep it at
@@ -371,7 +357,5 @@ def prolong_coordinate_change(F: Mapping[str, SuperSeries], base_chart: Chart,
             else:
                 raise ValueError("momentum solve did not converge")
             for v, img in zip(names, u):
-                sigma[partner(v, kind)] = img
-    for name in pre_d:
-        sigma[partner(name, D)] = apply_operator(sigma[name], "d")
+                sigma[partner(v, bundle)] = img
     return chart, sigma

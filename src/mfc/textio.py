@@ -117,9 +117,9 @@ MAX_POWER_TERMS = 1000
 # its products and power steps.  A bound on each product alone would still
 # let (x+1)^500 take seconds through five hundred small steps.
 MAX_TERM_PAIRS = 10000
-# A number (a literal, or a sum, product or power of numbers) may have at most this
-# many bits above and below the line, about 3000 digits: output is decimal, and
-# CPython turns no integer of more than 4300 digits into text or back.
+# A number (a literal, or a series coefficient made by a sum, product or power) may
+# have at most this many bits above and below the line, about 3000 digits: output is
+# decimal, and CPython turns no integer of more than 4300 digits into text or back.
 MAX_NUMBER_BITS = 10000
 # Parentheses and unary minus may nest at most this deep: the parser
 # recurses once per level and must stay well inside Python's stack limit.
@@ -178,10 +178,12 @@ class _Parser:
         if self.depth > MAX_NESTING:
             self.fail(f"expression nests deeper than {MAX_NESTING} levels", at)
 
-    def number(self, v: Fraction, at: Token) -> Fraction:
-        """``v``, refused at ``at`` if it is past ``MAX_NUMBER_BITS``."""
-        if max(v.numerator.bit_length(), v.denominator.bit_length()) > MAX_NUMBER_BITS:
-            self.fail(f"number exceeds {MAX_NUMBER_BITS} bits", at)
+    def number(self, v: Fraction | SuperSeries, at: Token) -> Fraction | SuperSeries:
+        """``v``, refused at ``at`` if a number in it is past ``MAX_NUMBER_BITS``."""
+        for c in v.terms.values() if isinstance(v, SuperSeries) else (v,):
+            num, den = c.as_integer_ratio()
+            if num.bit_length() > MAX_NUMBER_BITS or den.bit_length() > MAX_NUMBER_BITS:
+                self.fail(f"number exceeds {MAX_NUMBER_BITS} bits", at)
         return v
 
     def product(self, a: Fraction | SuperSeries, b: Fraction | SuperSeries, at: Token):
@@ -189,19 +191,15 @@ class _Parser:
         self.pairs += _size(a) * _size(b)
         if self.pairs > MAX_TERM_PAIRS:
             self.fail(f"expression multiplies more than {MAX_TERM_PAIRS} term pairs", at)
-        if isinstance(a, SuperSeries) and isinstance(b, SuperSeries):
-            return mul(a, b)
-        out = a * b
-        return out if isinstance(out, SuperSeries) else self.number(out, at)
+        both = isinstance(a, SuperSeries) and isinstance(b, SuperSeries)
+        return self.number(mul(a, b) if both else a * b, at)
 
     def expr(self, chart: Chart, order: int) -> Fraction | SuperSeries:
         out = self.term(chart, order)
         while self.peek().text in ("+", "-"):
             op = self.next()
             rhs = self.term(chart, order)
-            out = out + rhs if op.text == "+" else out - rhs
-            if not isinstance(out, SuperSeries):  # 1/a + 1/b has denominator a*b
-                out = self.number(out, op)
+            out = self.number(out + rhs if op.text == "+" else out - rhs, op)
         return out
 
     def term(self, chart: Chart, order: int) -> Fraction | SuperSeries:

@@ -243,7 +243,7 @@ def test_criterion_8_closedness_and_intertwining():
     def intertwines(phi, omega):
         rho = pullback(antitangent_lift(phi), omega, 3)
         return (intertwining_check(phi, omega, 3).passed,
-                not de_rham(rho, "par").is_zero())
+                not de_rham(rho, PIT).is_zero())
 
     classical = []
     for _ in range(20):

@@ -97,6 +97,11 @@ class TestLiftExamples:
         with pytest.raises(ValueError):
             lift(worked_example(), "bogus")
 
+    def test_repeated_lift_refused(self):
+        # T(T(M)) would derive dot_x twice
+        with pytest.raises(ValueError, match="duplicate variable 'dot_x'"):
+            tangent_lift(tangent_lift(square_phi()))
+
     def test_base_map_of_lift_is_prolonged_base(self):
         """On coordinates, T Phi's base map is the tangent prolongation
         of Phi's base map: w = phi(x), dot_w = dot_x d(phi)/dx."""

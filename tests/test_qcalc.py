@@ -3,7 +3,7 @@ homomorphism and the intertwining identity."""
 
 import pytest
 
-from mfc.functors import antitangent_lift
+from mfc.functors import antitangent_lift, tangent_lift
 from mfc.morphisms import (
     KIND_EVEN,
     KIND_ODD,
@@ -110,6 +110,28 @@ class TestAntitangentQ:
                 phi = random_morphism(gen, kind, ORDER, max_momentum_degree=2)
                 rep = check_antitangent_q(phi, ORDER)
                 assert rep.passed, rep.render()
+
+    @pytest.mark.parametrize("kind", [KIND_EVEN, KIND_ODD])
+    def test_after_tangent_lift(self, kind):
+        """PiT(T(Phi)) is a Q-morphism too: a lift may follow a lift."""
+        gen = Generator(52)
+        for shape in [(1, 0), (1, 1)]:
+            phi = random_morphism(gen, kind, ORDER, max_momentum_degree=2, shapes=(shape,))
+            rep = check_antitangent_q(tangent_lift(phi), ORDER)
+            assert rep.passed, rep.render()
+        # negative control on x -> x^2, since on some draws (this seed's odd
+        # (1|1) one) both de Rham Hamiltonians vanish on the relation: twice
+        # the target's Hamiltonian leaves a residual
+        src, tgt = chart_x(), chart_y()
+        c = combined_chart(src, tgt, kind)
+        S = mul(SuperSeries.of_var(c, "x", ORDER) ** 2,
+                SuperSeries.of_var(c, c.variables[-1].name, ORDER))
+        phi = tangent_lift(mk_thick(src, tgt, kind, S, ORDER))
+        assert check_antitangent_q(phi, ORDER).passed
+        lifted = antitangent_lift(phi)
+        h1, h2 = (hamiltonian_of_field(de_rham_field(side, order=ORDER), lifted.kind)
+                  for side in (lifted.source, lifted.target))
+        assert not q_morphism_residual(lifted, h1, h2.scale(2), ORDER).is_zero()
 
     def test_non_lift_fails(self):
         """A thin morphism between PiT charts that kills the par
@@ -218,7 +240,7 @@ def nondegenerate(phi, omega):
     """The pulled-back form has a nonzero differential, so the
     intertwining identity compares two nonzero sides."""
     rho = pullback(antitangent_lift(phi), omega, ORDER)
-    return not de_rham(rho, "par").is_zero()
+    return not de_rham(rho, PIT).is_zero()
 
 
 class TestIntertwining:

@@ -8,6 +8,7 @@ from mfc.qcalc import HomologicalField, hamiltonian_of_field
 from mfc.superalg import (
     EVEN,
     ODD,
+    ROLE_ODD_VELOCITY,
     Chart,
     SuperSeries,
     Variable,
@@ -19,6 +20,7 @@ from mfc.superalg import (
 )
 from mfc.superforms import (
     COTANGENT,
+    D,
     IDENTIFICATION_CASES,
     PIT,
     PITSTAR,
@@ -28,7 +30,6 @@ from mfc.superforms import (
     apply_operator,
     de_rham,
     extend_chart,
-    extend_d,
     liouville,
     partner,
     poisson_bracket,
@@ -60,10 +61,14 @@ class TestExtensions:
         assert [v.parity for v in c] == [EVEN, ODD, EVEN, ODD]
         assert [v.name for v in c] == ["x", "ys_x", "dot_x", "dot_ys_x"]
 
-    def test_depth_cap(self):
-        c = extend_chart(extend_chart(base_chart(), T), PIT)
-        with pytest.raises(StructureError):
-            extend_chart(c, T)
+    def test_d_level_is_a_bundle(self):
+        c = extend_chart(base_chart(), D)
+        assert c.name == "d(M)"
+        assert c.variables == (
+            Variable("x0", EVEN), Variable("xi0", ODD),
+            Variable("d_x0", ODD, ROLE_ODD_VELOCITY, 0, base="x0"),
+            Variable("d_xi0", EVEN, ROLE_ODD_VELOCITY, 0, base="xi0"),
+        )
 
 
 class TestBundleTable:
@@ -87,25 +92,25 @@ class TestBundleTable:
     def test_theta_pairs_a_coordinate_named_like_a_partner(self, name):
         # a derived variable is told by its base: a coordinate called dot_z,
         # par_z or d_z (with no z) is underived and gets its own pair
-        c = extend_d(extend_chart(Chart("M", [Variable("x", EVEN), Variable(name, EVEN)]),
-                                  TSTAR))
+        c = extend_chart(extend_chart(Chart("M", [Variable("x", EVEN), Variable(name, EVEN)]),
+                                      TSTAR), D)
         var = lambda n: SuperSeries.of_var(c, n, 3)
-        expect = mul(var("d_x"), var("q_x")) + mul(var(partner(name, "d")), var("q_" + name))
+        expect = mul(var("d_x"), var("q_x")) + mul(var(partner(name, D)), var("q_" + name))
         assert liouville(c, "theta", 3) == expect
 
     def test_theta_needs_momentum_pairs(self):
         with pytest.raises(StructureError):
-            liouville(extend_d(extend_chart(base_chart(), T)), "theta", ORDER)
+            liouville(extend_chart(extend_chart(base_chart(), T), D), "theta", ORDER)
 
 
 class TestOperators:
     def chart(self):
-        return extend_d(extend_chart(base_chart(2, 2), PIT))
+        return extend_chart(extend_chart(base_chart(2, 2), PIT), D)
 
     def test_par_leibniz_example(self):
         c = self.chart()
         x, xi = SuperSeries.of_var(c, "x0", ORDER), SuperSeries.of_var(c, "xi0", ORDER)
-        out = apply_operator(mul(x, xi), "par")
+        out = apply_operator(mul(x, xi), PIT)
         expect = mul(SuperSeries.of_var(c, "par_x0", ORDER), xi) \
             + mul(x, SuperSeries.of_var(c, "par_xi0", ORDER))
         assert out == expect
@@ -115,23 +120,34 @@ class TestOperators:
         c = self.chart()
         for _ in range(15):
             a = gen.series(c, ORDER, n_terms=4, max_degree=3)
-            assert apply_operator(apply_operator(a, "d"), "d").is_zero()
-            assert apply_operator(apply_operator(a, "par"), "par").is_zero()
+            assert apply_operator(apply_operator(a, D), D).is_zero()
+            assert apply_operator(apply_operator(a, PIT), PIT).is_zero()
 
     def test_d_par_anticommute(self):
         gen = Generator(4)
         c = self.chart()
         for _ in range(15):
             a = gen.series(c, ORDER, n_terms=4, max_degree=3)
-            dp = apply_operator(apply_operator(a, "par"), "d")
-            pd = apply_operator(apply_operator(a, "d"), "par")
+            dp = apply_operator(apply_operator(a, PIT), D)
+            pd = apply_operator(apply_operator(a, D), PIT)
             assert dp == -pd
 
     def test_de_rham_requires_level(self):
         c = base_chart()
         a = SuperSeries.of_var(c, "x0", ORDER)
         with pytest.raises(StructureError):
-            de_rham(a, "par")
+            de_rham(a, PIT)
+
+    @pytest.mark.parametrize("bundle", [TSTAR, PITSTAR, "dot"])
+    def test_only_tangent_type_bundles_name_a_derivation(self, bundle):
+        a = SuperSeries.of_var(self.chart(), "x0", ORDER)
+        with pytest.raises(ValueError):
+            apply_operator(a, bundle)
+
+    def test_de_rham_level_is_d_or_pit(self):
+        c = extend_chart(base_chart(), T)
+        with pytest.raises(ValueError):
+            de_rham(SuperSeries.of_var(c, "x0", ORDER), T)
 
 
 class TestPoisson:

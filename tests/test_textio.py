@@ -358,7 +358,13 @@ class TestCli:
         ("9999999999^1000*y", "error: 3:30: number exceeds 10000 bits\n"),
         ("9999999999^400*y", "error: 3:30: number exceeds 10000 bits\n"),
         ("9999999999^300*9999999999^300*y", "error: 3:33: number exceeds 10000 bits\n"),
-    ], ids=["literal", "denominator", "power", "power400", "product"])
+        # each term is within the bound; the series coefficient the operator
+        # makes has a denominator of about 6000 digits
+        (f"1/{'7' * 3000}*y + 1/{'3' * 2999}1*y", "error: 3:3024: number exceeds 10000 bits\n"),
+        (f"1/{'7' * 3000}*y - 1/{'3' * 2999}1*y", "error: 3:3024: number exceeds 10000 bits\n"),
+        (f"(1/{'7' * 3000}*y)*(1/{'3' * 2999}1*y)", "error: 3:3025: number exceeds 10000 bits\n"),
+    ], ids=["literal", "denominator", "power", "power400", "product",
+            "series-sum", "series-difference", "series-product"])
     def test_large_number_positioned(self, tmp_path, capsys, body, message):
         bad = tmp_path / "number.mfc"
         bad.write_text(f"chart M {{ x : even }}\nchart N {{ y : even }}\n"

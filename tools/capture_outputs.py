@@ -1,8 +1,9 @@
 """pytest plugin: record the serialized output of every pullback_series,
-compose, _lift, ``superforms.liouville`` and ``poisson_bracket`` call that a
-test run makes, of every kernel call (``superalg.mul``, ``deriv``,
-``partial`` and ``substitute``) made from outside ``superalg``, and of what every
-``textio.parse_workspace`` call builds.
+compose, _lift, ``superforms.liouville``, ``poisson_bracket`` and
+``prolong_coordinate_change`` call that a test run makes, the chart every
+``superforms.extend_chart`` call builds, every kernel call
+(``superalg.mul``, ``deriv``, ``partial`` and ``substitute``) made from
+outside ``superalg``, and what every ``textio.parse_workspace`` call builds.
 
 A refactor of the kernel, the solver, the forms or the lifts should leave these
 outputs byte-identical.  Record them on the parent commit and on the
@@ -19,14 +20,18 @@ a refactor that saves kernel calls still passes where ``cmp`` would not.
 Each line of the file is one output, in call order: a JSON list of the
 function name and its output (``serialize`` of the series, plus the kind
 and the conjugacy table for a lifted morphism; each morphism's ``S`` and
-each function of a parsed workspace, in declaration order).  A
-``substitute_all`` call writes one ``substitute`` line per series, as the
-``substitute`` calls it replaces would.  An output with a number too long
-for ``str`` is recorded as ``[name, "<unprintable>"]`` and passed on
-unchanged, so the caller still meets the error it would meet without the
-plugin.  Kernel calls that ``superalg`` makes itself (``substitute`` calling
-``substitute_all``, ``a * b`` calling ``mul``) are not recorded: they are
-internals a kernel change may add or drop.  Targets
+each function of a parsed workspace, in declaration order; one line per
+image of a prolonged coordinate change; the name and ``repr`` of the
+variables of an extended chart).  A ``substitute_all`` call writes one
+``substitute`` line per series, as the ``substitute`` calls it replaces
+would.  ``extend_d``, the d-level extension of commits where the d level
+was not yet a key of ``BUNDLES``, writes ``extend_chart`` lines, so that
+its charts compare with ``extend_chart(chart, D)``'s.  An output with a
+number too long for ``str`` is recorded as ``[name, "<unprintable>"]`` and
+passed on unchanged, so the caller still meets the error it would meet
+without the plugin.  Kernel calls that ``superalg`` makes itself
+(``substitute`` calling ``substitute_all``, ``a * b`` calling ``mul``) are
+not recorded: they are internals a kernel change may add or drop.  Targets
 a commit does not define are skipped.  ``PYTHONHASHSEED=0`` fixes the
 order of any set iteration, so equal code gives equal files.
 """
@@ -45,6 +50,10 @@ def _series(name):
     return lambda out: [[name, serialize(out)]]
 
 
+def _chart(chart):
+    return [["extend_chart", chart.name, repr(chart.variables)]]
+
+
 # (module, function, output -> recorded lines) for each wrapped function
 TARGETS = (
     ("mfc.morphisms", "pullback_series", _series("pullback_series")),
@@ -54,6 +63,11 @@ TARGETS = (
                    [[c.coord, c.momentum, c.sign] for c in out.conjugates]]]),
     ("mfc.superforms", "liouville", _series("liouville")),
     ("mfc.superforms", "poisson_bracket", _series("poisson_bracket")),
+    ("mfc.superforms", "prolong_coordinate_change",
+     lambda out: [["prolong_coordinate_change", name, serialize(image)]
+                  for name, image in out[1].items()]),
+    ("mfc.superforms", "extend_chart", _chart),
+    ("mfc.superforms", "extend_d", _chart),
     ("mfc.textio", "parse_workspace",
      lambda ws: [["parse_workspace", "morphism", name, serialize(phi.S)]
                  for name, phi in ws.morphisms.items()]
