@@ -6,11 +6,12 @@ substitutions apply the Koszul sign rule; odd variables square to zero.
 Momentum-class variables (and formal parameters) carry weight 1 and the
 series is truncated at a fixed total weight (the filtration order).
 
-Coefficients are stored as ``Fraction``s.  ``mul``, ``deriv`` and
-``substitute`` work in integer rows: they sum integer numerators over a
-common denominator, and each output term becomes a ``Fraction`` once.
-``partial`` has no sums to make; it works term by term on the
-``Fraction``s, shifting one exponent down.  Every
+Coefficients are stored as ``Fraction``s.  ``mul`` and ``substitute``
+work in integer rows: they sum integer numerators over a common
+denominator, and each output term becomes a ``Fraction`` once.  ``partial``
+and ``deriv`` shift exponents term by term: ``partial`` lowers one on the
+``Fraction``s, and ``deriv``, whose images are chart variables, lowers one
+and raises another, summing numerators over the operand's denominator.  Every
 intermediate of a substitution (image powers, partial products of a
 monomial's factors) stays in that integer form, and ``substitute_all``
 substitutes several series under one image map with one shared table of
@@ -389,49 +390,45 @@ def mul(a: SuperSeries, b: SuperSeries) -> SuperSeries:
     return _from_numerators(chart, acc, da * db, a.order)
 
 
-def deriv(a: SuperSeries, images: Mapping[str, SuperSeries], parity: Parity) -> SuperSeries:
-    """Graded left derivation D of the given parity with D(v) = images[v].
+def deriv(a: SuperSeries, images: Mapping[str, tuple[str, int]], parity: Parity) -> SuperSeries:
+    """Graded left derivation D of the given parity with D(v) = sign*w for
+    ``images[v] = (w, sign)``, w a chart variable of parity |v| + |D|.
 
-    Variables absent from ``images`` are annihilated.  Images must live
-    on ``a``'s chart.
+    Variables absent from ``images`` are annihilated.  Term by term, like
+    ``partial``: c*left*v^e*right goes to (-1)^(|D||left|) e*sign*c*left*w*v^(e-1)*right,
+    and an odd w moves into chart order past the odd factors strictly between
+    v and it, or kills the term if already present.  Only a heavier w, or an
+    even w with a cap, can leave the truncation.
     """
     chart = a.chart
-    order = a.order
-    idx_images = {}
-    for name, img in images.items():
-        i = chart.index(name)
-        if img.chart != chart or img.order != order:
-            raise ChartMismatch("derivation images must live on the operand chart")
-        idx_images[i] = img
-    da = _common_denominator(a.terms.values())
-    di = _common_denominator(c for img in idx_images.values() for c in img.terms.values())
-    rows_a = _rows(chart, _numerators(a.terms, da))
+    shifts = []  # (k, t, sign, odd w, flips, may be cut) per image
+    for name, (target, sign) in images.items():
+        k, t = chart.index(name), chart.index(target)
+        odd = chart.parities[t]
+        if odd != chart.parities[k] ^ parity:
+            raise ParityError(f"image of {name!r} has the wrong parity")
+        # flips: the odd factors w passes (strictly between v and w) and D passes (before v)
+        between = (1 << max(k, t)) - (2 << min(k, t)) if odd and k != t else 0
+        cut = chart.weights[t] > chart.weights[k] or not odd and chart.caps[t] is not None
+        shifts.append((k, t, sign, odd, between ^ ((1 << k) - 1 if parity else 0), cut))
+    den = _common_denominator(a.terms.values())
     acc: dict = {}
-    for k, img in idx_images.items():
-        by_parity: tuple = ([], [])
-        for row in _rows(chart, _numerators(img.terms, di)):
-            by_parity[row[3].bit_count() & 1].append(row)
-        below = (1 << k) - 1
-        wk = chart.weights[k]
-        # D takes left*v^e*right to (-1)^(|D||left|) e*left*D(v)*v^(e-1)*right;
-        # an image monomial of parity q moves to the front past left at the
-        # cost (-1)^(q|left|), leaving it times the monomial with v^(e-1).
-        for q, img_rows in enumerate(by_parity):
-            if not img_rows:
+    for m, c in a.terms.items():
+        n = c.numerator * (den // c.denominator)
+        o = sum([m[i] << i for i in chart.odd_indices])
+        for k, t, sign, odd, flips, cut in shifts:
+            e = m[k]
+            if not e:
                 continue
-            flip = parity ^ q
-            rest = []
-            for m, n, w, o in rows_a:
-                e = m[k]
-                if e:
-                    shifted = list(m)
-                    shifted[k] = e - 1
-                    if flip and (o & below).bit_count() & 1:
-                        e = -e
-                    rest.append((tuple(shifted), e * n, w - wk,
-                                 o & ~(1 << k)))
-            _add_products(acc, img_rows, rest, order, chart.even_caps)
-    return _from_numerators(chart, acc, da * di, order)
+            mono = list(m)
+            mono[k] = e - 1
+            if odd and mono[t]:
+                continue
+            mono[t] += 1
+            mono = tuple(mono)
+            if not cut or chart.admits(mono, a.order):
+                acc[mono] = acc.get(mono, 0) + (-e if (o & flips).bit_count() & 1 else e) * sign * n
+    return _from_numerators(chart, acc, den, a.order)
 
 
 def partial(a: SuperSeries, name: str) -> SuperSeries:

@@ -104,9 +104,9 @@ def extend_chart(chart: Chart, bundle: str) -> Chart:
 
 
 def apply_operator(a: SuperSeries, bundle: str) -> SuperSeries:
-    """Apply the derivation a tangent-type bundle (T, PiT or d) names, of its
-    parity shift: v maps to its partner, d_v to -d_par_v under PiT and to
-    d_dot_v under T.  A cotangent bundle names no derivation."""
+    """Apply the derivation a tangent-type bundle (T, PiT or d) names, of its parity
+    shift, as ``deriv`` images (partner, sign): v maps to its partner, d_v to -d_par_v
+    under PiT and to d_dot_v under T.  A cotangent bundle names no derivation."""
     if bundle not in BUNDLES or bundle in COTANGENT.values():
         raise ValueError(f"bundle {bundle!r} names no derivation")
     shift = BUNDLES[bundle].shift
@@ -119,8 +119,7 @@ def apply_operator(a: SuperSeries, bundle: str) -> SuperSeries:
             target = partner(partner(v.base, bundle), D)
             sign = -1 if shift else 1
         if target in a.chart:
-            img = SuperSeries.of_var(a.chart, target, a.order)
-            images[v.name] = img if sign == 1 else -img
+            images[v.name] = (target, sign)
     return deriv(a, images, shift)
 
 

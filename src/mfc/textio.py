@@ -178,9 +178,12 @@ class _Parser:
         if self.depth > MAX_NESTING:
             self.fail(f"expression nests deeper than {MAX_NESTING} levels", at)
 
-    def number(self, v: Fraction | SuperSeries, at: Token) -> Fraction | SuperSeries:
-        """``v``, refused at ``at`` if a number in it is past ``MAX_NUMBER_BITS``."""
-        for c in v.terms.values() if isinstance(v, SuperSeries) else (v,):
+    def number(self, v: Fraction | SuperSeries, at: Token, where=None) -> Fraction | SuperSeries:
+        """``v``, refused at ``at`` if a number in it is past ``MAX_NUMBER_BITS``; after
+        a sum, only at ``where``: rhs's monomials, or the constant if rhs is a number."""
+        cs = (v,) if not isinstance(v, SuperSeries) else (
+            v.terms.values() if where is None else filter(None, map(v.terms.get, where)))
+        for c in cs:
             num, den = c.as_integer_ratio()
             if num.bit_length() > MAX_NUMBER_BITS or den.bit_length() > MAX_NUMBER_BITS:
                 self.fail(f"number exceeds {MAX_NUMBER_BITS} bits", at)
@@ -199,7 +202,8 @@ class _Parser:
         while self.peek().text in ("+", "-"):
             op = self.next()
             rhs = self.term(chart, order)
-            out = self.number(out + rhs if op.text == "+" else out - rhs, op)
+            where = rhs.terms if isinstance(rhs, SuperSeries) else ((0,) * len(chart),)
+            out = self.number(out + rhs if op.text == "+" else out - rhs, op, where)
         return out
 
     def term(self, chart: Chart, order: int) -> Fraction | SuperSeries:

@@ -1,6 +1,7 @@
 """Tangent and antitangent lifts: examples, functoriality, bundle maps."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +41,7 @@ from mfc.testkit import (
     random_pair_of_morphisms,
     worked_example,
 )
-from mfc.textio import serialize
+from mfc.textio import parse_workspace, serialize
 
 ORDER = 3
 
@@ -66,6 +67,14 @@ class TestLiftExamples:
     def test_tangent_of_square_map(self):
         lifted = tangent_lift(square_phi())
         assert serialize(lifted.S) == "x^2*dot_q_y + 2*x*dot_x*q_y"
+
+    def test_readme_lifts_golden(self):
+        """Both lifts of the README workspace's Phi, byte for byte."""
+        root = Path(__file__).parents[1]
+        ws = parse_workspace((root / "perfbench" / "workspaces" / "readme.mfc").read_text())
+        out = "".join(serialize(lift_of(ws.morphisms["Phi"]).S) + "\n"
+                      for lift_of in (tangent_lift, antitangent_lift))
+        assert out == (root / "tests" / "golden" / "readme_lifts.txt").read_text()
 
     def test_tangent_of_golden(self):
         lifted = tangent_lift(worked_example())

@@ -204,12 +204,24 @@ class TestHelpers:
     def test_deriv_is_graded_derivation(self):
         """An odd derivation built from images satisfies the sign rule."""
         c = make_chart()
-        images = {"x": var(c, "th"), "th": var(c, "x")}
+        images = {"x": ("th", 1), "th": ("x", 1)}
         a = var(c, "x") ** 2
         b = mul(var(c, "th"), var(c, "et"))
         lhs = deriv(mul(a, b), images, ODD)
         rhs = mul(deriv(a, images, ODD), b) + mul(a, deriv(b, images, ODD))
         assert lhs == rhs
+
+    def test_deriv_refuses_bad_images(self):
+        c = make_chart()
+        a = mul(var(c, "x"), var(c, "th"))
+        with pytest.raises(ParityError):
+            deriv(a, {"x": ("y", 1)}, ODD)  # an odd D takes even x to an odd variable
+        with pytest.raises(ParityError):
+            deriv(a, {"th": ("x", -1)}, EVEN)
+        with pytest.raises(KeyError, match="'z'"):
+            deriv(a, {"x": ("z", 1)}, EVEN)
+        with pytest.raises(KeyError, match="'z'"):
+            deriv(a, {"z": ("x", 1)}, EVEN)
 
     def test_embed_preserves_terms(self):
         c = make_chart()
@@ -384,17 +396,43 @@ class TestReferenceKernel:
         assert cancelled >= 20
 
     def test_deriv_matches_reference(self):
+        """Variable images (w, sign) against the oracle given sign*w as a
+        series: partners before, after and equal to v under both parities of
+        D, odd partners already present, the capped parameter pushed past its
+        cap, and heavier partners pushed past the order."""
         rng = random.Random(12)
         chart = ref_chart()
-        for _ in range(40):
+        seen = set()
+        for _ in range(120):
             parity = rng.choice([EVEN, ODD])
-            names = rng.sample([v.name for v in chart], rng.randint(1, 3))
-            images = {name: draw(rng, chart, rng.randint(1, 3),
-                                 chart.var(name).parity ^ parity) for name in names}
+            images = {}
+            for v in rng.sample(list(chart), rng.randint(1, 3)):
+                w = rng.choice([u for u in chart if u.parity == v.parity ^ parity])
+                images[v.name] = (w.name, rng.choice([1, -1]))
             a = draw(rng, chart, rng.randint(1, 6))
             out = deriv(a, images, parity)
-            assert out.terms == ref_deriv(a, images, parity).terms
+            series = {v: SuperSeries.of_var(chart, w, REF_ORDER).scale(sign)
+                      for v, (w, sign) in images.items()}
+            assert out.terms == ref_deriv(a, series, parity).terms
             assert_clean(out)
+            for v, (w, _) in images.items():
+                k, t = chart.index(v), chart.index(w)
+                hit = [m for m in a.terms if m[k]]
+                if not hit:
+                    continue
+                seen.add((parity, "before" if t < k else "after" if t > k else "equal"))
+                if chart.parities[t] == ODD and t != k and any(m[t] for m in hit):
+                    seen.add("odd present")
+                cap = chart.variables[t].max_power
+                if cap and t != k and any(m[t] == cap for m in hit):
+                    seen.add("capped")
+                if chart.weights[t] > chart.weights[k] and any(
+                        chart.mono_weight(m) - chart.weights[k] + chart.weights[t] > REF_ORDER
+                        for m in hit):
+                    seen.add("cut")
+        assert seen == {"odd present", "capped", "cut"} | {
+            (parity, where) for parity in (EVEN, ODD) for where in ("before", "after")
+        } | {(EVEN, "equal")}
 
     def test_partial_matches_reference(self):
         """Every variable of every draw: odd variables behind and ahead of

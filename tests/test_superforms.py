@@ -132,6 +132,22 @@ class TestOperators:
             pd = apply_operator(apply_operator(a, D), PIT)
             assert dp == -pd
 
+    @pytest.mark.parametrize("bundle", [T, PIT, D])
+    def test_builds_no_image_series(self, bundle, monkeypatch):
+        """The derivation shifts terms: its result is the one series it makes."""
+        c = extend_chart(extend_chart(extend_chart(base_chart(2, 2), T), PIT), D)
+        a = Generator(5).series(c, ORDER, n_terms=6, max_degree=3)
+        made = []
+        init = SuperSeries.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SuperSeries, "__init__", counted)
+        out = apply_operator(a, bundle)
+        assert len(made) == 1 and made[0] is out
+
     def test_de_rham_requires_level(self):
         c = base_chart()
         a = SuperSeries.of_var(c, "x0", ORDER)

@@ -363,8 +363,10 @@ class TestCli:
         (f"1/{'7' * 3000}*y + 1/{'3' * 2999}1*y", "error: 3:3024: number exceeds 10000 bits\n"),
         (f"1/{'7' * 3000}*y - 1/{'3' * 2999}1*y", "error: 3:3024: number exceeds 10000 bits\n"),
         (f"(1/{'7' * 3000}*y)*(1/{'3' * 2999}1*y)", "error: 3:3025: number exceeds 10000 bits\n"),
+        # a series plus a number changes only the constant
+        (f"y + 1/{'7' * 3000} + 1/{'3' * 2999}1", "error: 3:3026: number exceeds 10000 bits\n"),
     ], ids=["literal", "denominator", "power", "power400", "product",
-            "series-sum", "series-difference", "series-product"])
+            "series-sum", "series-difference", "series-product", "series-plus-number"])
     def test_large_number_positioned(self, tmp_path, capsys, body, message):
         bad = tmp_path / "number.mfc"
         bad.write_text(f"chart M {{ x : even }}\nchart N {{ y : even }}\n"
