@@ -18,7 +18,6 @@ the tangent/antitangent identifications swap and sign the pairings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Dict, Optional, Sequence, Tuple
 
 from .report import Report
@@ -222,12 +221,7 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
     relations = phi.coordinate_relations()
     momenta = phi.momentum_names()
     w = {k: embed(set_to_zero(rel, momenta), work, 0) for k, rel in relations.items()}
-    # mu_i = sign_i dh/dw^i(w): the signs go into the relations once, so a
-    # sweep substitutes the gradient itself
-    signs = [(phi.chart.index(c.momentum), c.sign) for c in phi.conjugates]
-    signed = [series(phi.chart, {m: c * prod([s ** m[k] for k, s in signs])
-                                 for m, c in rel.terms.items()}, phi.order)
-              for rel in relations.values()]
+    rels = list(relations.values())
     # Every coordinate-dependent term of h has weight >= 1, so sweep i makes
     # w right through weight i + 1.  An unchanged w at a lower truncation
     # proves nothing (h may enter only at even weights): only t = order - 1,
@@ -238,12 +232,14 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
     for i in range(order + 2):
         t = min(i + 1, order - 1)
         w = {k: series(work, s.terms, t) for k, s in w.items()}  # t >= s.order
-        grad = dict(zip(momenta, substitute_all(dh, w, chart=work, order=t)))
+        # mu_i = sign_i dh/dw^i(w): the gradient carries the sign, not the relations
+        grad = {c.momentum: g if c.sign > 0 else -g
+                for c, g in zip(phi.conjugates, substitute_all(dh, w, chart=work, order=t))}
         if t == order - 1:
             if grad == last:
                 break
             last = grad
-        new = dict(zip(relations, substitute_all(signed, grad, chart=work, order=t)))
+        new = dict(zip(relations, substitute_all(rels, grad, chart=work, order=t)))
         if t == order - 1 and new == w:
             break
         w = new

@@ -53,6 +53,8 @@ from .functors import ANTITANGENT, TANGENT, check_functoriality
 from .qcalc import check_antitangent_q
 from .report import Report
 
+MAX_BASE_DEGREE = 2  # base coordinates, with multiplicity, in a random generating function's term
+
 
 @dataclass
 class Generator:
@@ -94,17 +96,16 @@ class Generator:
                max_degree: int, keep, anchors: Optional[Sequence[str]] = None) -> SuperSeries:
         """Up to ``n_terms`` random terms whose monomials pass ``keep``, in at
         most ``attempts`` draws; with ``anchors``, each draw holds one of them."""
-        out = SuperSeries.zero(chart, order)
-        made = 0
+        terms, made = {}, 0
         for _ in range(attempts):
             if made == n_terms:
                 break
             require = () if anchors is None else [self.rng.choice(anchors)]
             mono = self.monomial(chart, max_degree, require)
             if mono is not None and keep(mono):
-                out = out + SuperSeries(chart, {mono: self.coefficient()}, order)
+                terms[mono] = terms.get(mono, 0) + self.coefficient()
                 made += 1
-        return out
+        return SuperSeries(chart, terms, order)
 
     def series(self, chart: Chart, order: int, parity: Optional[int] = None,
                n_terms: int = 3, max_degree: int = 2) -> SuperSeries:
@@ -124,17 +125,16 @@ class Generator:
 
     def generating_function(self, source: Chart, target: Chart, kind: str,
                             order: int, n_terms: int = 4,
-                            max_base_degree: int = 2,
                             max_momentum_degree: int = 3) -> SuperSeries:
         """Random S(x; mu): every term carries at least one momentum."""
         chart = combined_chart(source, target, kind)
         momenta = [c.momentum for c in canonical_conjugates(target, kind)]
         want = kind_parity(kind)
         keep = lambda m: (chart.mono_weight(m) <= min(order, max_momentum_degree)
-                          and chart.mono_base_degree(m) <= max_base_degree
+                          and chart.mono_base_degree(m) <= MAX_BASE_DEGREE
                           and chart.mono_parity(m) == want)
         return self._terms(chart, order, n_terms, 80 * n_terms,
-                           max_base_degree + max_momentum_degree, keep, momenta)
+                           MAX_BASE_DEGREE + max_momentum_degree, keep, momenta)
 
     def thick(self, source: Chart, target: Chart, kind: str, order: int,
               **kwargs) -> Optional[ThickMorphism]:

@@ -178,12 +178,9 @@ class _Parser:
         if self.depth > MAX_NESTING:
             self.fail(f"expression nests deeper than {MAX_NESTING} levels", at)
 
-    def number(self, v: Fraction | SuperSeries, at: Token, where=None) -> Fraction | SuperSeries:
-        """``v``, refused at ``at`` if a number in it is past ``MAX_NUMBER_BITS``; after
-        a sum, only at ``where``: rhs's monomials, or the constant if rhs is a number."""
-        cs = (v,) if not isinstance(v, SuperSeries) else (
-            v.terms.values() if where is None else filter(None, map(v.terms.get, where)))
-        for c in cs:
+    def number(self, v: Fraction | SuperSeries, at: Token) -> Fraction | SuperSeries:
+        """``v``, refused at ``at`` if a number in it is past ``MAX_NUMBER_BITS``."""
+        for c in (v.terms.values() if isinstance(v, SuperSeries) else (v,)):
             num, den = c.as_integer_ratio()
             if num.bit_length() > MAX_NUMBER_BITS or den.bit_length() > MAX_NUMBER_BITS:
                 self.fail(f"number exceeds {MAX_NUMBER_BITS} bits", at)
@@ -198,13 +195,23 @@ class _Parser:
         return self.number(mul(a, b) if both else a * b, at)
 
     def expr(self, chart: Chart, order: int) -> Fraction | SuperSeries:
+        """A lone term as it is; a sum folded into one dict by monomial (a number at the
+        constant).  Terms come bounded; a sum of two coefficients is checked at its operator."""
         out = self.term(chart, order)
-        while self.peek().text in ("+", "-"):
-            op = self.next()
-            rhs = self.term(chart, order)
-            where = rhs.terms if isinstance(rhs, SuperSeries) else ((0,) * len(chart),)
-            out = self.number(out + rhs if op.text == "+" else out - rhs, op, where)
-        return out
+        if self.peek().text not in ("+", "-"):
+            return out
+        const, terms, series, op = (0,) * len(chart), {}, False, None
+        while True:
+            series = series or isinstance(out, SuperSeries)
+            for m, c in (out.terms.items() if isinstance(out, SuperSeries) else ((const, out),)):
+                c = -c if op and op.text == "-" else c
+                terms[m] = self.number(terms[m] + c, op) if m in terms else c
+            if self.peek().text not in ("+", "-"):
+                break
+            op, out = self.next(), self.term(chart, order)
+        if not series:  # numbers sum to a number, which makes no ``mul``
+            return terms[const]
+        return SuperSeries(chart, {m: c for m, c in terms.items() if c}, order, _checked=True)
 
     def term(self, chart: Chart, order: int) -> Fraction | SuperSeries:
         out = self.factor(chart, order)

@@ -297,6 +297,32 @@ class TestProlongation:
                 assert truncate_base_degree(resid, order).is_zero(), (kind, b)
             stage = extend_chart(stage, kind)
 
+    @pytest.mark.parametrize("mom_kind, which", [(TSTAR, "theta"), (PITSTAR, "lambda")])
+    @pytest.mark.parametrize("change", ["permutation", "shear"])
+    def test_non_diagonal_linear_part(self, change, mom_kind, which):
+        # the permutation's zero first pivot forces a row swap in the inversion
+        # of the Jacobian's linear part; the shear leaves an off-diagonal entry
+        # to clear
+        order = 3
+        base = base_chart(2, 0 if change == "permutation" else 2)
+        v = {w.name: SuperSeries.of_var(base, w.name, order) for w in base}
+        if change == "permutation":
+            F = {"x0": v["x1"], "x1": v["x0"]}
+        else:
+            F = {"x0": v["x0"] + v["x1"] + v["x0"] ** 2, "x1": v["x1"],
+                 "xi0": v["xi0"] + v["xi1"], "xi1": v["xi1"]}
+        chart, sigma = prolong_coordinate_change(F, base, [mom_kind], order)
+        names = list(F)
+        for b in names:
+            # sum_v d(sigma v)/db * sigma(mu_v) - mu_b
+            resid = -SuperSeries.of_var(chart, partner(b, mom_kind), sigma[b].order)
+            for name in names:
+                resid = resid + mul(partial(sigma[name], b), sigma[partner(name, mom_kind)])
+            assert truncate_base_degree(resid, order).is_zero(), b
+        th = liouville(chart, which, order)
+        img = substitute(th, sigma, chart=chart, order=max(s.order for s in sigma.values()))
+        assert truncate_base_degree(img - embed(th, chart, img.order), order).is_zero()
+
 
 def random_base_change(gen, base, order):
     """Identity plus a higher-degree polynomial perturbation."""

@@ -50,6 +50,28 @@ class TestDeterminism:
                   for _ in range(5)]
         assert outs_a != outs_b
 
+    @pytest.mark.parametrize("draw", ["series", "generating_function"])
+    def test_one_series_per_draw(self, monkeypatch, draw):
+        """The accepted terms are summed in a dict and built into one series."""
+        gen = Generator(42)
+        a, b = gen.chart(2, 2), gen.chart(1, 1, name="N", stems=("y", "eta"))
+        made = []
+        init = SuperSeries.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SuperSeries, "__init__", counted)
+        sizes = []
+        for kind in (KIND_EVEN, KIND_ODD) * 5:
+            made.clear()
+            out = (gen.series(a, ORDER, n_terms=4, max_degree=3) if draw == "series"
+                   else gen.generating_function(a, b, kind, ORDER))
+            assert len(made) == 1 and made[0] is out
+            sizes.append(len(out.terms))
+        assert max(sizes) > 1
+
 
 class TestClassicalOracle:
     def test_even_example(self):

@@ -12,9 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from mfc import cli
+from mfc import cli, textio
 from mfc.cli import MAX_TRIALS, SUITES, main
 from mfc.morphisms import KIND_EVEN, pullback
+from mfc.report import Report
 from mfc.superalg import (
     EVEN,
     ODD,
@@ -27,6 +28,7 @@ from mfc.testkit import Generator
 from mfc.textio import (
     MAX_NESTING,
     MAX_ORDER,
+    MAX_POWER_TERMS,
     ParseError,
     Token,
     parse_series,
@@ -113,6 +115,36 @@ class TestParser:
         s = parse_series("2/3*x + 5", c, ORDER)
         assert s == SuperSeries.of_var(c, "x", ORDER).scale(Fraction(2, 3)) \
             + SuperSeries.const(c, 5, ORDER)
+        x = SuperSeries.of_var(c, "x", ORDER)
+        assert parse_series("1 - x", c, ORDER) == 1 - x
+        assert parse_series("2 + x", c, ORDER) == 2 + x
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1/2 + 1/3 - 5", "-25/6"),
+        ("x - 1", "-1 + x"),
+        ("x*th + 2 - x*th - 2", "0"),
+        ("1 - x", "1 - x"),
+        ("2 + x - th + 3*x - 1/2", "3/2 + 4*x - th"),
+        ("1/2 - (x + 1/2) + th*x + x", "x*th"),
+    ])
+    def test_sum_adds_no_series(self, monkeypatch, text, expected):
+        """A sum folds its terms into one dict and builds its series once."""
+        def refuse(*args):
+            raise AssertionError("the parser added two series")
+
+        for name in ("__add__", "__sub__", "__radd__", "__rsub__"):
+            monkeypatch.setattr(SuperSeries, name, refuse)
+        assert serialize(parse_series(text, self.chart(), ORDER)) == expected
+
+    def test_number_sum_stays_a_number(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(textio, "mul", lambda a, b: calls.append(1) or mul(a, b))
+        c = self.chart()
+        x = SuperSeries.of_var(c, "x", ORDER)
+        assert parse_series("(1/2 + 1/3)*x", c, ORDER) == x.scale(Fraction(5, 6))
+        assert calls == []
+        assert parse_series("(1/2 + x)*x", c, ORDER) == x ** 2 + x.scale(Fraction(1, 2))
+        assert calls == [1]
 
     def test_parentheses_and_power(self):
         c = self.chart()
@@ -478,6 +510,26 @@ class TestCli:
         assert main(["check", str(bad)]) == 2
         assert "error: 2:27:" in capsys.readouterr().err
 
+    def test_power_terms_usage_error(self, tmp_path, capsys):
+        # 99 terms squared make 4950, past the bound, in 9900 term pairs, within
+        # the budget: refused at the exponent
+        names = [f"v{i}" for i in range(99)]
+        bad = tmp_path / "terms.mfc"
+        bad.write_text("chart M { " + ", ".join(f"{n} : even" for n in names) + " }\n"
+                       "function f on M { (" + " + ".join(names) + ")^2 }\n")
+        assert main(["check", str(bad)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: 2:603: power expands past {MAX_POWER_TERMS} terms\n")
+
+    def test_compose_unnormalized_usage_error(self, tmp_path, capsys):
+        loose = tmp_path / "loose.mfc"
+        loose.write_text("set strict = 0\n" + WORKSPACE.replace("S = x*q_y", "S = x + x*q_y"))
+        assert main(["check", str(loose)]) == 0
+        capsys.readouterr()
+        assert main(["compose", str(loose), "--outer", "Psi", "--inner", "Phi"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: composition requires zero-momentum-normalized factors\n")
+
     @pytest.mark.parametrize("body, col", [
         ("(x+z+1)^43*(x+z+1)^43", 27),
         ("((x+z+1)^43)^2", 28),
@@ -602,6 +654,13 @@ class TestCli:
         ("chart M { x : even }\nfunction f on Q { 1 }\n",
          "error: 2:15: undeclared chart 'Q'\n"),
         ("chart M { x : evn }\n", "error: 1:15: parity must be 'even' or 'odd'\n"),
+        ("chart M { x : even }\nchart N { y : even }\n"
+         "morphism Phi : M -> N kind=even { S = x*q_y }\n"
+         "morphism Phi : M -> N kind=even { S = x*q_y }\n",
+         "error: 4:1: duplicate morphism 'Phi'\n"),
+        ("chart M { x : even }\nchart N { y : even }\n"
+         "function f on N { y }\nfunction f on N { y }\n",
+         "error: 4:1: duplicate function 'f'\n"),
     ])
     def test_header_error_at_its_token(self, tmp_path, capsys, text, message):
         bad = tmp_path / "header.mfc"
@@ -615,16 +674,24 @@ class TestCli:
         assert main(["check", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_failing_check_exit_code(self, tmp_path, capsys):
-        # a lifted-style conjugacy table cannot be expressed in the text
-        # format, so drive the failure through the verify path instead:
-        # an unknown suite is a usage error, a failing workspace check is 1.
+    def test_failing_check_exit_code(self, tmp_path, capsys, monkeypatch):
         text = ("set strict = 0\n"
                 "chart M { x : even, th : odd }\n"
                 "chart N { y : even, eta : odd }\n")
         ok = tmp_path / "ok.mfc"
         ok.write_text(text)
         assert main(["check", str(ok)]) == 0
+        capsys.readouterr()
+        # no workspace check fails on a valid workspace, so a residual is
+        # planted: a failing check prints it (README, "Exit codes") and exits 1
+        ok.write_text(WORKSPACE)
+        monkeypatch.setattr(cli, "relation_check",
+                            lambda phi: Report.single("relation_identity", phi.S))
+        assert main(["check", str(ok)]) == 1
+        assert capsys.readouterr() == (
+            "CHECK workspace_parses PASS\n"
+            "CHECK Phi:relation_identity FAIL residual=x*q_y + 1/2*q_y^2\n"
+            "CHECK Psi:relation_identity FAIL residual=y*q_z + 1/2*q_z^2\n", "")
 
 
 # -- reference tokenizer ---------------------------------------------------
