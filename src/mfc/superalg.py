@@ -6,14 +6,20 @@ substitutions apply the Koszul sign rule; odd variables square to zero.
 Momentum-class variables (and formal parameters) carry weight 1 and the
 series is truncated at a fixed total weight (the filtration order).
 
-Coefficients are stored as ``Fraction``s.  ``mul`` and ``substitute``
-work in integer rows: they sum integer numerators over a common
-denominator, and each output term becomes a ``Fraction`` once.  ``partial``
-and ``deriv`` shift exponents term by term: ``partial`` lowers one on the
-``Fraction``s, and ``deriv``, whose images are chart variables, lowers one
-and raises another, summing numerators over the operand's denominator.  Every
-intermediate of a substitution (image powers, partial products of a
-monomial's factors) stays in that integer form, and ``substitute_all``
+Coefficients are stored as ``Fraction``s and monomials as exponent tuples.
+``mul`` and ``substitute`` work in integer rows (packed monomial, numerator
+over a common denominator, odd mask), and unpack each output term and make
+its ``Fraction`` once.  A packed monomial is one int holding, from the low
+bits up, an F-bit exponent field per chart variable, in chart order, and the
+weight, so a product is one add and its truncation one compare; the odd mask
+is its bits at the odd variables' fields.  The top bit of each field is a
+guard: an operation whose exponents reach it reruns at twice the width (F =
+8, 16, 32, 64).  Layouts are cached per chart shape.  A one-term factor of
+``mul``, ``partial`` and ``deriv`` shift exponents term by term instead:
+``partial`` lowers one on the ``Fraction``s, and ``deriv``, whose images are
+chart variables, lowers one and raises another, summing numerators over the
+operand's denominator.  Every intermediate of a substitution (image powers,
+partial products of a monomial's factors) stays packed, and ``substitute_all``
 substitutes several series under one image map with one shared table of
 image powers.  Only even variables reach an exponent of 2, and their images
 are even, so the table squares each image over its unordered pairs of rows.
@@ -23,10 +29,13 @@ order less the least weights of the factors still to come.
 
 from __future__ import annotations
 
+import functools
 import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import compress
+from math import lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 EVEN = 0
@@ -166,6 +175,10 @@ class Chart:
                 return False
         return True
 
+    def admits_var(self, i: int, order: int) -> bool:
+        """Whether variable i alone survives truncation at ``order`` and its cap."""
+        return self.weights[i] <= order and (self.caps[i] is None or self.caps[i] > 0)
+
 
 class SuperSeries:
     """A supercommutative series: chart + monomial->Fraction terms.
@@ -208,7 +221,7 @@ class SuperSeries:
     def of_var(cls, chart: Chart, name: str, order: int) -> "SuperSeries":
         i = chart.index(name)
         mono = (0,) * i + (1,) + (0,) * (len(chart) - i - 1)
-        terms = {mono: _ONE} if chart.admits(mono, order) else {}
+        terms = {mono: _ONE} if chart.admits_var(i, order) else {}
         return cls(chart, terms, order, _checked=True)
 
     @classmethod
@@ -238,6 +251,8 @@ class SuperSeries:
         return seen
 
     def has_parity(self, p: Parity) -> bool:
+        if not self.chart.odd_indices:
+            return p == EVEN or not self.terms
         return all(self.chart.mono_parity(m) == p for m in self.terms)
 
     def constant_term(self) -> Fraction:
@@ -318,48 +333,97 @@ class SuperSeries:
 
 
 # -- module-level operations ------------------------------------------
-#
-# Inside an operation a series is handled as integer rows: its
-# coefficients over their lcm denominator, each numerator with its
-# monomial's weight and odd mask (bit i set when odd variable i occurs).
+
+
+class _Layout:
+    """Packed monomials of one chart shape at field width F (see the module).
+
+    An operand's exponents stay below the guard bits (``pack`` refuses one at
+    a guard, ``rows_of`` a sum that sets one), so a sum of two carries out of
+    no field: its fields unpack as they are, and its weight reads above them.
+    """
+
+    __slots__ = ("weights", "odd", "caps", "field", "guard", "weight_shift", "pack", "unpack")
+
+    def __init__(self, parities: tuple, weights: tuple, even_caps: tuple, width: int):
+        n = len(parities)
+        code = {8: "b", 16: "h", 32: "i", 64: "q"}[width]
+        self.weights = weights
+        self.odd = sum(1 << i * width for i, p in enumerate(parities) if p == ODD)
+        self.caps = tuple((i * width, cap) for i, cap in even_caps)  # (field shift, cap)
+        self.field = (1 << width) - 1
+        self.guard = sum(1 << (i * width + width - 1) for i in range(n))
+        self.weight_shift = n * width
+        # signed fields, so packing refuses an exponent at the guard bit
+        self.pack = struct.Struct(f"<{n}{code}").pack
+        self.unpack = struct.Struct(f"<{n}{code.upper()}").unpack_from
+
+    def rows(self, terms: Mapping[tuple, Fraction], den: int) -> list:
+        """(packed monomial, numerator over ``den``, odd mask) per term."""
+        pack, odd, weights, shift = self.pack, self.odd, self.weights, self.weight_shift
+        return [(p | sum(map(operator.mul, m, weights)) << shift,
+                 c.numerator * (den // c.denominator), p & odd)
+                for m, c in terms.items() for p in [int.from_bytes(pack(*m), "little")]]
+
+    def rows_of(self, acc: dict) -> list:
+        """Rows of the nonzero sums in ``acc``, to be multiplied again."""
+        if functools.reduce(operator.or_, acc, 0) & self.guard:
+            raise OverflowError("an exponent reached its guard bit")
+        odd = self.odd
+        return [(p, n, p & odd) for p, n in acc.items() if n]
+
+    def series(self, chart: Chart, acc: dict, den: int, order: int) -> SuperSeries:
+        """The nonzero sums in ``acc`` over ``den``, each monomial unpacked once."""
+        size, unpack = (((order + 1) << self.weight_shift).bit_length() + 7) >> 3, self.unpack
+        return SuperSeries(chart, {unpack(p.to_bytes(size, "little")): Fraction(n, den)
+                                   for p, n in acc.items() if n}, order, _checked=True)
+
+
+_layout = functools.lru_cache(maxsize=256)(_Layout)  # one layout per chart shape and width
+
+
+def _widening(chart: Chart, run):
+    """``run(layout)`` at field width 8, rerun twice as wide while an exponent hits a guard."""
+    shape = (chart.parities, chart.weights, chart.even_caps)
+    for width in (8, 16, 32):
+        try:
+            return run(_layout(*shape, width))
+        except (OverflowError, struct.error):
+            pass
+    return run(_layout(*shape, 64))
 
 
 def _common_denominator(coeffs: Iterable[Fraction]) -> int:
     return lcm(*[c.denominator for c in coeffs])
 
 
-def _numerators(terms: Mapping[tuple, Fraction], den: int) -> Iterable:
-    """(monomial, numerator over ``den``) per term."""
-    return ((m, c.numerator * (den // c.denominator)) for m, c in terms.items())
-
-
-def _rows(chart: Chart, numerators: Iterable) -> list:
-    """(monomial, numerator, weight, odd mask) per nonzero numerator."""
-    weights, odd, times = chart.weights, chart.odd_indices, operator.mul
-    return [(m, n, sum(map(times, m, weights)),
-             sum([m[i] << i for i in odd]) if odd else 0)
-            for m, n in numerators if n]
-
-
 def _add_products(acc: dict, rows_a: list, rows_b: list, order: int,
-                  caps: tuple) -> None:
-    """acc[m1*m2] += sign*n1*n2 for every pair of rows the truncation keeps.
+                  layout: _Layout) -> None:
+    """acc[p1 + p2] += sign*n1*n2 for every pair of rows the truncation keeps.
 
+    A row is (packed monomial, numerator, odd mask): one F-bit exponent field
+    per chart variable, the weight above them, and the bits at the odd
+    variables' fields.  So a product is one add, ``p1 + p2``, and its
+    truncation one compare, ``p1 + p2 > limit``; an even cap reads its field.
+    Each field's top bit is a guard the operands stay below, so the add
+    carries into no other field; a sum that sets a guard becomes no operand
+    (``rows_of`` refuses it), and the whole operation reruns twice as wide.
     Handed one list twice (only ``power``'s image^2 step does so), it squares:
     row j times itself, then each later row k with 2*n_k.  That needs even
     rows, whose pairs (j, k) and (k, j) make one monomial with one sign;
     ``mul(a, a)`` builds two lists, so an odd a*a still cancels.
     """
     get = acc.get
-    add = operator.add
-    twice = [(m, n << 1, w, o) for m, n, w, o in rows_b] if rows_a is rows_b else None
-    for j, (m1, n1, w1, o1) in enumerate(rows_a):
-        room = order - w1
-        for m2, n2, w2, o2 in ([rows_a[j], *twice[j + 1:]] if twice is not None else rows_b):
-            if w2 > room or o1 & o2:  # too heavy, or an odd variable squared
+    limit = ((order + 1) << layout.weight_shift) - 1  # the heaviest packed monomial kept
+    caps, field = layout.caps, layout.field
+    twice = [(p, n << 1, o) for p, n, o in rows_b] if rows_a is rows_b else None
+    for j, (p1, n1, o1) in enumerate(rows_a):
+        room = limit - p1
+        for p2, n2, o2 in ([rows_a[j], *twice[j + 1:]] if twice is not None else rows_b):
+            if p2 > room or o1 & o2:  # too heavy, or an odd variable squared
                 continue
-            mono = tuple(map(add, m1, m2))
-            if caps and any(mono[i] > cap for i, cap in caps):
+            p = p1 + p2
+            if caps and any(p >> shift & field > cap for shift, cap in caps):
                 continue
             n = n1 * n2
             # Koszul sign: each odd factor of m2 moves left past the odd
@@ -369,25 +433,59 @@ def _add_products(acc: dict, rows_a: list, rows_b: list, order: int,
                 if (o1 >> low.bit_length()).bit_count() & 1:
                     n = -n
                 o2 ^= low
-            acc[mono] = get(mono, 0) + n
+            acc[p] = get(p, 0) + n
 
 
-def _from_numerators(chart: Chart, acc: dict, den: int, order: int) -> SuperSeries:
-    return SuperSeries(chart, {m: Fraction(n, den) for m, n in acc.items() if n},
-                       order, _checked=True)
+def _shift(a: SuperSeries, m0: tuple, c0: Fraction, left: bool) -> SuperSeries:
+    """c0*m0 times ``a``, m0 the left factor if ``left``, with no rows: each term
+    shifts by m0, unless it holds an odd variable of m0.  The Koszul sign counts,
+    for each odd factor of m0, the term's odd factors before it (m0 left) or
+    after it.  Only a weighted or capped variable of m0 can leave the truncation."""
+    chart = a.chart
+    odd = chart.odd_indices
+    support = [(i, m0[i]) for i in compress(range(len(m0)), m0)]
+    cut = any(chart.weights[i] or not chart.parities[i] and chart.caps[i] is not None
+              for i, _ in support)
+    o0 = flips = 0
+    for i, _ in support:
+        if chart.parities[i]:
+            o0 |= 1 << i
+            flips ^= (1 << i) - 1 if left else -(2 << i)
+    one = c0 == 1
+    out = {}
+    for m, c in a.terms.items():
+        if o0:
+            o = sum([m[i] << i for i in odd])
+            if o & o0:
+                continue
+        mono = list(m)
+        for i, e in support:
+            mono[i] += e
+        if cut and not chart.admits(mono, a.order):
+            continue
+        c = c if one else c0 * c
+        out[tuple(mono)] = -c if o0 and (o & flips).bit_count() & 1 else c
+    return SuperSeries(chart, out, a.order, _checked=True)
 
 
 def mul(a: SuperSeries, b: SuperSeries) -> SuperSeries:
     """Supercommutative product, truncated to the filtration order."""
     a._require_compatible(b)
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        left = len(a.terms) == 1
+        (m, c), = (a if left else b).terms.items()
+        return _shift(b if left else a, m, c, left)
     chart = a.chart
     da = _common_denominator(a.terms.values())
     db = _common_denominator(b.terms.values())
-    acc: dict = {}
-    _add_products(acc, _rows(chart, _numerators(a.terms, da)),
-                  _rows(chart, _numerators(b.terms, db)),
-                  a.order, chart.even_caps)
-    return _from_numerators(chart, acc, da * db, a.order)
+
+    def run(layout: _Layout) -> SuperSeries:
+        acc: dict = {}
+        _add_products(acc, layout.rows(a.terms, da), layout.rows(b.terms, db),
+                      a.order, layout)
+        return layout.series(chart, acc, da * db, a.order)
+
+    return _widening(chart, run)
 
 
 def deriv(a: SuperSeries, images: Mapping[str, tuple[str, int]], parity: Parity) -> SuperSeries:
@@ -428,7 +526,8 @@ def deriv(a: SuperSeries, images: Mapping[str, tuple[str, int]], parity: Parity)
             mono = tuple(mono)
             if not cut or chart.admits(mono, a.order):
                 acc[mono] = acc.get(mono, 0) + (-e if (o & flips).bit_count() & 1 else e) * sign * n
-    return _from_numerators(chart, acc, den, a.order)
+    return SuperSeries(chart, {m: Fraction(n, den) for m, n in acc.items() if n},
+                       a.order, _checked=True)
 
 
 def partial(a: SuperSeries, name: str) -> SuperSeries:
@@ -493,70 +592,70 @@ def substitute_all(series: Sequence[SuperSeries], images: Mapping[str, SuperSeri
                     f"image of {v.name!r} has a component of wrong parity")
             den = _common_denominator(img.terms.values())
         dens.append(den)
-    caps = chart.even_caps
-    powers: dict = {}  # source index -> [rows of image, of image^2, ...]
 
-    def power(i: int, e: int) -> list:
-        """Rows of image_i^e over dens[i]^e; image^2 is a square of even rows."""
-        p = powers.get(i)
-        if p is None:
-            name = source.variables[i].name
-            if name in images:
-                rows = _rows(chart, _numerators(images[name].terms, dens[i]))
-            elif name in chart:  # identity, dropped if truncation or a cap forbids it
-                rows = _rows(chart, _numerators(SuperSeries.of_var(chart, name, order).terms, 1))
-            else:
-                raise KeyError(f"variable {name!r} has no image on chart {chart.name!r}")
-            p = powers[i] = [rows]
-        while len(p) < e:
+    def run(layout: _Layout) -> list:
+        powers: dict = {}  # source index -> [rows of image, of image^2, ...]
+
+        def power(i: int, e: int) -> list:
+            """Rows of image_i^e over dens[i]^e; image^2 is a square of even rows."""
+            p = powers.get(i)
+            if p is None:
+                name = source.variables[i].name
+                if name in images:
+                    rows = layout.rows(images[name].terms, dens[i])
+                elif name in chart:  # identity, dropped if truncation or a cap forbids it
+                    k = chart.index(name)
+                    unit = {(0,) * k + (1,) + (0,) * (len(chart) - k - 1): _ONE}
+                    rows = layout.rows(unit, 1) if chart.admits_var(k, order) else []
+                else:
+                    raise KeyError(f"variable {name!r} has no image on chart {chart.name!r}")
+                p = powers[i] = [rows]
+            while len(p) < e:
+                acc: dict = {}
+                _add_products(acc, p[-1], p[0], order, layout)
+                p.append(layout.rows_of(acc))
+            return p[e - 1]
+
+        least_weights: dict = {}  # i -> least row weight of image_i, order + 1 if empty
+
+        def least(i: int, e: int) -> int:
+            if i not in least_weights:
+                rows = power(i, 1)
+                least_weights[i] = min(rows)[0] >> layout.weight_shift if rows else order + 1
+            return e * least_weights[i]
+
+        out = []
+        for a in series:
+            # term m*c becomes c * image_0^e_0 * image_1^e_1 ... over den(c) * prod dens^e
+            term_dens = [c.denominator * prod([dens[i] ** e for i, e in enumerate(m) if e])
+                         for m, c in a.terms.items()]
+            den = lcm(*term_dens)
             acc: dict = {}
-            _add_products(acc, p[-1], p[0], order, caps)
-            p.append(_rows(chart, acc.items()))
-        return p[e - 1]
+            get = acc.get
+            for (m, c), d in zip(a.terms.items(), term_dens):
+                n = c.numerator * (den // d)
+                factors = [(i, e) for i, e in enumerate(m) if e]
+                # n times the first factor, times each further one in chart
+                # order; the last product goes straight into acc, and each one
+                # before it leaves room for the least weights of the later factors
+                rows = ([(p, n * k, o) for p, k, o in power(*factors[0])]
+                        if factors else [(0, n, 0)])
+                for j in range(1, len(factors) - 1):
+                    if not rows:
+                        break
+                    part: dict = {}
+                    _add_products(part, rows, power(*factors[j]),
+                                  order - sum([least(*f) for f in factors[j + 1:]]), layout)
+                    rows = layout.rows_of(part)
+                if len(factors) < 2:
+                    for p, k, _ in rows:
+                        acc[p] = get(p, 0) + k
+                elif rows:
+                    _add_products(acc, rows, power(*factors[-1]), order, layout)
+            out.append(layout.series(chart, acc, den, order))
+        return out
 
-    least_weights: dict = {}  # i -> least row weight of image_i, order + 1 if empty
-
-    def least(i: int, e: int) -> int:
-        if i not in least_weights:
-            least_weights[i] = min([r[2] for r in power(i, 1)], default=order + 1)
-        return e * least_weights[i]
-
-    out = []
-    unit = (0,) * len(chart)
-    for a in series:
-        # term m*c becomes c * image_0^e_0 * image_1^e_1 ... over den(c) * prod dens^e
-        term_dens = []
-        for m, c in a.terms.items():
-            d = c.denominator
-            for i, e in enumerate(m):
-                if e:
-                    d *= dens[i] ** e
-            term_dens.append(d)
-        den = lcm(*term_dens)
-        acc: dict = {}
-        get = acc.get
-        for (m, c), d in zip(a.terms.items(), term_dens):
-            n = c.numerator * (den // d)
-            factors = [(i, e) for i, e in enumerate(m) if e]
-            # n times the first factor, times each further one in chart
-            # order; the last product goes straight into acc, and each one
-            # before it leaves room for the least weights of the later factors
-            rows = ([(mono, n * k, w, o) for mono, k, w, o in power(*factors[0])]
-                    if factors else [(unit, n, 0, 0)])
-            for j in range(1, len(factors) - 1):
-                if not rows:
-                    break
-                part: dict = {}
-                _add_products(part, rows, power(*factors[j]),
-                              order - sum([least(*f) for f in factors[j + 1:]]), caps)
-                rows = _rows(chart, part.items())
-            if len(factors) < 2:
-                for mono, k, _, _ in rows:
-                    acc[mono] = get(mono, 0) + k
-            elif rows:
-                _add_products(acc, rows, power(*factors[-1]), order, caps)
-        out.append(_from_numerators(chart, acc, den, order))
-    return out
+    return _widening(chart, run)
 
 
 def truncate(a: SuperSeries, n: int) -> SuperSeries:

@@ -579,9 +579,9 @@ class TestReferenceKernel:
         truncations = []
         products = superalg._add_products
 
-        def recording(acc, rows_a, rows_b, order, caps):
+        def recording(acc, rows_a, rows_b, order, layout):
             truncations.append(order)
-            products(acc, rows_a, rows_b, order, caps)
+            products(acc, rows_a, rows_b, order, layout)
 
         monkeypatch.setattr(superalg, "_add_products", recording)
         out = substitute(term, images, chart=chart, order=REF_ORDER)
@@ -673,9 +673,9 @@ class TestReferenceKernel:
         calls = []
         products = superalg._add_products
 
-        def counting(acc, rows_a, rows_b, order, caps):
+        def counting(acc, rows_a, rows_b, order, layout):
             tally = Tally(acc)
-            products(tally, rows_a, rows_b, order, caps)
+            products(tally, rows_a, rows_b, order, layout)
             calls.append((len(rows_a), len(rows_b), rows_a is rows_b, tally.gets))
             acc.update(tally)
 
@@ -691,6 +691,71 @@ class TestReferenceKernel:
         calls.clear()
         mul(images["x"], images["x"])
         assert calls == [(4, 4, False, 16)]
+
+    def test_packed_exponents_cross_the_guard(self):
+        """An exponent past 127 does not fit an 8-bit field: operands holding
+        y^200 and y^130 (products up to y^398), and power-table squares and
+        cubes of x^100 + ..., rerun at a wider field and match the reference."""
+        chart = Chart("G", [Variable("x", EVEN), Variable("th", ODD), Variable("y", EVEN),
+                            Variable("q", EVEN, ROLE_MOMENTUM, weight=1)])
+        mono = lambda coeff, **exps: SuperSeries.monomial(chart, exps, coeff, REF_ORDER)
+        a = mono(1, y=200) + mono(Fraction(2, 3), x=1, th=1, y=130)
+        b = mono(1, y=198) + mono(-1, x=1, q=1) + mono(Fraction(1, 5), th=1, y=127)
+        for left, right in ((a, b), (b, a), (a, a), (mono(3, y=127), b)):
+            out = mul(left, right)
+            assert out.terms == ref_mul(left, right).terms
+            assert_clean(out)
+        assert (0, 0, 398, 0) in mul(a, b).terms
+        image = mono(1, x=100) + mono(Fraction(1, 2), x=1, q=1) + mono(-2, q=1)
+        x_image = mono(1, x=199) + mono(1, y=1)
+        images = {"x": x_image, "y": image}
+        full = dict(images, th=mono(1, th=1), q=mono(1, q=1))
+        reached = 0
+        for f in (mono(1, y=2), mono(1, y=3), mono(1, y=200) + mono(Fraction(1, 3), y=130, q=1),
+                  mono(2, x=1, y=2, q=1) + mono(1, th=1, y=1)):
+            out = substitute(f, images, chart=chart, order=REF_ORDER)
+            assert out.terms == ref_substitute(f, full, chart, REF_ORDER).terms
+            assert_clean(out)
+            reached = max(reached, *(m[0] for m in out.terms))
+        assert reached > 255
+
+    def test_one_term_and_empty_mul_match_reference(self):
+        """A one-term factor on either side: odd factors behind and ahead of
+        the other's (a minus sign in both operand orders), an odd variable
+        met twice, and products past the order or past the cap of t or of a
+        weightless s; and an empty factor, against one, several or no terms."""
+        rng = random.Random(20)
+        chart = ref_chart().extended("RS", [Variable("s", EVEN, ROLE_PARAM, max_power=1)])
+        odd = chart.odd_indices
+        zero = SuperSeries.zero(chart, REF_ORDER)
+        seen = set()
+        for _ in range(150):
+            one = zero
+            while len(one.terms) != 1:
+                one = draw(rng, chart, 1)
+            other = draw(rng, chart, rng.randint(0, 5))
+            for a, b in ((one, other), (other, one), (zero, other), (other, zero)):
+                out = mul(a, b)
+                assert out.terms == ref_mul(a, b).terms
+                assert (out.chart, out.order) == (chart, REF_ORDER)
+                assert_clean(out)
+            seen.add(("terms", min(len(other.terms), 2)))
+            (m0, _), = one.terms.items()
+            for m in other.terms:
+                product = tuple(e0 + e for e0, e in zip(m0, m))
+                if any(m0[i] and m[i] for i in odd):
+                    seen.add("odd twice")
+                elif chart.mono_weight(product) > REF_ORDER:
+                    seen.add("past the order")
+                elif not chart.admits(product, REF_ORDER):
+                    seen.update(("past the cap", v.name) for v, e in zip(chart, product)
+                                if v.max_power is not None and e > v.max_power)
+                else:
+                    for where, (m1, m2) in (("left", (m0, m)), ("right", (m, m0))):
+                        if _ref_mul_mono(chart, m1, m2)[1] < 0:
+                            seen.add(("minus", where))
+        assert seen == {"odd twice", "past the order", ("past the cap", "s"), ("past the cap", "t"),
+                        ("minus", "left"), ("minus", "right")} | {("terms", n) for n in range(3)}
 
     def test_substitute_all_edges(self):
         chart = ref_chart()
