@@ -18,6 +18,7 @@ the tangent/antitangent identifications swap and sign the pairings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Dict, Optional, Sequence, Tuple
 
 from .report import Report
@@ -30,12 +31,13 @@ from .superalg import (
     ROLE_PARAM,
     SuperSeries,
     Variable,
+    _substitute_packed,
+    _terms,
+    _widening,
     embed,
     mul,
     partial,
     set_to_zero,
-    substitute,
-    substitute_all,
 )
 from .superforms import (
     COTANGENT,
@@ -199,52 +201,33 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
     name onto ``work``.  Starting from the base map (the relations at zero
     momenta), sweep i sets mu_i = sign_i dh/dw^i(w) and then w from the
     relation at mu, both truncated at weight t = min(i + 1, order - 1).
-    Each half-sweep is one ``substitute_all`` call (all dh/dw^i at w, then
-    all relations at mu), so the powers of w, then of mu, are made once for
-    all coordinates.  What certifies is a fixed point at t = order - 1: a
-    sweep there that leaves w unchanged, or whose gradient equals the one
-    before it at that truncation.  The two are equally strong, because the
-    new w is the relation at the gradient and nothing else.  Since every
-    coordinate-dependent term of h has weight >= 1 (checked first), the
-    gradient through weight t needs w only through weight t - 1, so the
-    first gradient at t = order - 1 is already final and the next one
-    certifies without its relation half.  It raises unless certified within
-    ``order + 2`` sweeps, and takes the value from the envelope theorem.
+    All of it runs in one packed layout (a guard hit anywhere reruns it all
+    wider): dh, the relations and E h are packed once, the base map, each
+    half-sweep and the value are one ``_substitute_packed`` call each, and w
+    and mu stay packed sums over their least common denominator, so equal
+    ones compare equal.  No parity is checked here: ``mk_thick`` checked S's
+    and the momenta's, ``pullback_series`` h's (a composite's h is the outer
+    S), and w's and mu's follow from those.  What certifies is a fixed point
+    at t = order - 1, all of w the value needs: a sweep there that leaves w
+    unchanged, or whose gradient equals the one before it at that truncation
+    (at a lower one, an unchanged w proves nothing: h may enter only at even
+    weights).  The two are equally strong, because the new w is the relation
+    at the gradient and nothing else.  Since every coordinate-dependent term
+    of h has weight >= 1 (checked first), the gradient through weight t
+    needs w only through weight t - 1, so the first gradient at t = order - 1
+    is already final and the next one certifies without its relation half.
+    It raises unless certified within ``order + 2`` sweeps, and takes the
+    value from the envelope theorem.
     """
     if any(v.weight for v in (*phi.source, *phi.target)):
         raise MorphismError("source and target coordinates must have weight 0")
     coords = [h.chart.index(v.name) for v in phi.target]
     if any(m[i] for m in h.terms if not h.chart.mono_weight(m) for i in coords):
         raise MorphismError("coordinate-dependent terms need weight, or the sweeps may not settle")
-    series = lambda chart, terms, t: SuperSeries(chart, terms, t, _checked=True)
-    dh = [partial(h, c.coord) for c in phi.conjugates]
+    dh = [_terms(partial(h, c.coord)) for c in phi.conjugates]
     relations = phi.coordinate_relations()
+    rels = [_terms(rel) for rel in relations.values()]
     momenta = phi.momentum_names()
-    w = {k: embed(set_to_zero(rel, momenta), work, 0) for k, rel in relations.items()}
-    rels = list(relations.values())
-    # Every coordinate-dependent term of h has weight >= 1, so sweep i makes
-    # w right through weight i + 1.  An unchanged w at a lower truncation
-    # proves nothing (h may enter only at even weights): only t = order - 1,
-    # which is all of w the value needs, certifies: an unchanged w, or a
-    # gradient equal to the last one at that truncation, whose relation half
-    # would return w unchanged and is not made.
-    last = None
-    for i in range(order + 2):
-        t = min(i + 1, order - 1)
-        w = {k: series(work, s.terms, t) for k, s in w.items()}  # t >= s.order
-        # mu_i = sign_i dh/dw^i(w): the gradient carries the sign, not the relations
-        grad = {c.momentum: g if c.sign > 0 else -g
-                for c, g in zip(phi.conjugates, substitute_all(dh, w, chart=work, order=t))}
-        if t == order - 1:
-            if grad == last:
-                break
-            last = grad
-        new = dict(zip(relations, substitute_all(rels, grad, chart=work, order=t)))
-        if t == order - 1 and new == w:
-            break
-        w = new
-    else:
-        raise MorphismError(f"relation still moving after {order + 2} sweeps")
     # Envelope theorem: scaling each weighted variable v of ``work`` (eps,
     # weighted params, a compose's outer momenta) by lambda^weight(v) scales
     # the value the same way.  Only h depends on them explicitly and both
@@ -252,12 +235,37 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
     # for E = lambda d/dlambda, which multiplies each monomial by its weight:
     # out_k = [(E h)(w)]_k / k.  At lambda = 0, mu = 0 and w is the base map,
     # so out_0 = h_0 + S(x; 0); h_0 passes through with factor 1.
-    weight = lambda chart, m: chart.mono_weight(m) or 1
-    eh = series(h.chart, {m: c * weight(h.chart, m) for m, c in h.terms.items()}, h.order)
-    value = substitute(eh, {k: series(work, s.terms, order) for k, s in w.items()},
-                       chart=work, order=order)
-    out = series(work, {m: c / weight(work, m) for m, c in value.terms.items()}, order)
-    return out + embed(set_to_zero(phi.S, momenta), work, order)
+    eh = [(f, n * (sum([h.chart.weights[i] * e for i, e in f]) or 1), d) for f, n, d in _terms(h)]
+
+    def run(layout):
+        images = lambda sums: {k: (layout.rows_of(acc), den) for k, (acc, den) in sums.items()}
+        # the base map: the relations at mu = 0, through weight 0
+        w = dict(zip(relations, _substitute_packed(
+            layout, work, 0, phi.chart, rels, {m: ([], 1) for m in momenta})))
+        last = None
+        for i in range(order + 2):
+            t = min(i + 1, order - 1)
+            # mu_i = sign_i dh/dw^i(w): the gradient carries the sign, not the relations
+            grad = {c.momentum: (acc if c.sign > 0 else {p: -n for p, n in acc.items()}, den)
+                    for c, (acc, den) in zip(phi.conjugates, _substitute_packed(
+                        layout, work, t, h.chart, dh, images(w)))}
+            if t == order - 1:
+                if grad == last:
+                    break
+                last = grad
+            new = dict(zip(relations, _substitute_packed(
+                layout, work, t, phi.chart, rels, images(grad))))
+            if t == order - 1 and new == w:
+                break
+            w = new
+        else:
+            raise MorphismError(f"relation still moving after {order + 2} sweeps")
+        (acc, den), = _substitute_packed(layout, work, order, h.chart, [eh], images(w))
+        scale, shift = lcm(*range(1, order + 1)), layout.weight_shift
+        return layout.series(work, {p: n * (scale // ((p >> shift) or 1)) for p, n in acc.items()},
+                             den * scale, order)
+
+    return _widening(work, run) + embed(set_to_zero(phi.S, momenta), work, order)
 
 
 def pullback_series(phi: ThickMorphism, h: SuperSeries, n_eps: int,
@@ -270,6 +278,8 @@ def pullback_series(phi: ThickMorphism, h: SuperSeries, n_eps: int,
     _require_order(n_eps)
     if h.chart != series_chart(phi, params):
         raise ChartMismatch("series must live on (eps, params, target coords)")
+    if not h.has_parity(kind_parity(phi.kind)):
+        raise ParityError(f"{phi.kind} morphism pulls back {phi.kind} functions")
     return _eliminate(phi, h, pullback_chart(phi, params), n_eps)
 
 

@@ -18,13 +18,15 @@ guard: an operation whose exponents reach it reruns at twice the width (F =
 ``mul``, ``partial`` and ``deriv`` shift exponents term by term instead:
 ``partial`` lowers one on the ``Fraction``s, and ``deriv``, whose images are
 chart variables, lowers one and raises another, summing numerators over the
-operand's denominator.  Every intermediate of a substitution (image powers,
-partial products of a monomial's factors) stays packed, and ``substitute_all``
-substitutes several series under one image map with one shared table of
-image powers.  Only even variables reach an exponent of 2, and their images
-are even, so the table squares each image over its unordered pairs of rows.
-Weights only add up, so a partial product of a term's factors stops at the
-order less the least weights of the factors still to come.
+operand's denominator.  ``_substitute_packed`` substitutes packed images into
+several series with one shared table of image powers, keeps every
+intermediate packed, and returns packed sums over their least common
+denominator; ``substitute_all`` packs and unpacks around it, and the
+eliminator keeps its iterates packed in it from sweep to sweep.  Only even
+variables reach an exponent of 2, and their images are even, so the table
+squares each image over its unordered pairs of rows.  Weights only add up,
+so a partial product of a term's factors stops at the order less the least
+weights of the factors still to come.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 EVEN = 0
@@ -194,8 +196,8 @@ class SuperSeries:
                  _checked: bool = False):
         self.chart = chart
         self.order = order
-        if _checked:
-            self.terms = dict(terms)
+        if _checked:  # a fresh dict, or another series' terms: both are kept as they are
+            self.terms = terms
             return
         clean = {}
         for m, c in terms.items():
@@ -563,25 +565,17 @@ def substitute(a: SuperSeries, images: Mapping[str, SuperSeries],
 
 def substitute_all(series: Sequence[SuperSeries], images: Mapping[str, SuperSeries],
                    chart: Chart, order: int) -> list:
-    """``substitute`` of each series, all on one chart, under one image map.
-
-    The powers of each image are computed once for all the series.  A term
-    c * prod image_i^e_i is built one factor at a time in chart order, each
-    partial product truncated at the order less the sum of ``least(i, e)``
-    over the later factors: e times the least row weight of image_i (``order
-    + 1`` if empty), a bound below image_i^e's that needs no power of it.
-    Only terms of three or more factors look it up.
-    """
+    """``substitute`` of each series, all on one chart, under one image map: checks
+    charts and image parities, and packs for and unpacks ``_substitute_packed``."""
     if not series:
         return []
     source = series[0].chart
     if any(a.chart != source for a in series):
         raise ChartMismatch("substituted series must share one chart")
-    # Source variable i maps to integer rows over dens[i]: the image's
-    # terms over their common denominator, or one identity row over 1.
-    dens = []
-    for v in source:
-        den = 1
+    sources = [_terms(a) for a in series]
+    occurring = {i for terms in sources for factors, _, _ in terms for i, _ in factors}
+    used = {}  # name -> (image, its terms' common denominator), packed if it occurs
+    for i, v in enumerate(source):
         if v.name in images:
             img = images[v.name]
             if img.chart != chart or img.order != order:
@@ -590,72 +584,97 @@ def substitute_all(series: Sequence[SuperSeries], images: Mapping[str, SuperSeri
             if not img.has_parity(v.parity):
                 raise ParityError(
                     f"image of {v.name!r} has a component of wrong parity")
-            den = _common_denominator(img.terms.values())
-        dens.append(den)
+            if i in occurring:
+                used[v.name] = img, _common_denominator(img.terms.values())
 
     def run(layout: _Layout) -> list:
-        powers: dict = {}  # source index -> [rows of image, of image^2, ...]
-
-        def power(i: int, e: int) -> list:
-            """Rows of image_i^e over dens[i]^e; image^2 is a square of even rows."""
-            p = powers.get(i)
-            if p is None:
-                name = source.variables[i].name
-                if name in images:
-                    rows = layout.rows(images[name].terms, dens[i])
-                elif name in chart:  # identity, dropped if truncation or a cap forbids it
-                    k = chart.index(name)
-                    unit = {(0,) * k + (1,) + (0,) * (len(chart) - k - 1): _ONE}
-                    rows = layout.rows(unit, 1) if chart.admits_var(k, order) else []
-                else:
-                    raise KeyError(f"variable {name!r} has no image on chart {chart.name!r}")
-                p = powers[i] = [rows]
-            while len(p) < e:
-                acc: dict = {}
-                _add_products(acc, p[-1], p[0], order, layout)
-                p.append(layout.rows_of(acc))
-            return p[e - 1]
-
-        least_weights: dict = {}  # i -> least row weight of image_i, order + 1 if empty
-
-        def least(i: int, e: int) -> int:
-            if i not in least_weights:
-                rows = power(i, 1)
-                least_weights[i] = min(rows)[0] >> layout.weight_shift if rows else order + 1
-            return e * least_weights[i]
-
-        out = []
-        for a in series:
-            # term m*c becomes c * image_0^e_0 * image_1^e_1 ... over den(c) * prod dens^e
-            term_dens = [c.denominator * prod([dens[i] ** e for i, e in enumerate(m) if e])
-                         for m, c in a.terms.items()]
-            den = lcm(*term_dens)
-            acc: dict = {}
-            get = acc.get
-            for (m, c), d in zip(a.terms.items(), term_dens):
-                n = c.numerator * (den // d)
-                factors = [(i, e) for i, e in enumerate(m) if e]
-                # n times the first factor, times each further one in chart
-                # order; the last product goes straight into acc, and each one
-                # before it leaves room for the least weights of the later factors
-                rows = ([(p, n * k, o) for p, k, o in power(*factors[0])]
-                        if factors else [(0, n, 0)])
-                for j in range(1, len(factors) - 1):
-                    if not rows:
-                        break
-                    part: dict = {}
-                    _add_products(part, rows, power(*factors[j]),
-                                  order - sum([least(*f) for f in factors[j + 1:]]), layout)
-                    rows = layout.rows_of(part)
-                if len(factors) < 2:
-                    for p, k, _ in rows:
-                        acc[p] = get(p, 0) + k
-                elif rows:
-                    _add_products(acc, rows, power(*factors[-1]), order, layout)
-            out.append(layout.series(chart, acc, den, order))
-        return out
+        packed = {name: (layout.rows(img.terms, den), den) for name, (img, den) in used.items()}
+        return [layout.series(chart, acc, den, order) for acc, den
+                in _substitute_packed(layout, chart, order, source, sources, packed)]
 
     return _widening(chart, run)
+
+
+def _terms(a: SuperSeries) -> list:
+    """(nonzero (index, exponent) pairs, numerator, denominator) per term of ``a``."""
+    return [([(i, e) for i, e in enumerate(m) if e], c.numerator, c.denominator)
+            for m, c in a.terms.items()]
+
+
+def _substitute_packed(layout: _Layout, chart: Chart, order: int, source: Chart,
+                       sources: Sequence[list], images: Mapping[str, tuple]) -> list:
+    """The packed core of ``substitute_all``: each source (``_terms`` of a series
+    on ``source``) under ``images`` (name -> (rows, their denominator); others
+    map to their namesakes on ``chart``) becomes (acc, den), nonzero numerators
+    by packed monomial over their least common denominator, so equal sums compare equal.
+
+    The powers of each image are computed once for all the sources.  A term
+    c * prod image_i^e_i is built one factor at a time in chart order, each
+    partial product truncated at the order less the sum of ``least(i, e)``
+    over the later factors: e times the least row weight of image_i (``order
+    + 1`` if empty), a bound below image_i^e's that needs no power of it.
+    Only terms of three or more factors look it up.
+    """
+    dens = [images[v.name][1] if v.name in images else 1 for v in source]
+    powers: dict = {}  # source index -> [rows of image, of image^2, ...]
+
+    def power(i: int, e: int) -> list:
+        """Rows of image_i^e over dens[i]^e; image^2 is a square of even rows."""
+        p = powers.get(i)
+        if p is None:
+            name = source.variables[i].name
+            if name in images:
+                rows = images[name][0]
+            elif name in chart:  # identity, dropped if truncation or a cap forbids it
+                k = chart.index(name)
+                unit = {(0,) * k + (1,) + (0,) * (len(chart) - k - 1): _ONE}
+                rows = layout.rows(unit, 1) if chart.admits_var(k, order) else []
+            else:
+                raise KeyError(f"variable {name!r} has no image on chart {chart.name!r}")
+            p = powers[i] = [rows]
+        while len(p) < e:
+            acc: dict = {}
+            _add_products(acc, p[-1], p[0], order, layout)
+            p.append(layout.rows_of(acc))
+        return p[e - 1]
+
+    least_weights: dict = {}  # i -> least row weight of image_i, order + 1 if empty
+
+    def least(i: int, e: int) -> int:
+        if i not in least_weights:
+            rows = power(i, 1)
+            least_weights[i] = min(rows)[0] >> layout.weight_shift if rows else order + 1
+        return e * least_weights[i]
+
+    out = []
+    for terms in sources:
+        # c * image_0^e_0 * image_1^e_1 ... over den(c) * prod dens^e
+        term_dens = [d * prod([dens[i] ** e for i, e in factors]) for factors, _, d in terms]
+        den = lcm(*term_dens)
+        acc: dict = {}
+        get = acc.get
+        for (factors, n, _), d in zip(terms, term_dens):
+            n *= den // d
+            # n times the first factor, times each further one in chart
+            # order; the last product goes straight into acc, and each one
+            # before it leaves room for the least weights of the later factors
+            rows = ([(p, n * k, o) for p, k, o in power(*factors[0])]
+                    if factors else [(0, n, 0)])
+            for j in range(1, len(factors) - 1):
+                if not rows:
+                    break
+                part: dict = {}
+                _add_products(part, rows, power(*factors[j]),
+                              order - sum([least(*f) for f in factors[j + 1:]]), layout)
+                rows = layout.rows_of(part)
+            if len(factors) < 2:
+                for p, k, _ in rows:
+                    acc[p] = get(p, 0) + k
+            elif rows:
+                _add_products(acc, rows, power(*factors[-1]), order, layout)
+        g = gcd(den, *acc.values())
+        out.append(({p: n // g for p, n in acc.items() if n}, den // g))
+    return out
 
 
 def truncate(a: SuperSeries, n: int) -> SuperSeries:

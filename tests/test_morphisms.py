@@ -23,6 +23,7 @@ from mfc.morphisms import (
     pullback_derivative,
     pullback_series,
     relation_check,
+    series_chart,
 )
 from mfc.superalg import (
     EVEN,
@@ -33,11 +34,11 @@ from mfc.superalg import (
     ParityError,
     SuperSeries,
     Variable,
+    _substitute_packed,
     embed,
     mul,
     partial,
     substitute,
-    substitute_all,
     truncate,
 )
 from mfc.superforms import kind_parity
@@ -310,6 +311,8 @@ class TestPullback:
         pullback(phi, g, ORDER)
         with pytest.raises(ParityError):
             pullback(phi, SuperSeries.const(tgt, 1, ORDER), ORDER)
+        with pytest.raises(ParityError):  # the eliminator checks no parity itself
+            pullback_series(phi, SuperSeries.of_var(series_chart(phi), EPS, ORDER), ORDER)
 
     def test_wrong_chart_rejected(self):
         g = SuperSeries.of_var(chart_z(), "z", 2)
@@ -387,21 +390,56 @@ class TestPullback:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
     def test_substitute_all_calls(self, n, monkeypatch):
         """A pullback at eps-order n >= 2 makes n - 1 sweeps of two
-        ``substitute_all`` calls and certifies on the next gradient alone:
-        2n - 1 calls.  At n = 1 the first sweep leaves w unchanged (2).
-        compose certifies on an unchanged w: 2n - 2 calls here."""
+        half-sweeps, each one ``_substitute_packed`` call, and certifies on
+        the next gradient alone: 2n - 1 calls.  At n = 1 the first sweep
+        leaves w unchanged (2).  compose certifies on an unchanged w: 2n - 2
+        calls here.  The base map's call (the relations at mu = 0, weight 0)
+        comes first and the value's (at the full order) last; neither is a
+        half-sweep, and neither is counted."""
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs["order"])
-            return substitute_all(*args, **kwargs)
-        monkeypatch.setattr(morphisms, "substitute_all", counted)
+        def counted(layout, chart, order, *args):
+            calls.append(order)
+            return _substitute_packed(layout, chart, order, *args)
+        monkeypatch.setattr(morphisms, "_substitute_packed", counted)
         pullback(worked_example(n), SuperSeries.of_var(chart_y(), "y", n) ** 2, n)
-        assert len(calls) == (2 * n - 1 if n > 1 else 2)
+        base, *sweeps, value = calls
+        assert (base, value) == (0, n) and max(sweeps) < n
+        assert len(sweeps) == (2 * n - 1 if n > 1 else 2)
         if n > 2:
             calls.clear()
             compose(golden_psi(), worked_example(n), n)
-            assert len(calls) <= 2 * n - 2
+            base, *sweeps, value = calls
+            assert (base, value) == (0, n) and max(sweeps) < n
+            assert len(sweeps) <= 2 * n - 2
+
+    def test_guard_hit_in_a_sweep(self, monkeypatch):
+        """Exponents past 127 overflow the 8-bit fields in the first gradient
+        already, not only in the value, and the whole elimination reruns
+        wider.  The expected text is what the eliminator printed while each
+        half-sweep still unpacked its output."""
+        hits = []
+
+        def counted(layout, chart, order, *args):
+            try:
+                return _substitute_packed(layout, chart, order, *args)
+            except OverflowError:
+                hits.append(order)
+                raise
+        monkeypatch.setattr(morphisms, "_substitute_packed", counted)
+        phi = worked_example(3)
+        y = SuperSeries.of_var(chart_y(), "y", 3)
+        got = pullback(phi, y ** 200 + mul(y ** 130, y ** 3), 3)
+        assert hits and min(hits) < 3
+        assert serialize(got) == (
+            "eps*x^133 + eps*x^200 + 17689/2*eps^2*x^264 + 26600*eps^2*x^331"
+            " + 155274042*eps^3*x^395 + 20000*eps^2*x^398 + 819000700*eps^3*x^462"
+            " + 1409800000*eps^3*x^529 + 796000000*eps^3*x^596")
+        work = pullback_chart(phi)
+        h_chart = series_chart(phi)
+        h = (SuperSeries.monomial(h_chart, {EPS: 1, "y": 200}, 1, 3)
+             + SuperSeries.monomial(h_chart, {EPS: 1, "y": 133}, 1, 3))
+        assert got == ref_eliminate(phi, h, work, 3)
 
     @pytest.mark.parametrize("order", [0, -1])
     def test_order_below_one_rejected(self, order):

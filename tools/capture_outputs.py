@@ -24,16 +24,20 @@ each function of a parsed workspace, in declaration order; one line per
 image of a prolonged coordinate change; the name and ``repr`` of the
 variables of an extended chart).  A ``substitute_all`` call writes one
 ``substitute`` line per series, as the ``substitute`` calls it replaces
-would.  ``extend_d``, the d-level extension of commits where the d level
-was not yet a key of ``BUNDLES``, writes ``extend_chart`` lines, so that
-its charts compare with ``extend_chart(chart, D)``'s.  An output with a
-number too long for ``str`` is recorded as ``[name, "<unprintable>"]`` and
-passed on unchanged, so the caller still meets the error it would meet
-without the plugin.  Kernel calls that ``superalg`` makes itself
-(``substitute`` calling ``substitute_all``, ``a * b`` calling ``mul``) are
-not recorded: they are internals a kernel change may add or drop.  Targets
-a commit does not define are skipped.  ``PYTHONHASHSEED=0`` fixes the
-order of any set iteration, so equal code gives equal files.
+would.  The eliminator (``morphisms._eliminate``) makes no ``substitute``
+records: it substitutes through ``superalg._substitute_packed``, packed
+from its first sweep to its value, so a commit before that change writes
+``substitute`` lines for its sweeps that a later one drops.  ``extend_d``,
+the d-level extension of commits where the d level was not yet a key of
+``BUNDLES``, writes ``extend_chart`` lines, so that its charts compare with
+``extend_chart(chart, D)``'s.  An output with a number too long for ``str``
+is recorded as ``[name, "<unprintable>"]`` and passed on unchanged, so the
+caller still meets the error it would meet without the plugin.  Kernel
+calls that ``superalg`` makes itself (``substitute`` calling
+``substitute_all``, ``a * b`` calling ``mul``) are not recorded: they are
+internals a kernel change may add or drop.  Targets a commit does not define
+are skipped.  ``PYTHONHASHSEED=0`` fixes the order of any set iteration, so
+equal code gives equal files.
 """
 
 from __future__ import annotations
