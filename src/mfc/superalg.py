@@ -14,7 +14,10 @@ bits up, an F-bit exponent field per chart variable, in chart order, and the
 weight, so a product is one add and its truncation one compare; the odd mask
 is its bits at the odd variables' fields.  The top bit of each field is a
 guard: an operation whose exponents reach it reruns at twice the width (F =
-8, 16, 32, 64).  Layouts are cached per chart shape.  A one-term factor of
+8, 16, 32, 64).  Layouts are cached per chart shape.  The weight sits above
+the fields, so the product kernel sorts the longer operand by packed monomial
+and pairs each row of the shorter one with the prefix the truncation keeps,
+reading the Koszul sign off one mask per outer row.  A one-term factor of
 ``mul``, ``partial`` and ``deriv`` shift exponents term by term instead:
 ``partial`` lowers one on the ``Fraction``s, and ``deriv``, whose images are
 chart variables, lowers one and raises another, summing numerators over the
@@ -34,6 +37,7 @@ from __future__ import annotations
 import functools
 import operator
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -399,6 +403,9 @@ def _common_denominator(coeffs: Iterable[Fraction]) -> int:
     return lcm(*[c.denominator for c in coeffs])
 
 
+_packed = operator.itemgetter(0)  # a row's packed monomial
+
+
 def _add_products(acc: dict, rows_a: list, rows_b: list, order: int,
                   layout: _Layout) -> None:
     """acc[p1 + p2] += sign*n1*n2 for every pair of rows the truncation keeps.
@@ -410,32 +417,55 @@ def _add_products(acc: dict, rows_a: list, rows_b: list, order: int,
     Each field's top bit is a guard the operands stay below, so the add
     carries into no other field; a sum that sets a guard becomes no operand
     (``rows_of`` refuses it), and the whole operation reruns twice as wide.
-    Handed one list twice (only ``power``'s image^2 step does so), it squares:
-    row j times itself, then each later row k with 2*n_k.  That needs even
-    rows, whose pairs (j, k) and (k, j) make one monomial with one sign;
-    ``mul(a, a)`` builds two lists, so an odd a*a still cancels.
+    The weight sits above the fields, so once the longer operand is sorted by
+    packed monomial, the rows that a row p1 of the shorter one keeps pairs with
+    are its prefix up to ``limit - p1``: only that prefix is visited.  An even
+    outer row on a chart with no capped even variable needs no overlap test,
+    sign or cap.  Any other row reads each pair's Koszul sign off one AND with
+    a mask made once per row: the odd fields below its odd factors when it is
+    the left factor (each odd factor of the right one moves left past the
+    left one's odd factors that stand after it), above them when it is the
+    right one.  Handed one list twice (only ``power``'s image^2 step does so),
+    it squares: sorted row j times itself, then each later row k under the cut
+    with 2*n_k.  That needs even rows, whose pairs (j, k) and (k, j) make one
+    monomial with one sign; ``mul(a, a)`` builds two lists, so an odd a*a still
+    cancels.
     """
     get = acc.get
     limit = ((order + 1) << layout.weight_shift) - 1  # the heaviest packed monomial kept
-    caps, field = layout.caps, layout.field
-    twice = [(p, n << 1, o) for p, n, o in rows_b] if rows_a is rows_b else None
-    for j, (p1, n1, o1) in enumerate(rows_a):
-        room = limit - p1
-        for p2, n2, o2 in ([rows_a[j], *twice[j + 1:]] if twice is not None else rows_b):
-            if p2 > room or o1 & o2:  # too heavy, or an odd variable squared
+    caps, field, odd = layout.caps, layout.field, layout.odd
+    left = len(rows_a) <= len(rows_b)  # whether the outer rows are the left factor
+    outer, inner = (rows_a, rows_b) if left else (rows_b, rows_a)
+    inner = sorted(inner, key=_packed)
+    twice = None
+    if rows_a is rows_b:  # a square: the outer rows are the sorted ones
+        outer, twice = inner, [(p, n << 1, o) for p, n, o in inner]
+    for j, (p1, n1, o1) in enumerate(outer):
+        end = bisect_right(inner, limit - p1, key=_packed)
+        if twice is None:
+            pairs = inner[:end]
+        elif end <= j:  # the outer rows are sorted too: no later row keeps a pair
+            break
+        else:
+            pairs = [inner[j], *twice[j + 1:end]]
+        if not o1 and not caps:
+            for p2, n2, _ in pairs:
+                p = p1 + p2
+                acc[p] = get(p, 0) + n1 * n2
+            continue
+        mask, o = 0, o1
+        while o:
+            low = o & -o
+            mask ^= odd & (low - 1) if left else odd & -(low << 1)
+            o ^= low
+        for p2, n2, o2 in pairs:
+            if o1 & o2:  # an odd variable squared
                 continue
             p = p1 + p2
             if caps and any(p >> shift & field > cap for shift, cap in caps):
                 continue
             n = n1 * n2
-            # Koszul sign: each odd factor of m2 moves left past the odd
-            # factors of m1 that stand after it in chart order.
-            while o2:
-                low = o2 & -o2
-                if (o1 >> low.bit_length()).bit_count() & 1:
-                    n = -n
-                o2 ^= low
-            acc[p] = get(p, 0) + n
+            acc[p] = get(p, 0) + (-n if (o2 & mask).bit_count() & 1 else n)
 
 
 def _shift(a: SuperSeries, m0: tuple, c0: Fraction, left: bool) -> SuperSeries:

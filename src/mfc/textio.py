@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NoReturn, Optional, Set
 
-from .morphisms import combined_chart, mk_thick
+from .morphisms import EPS, combined_chart, mk_thick
 from .superalg import EVEN, ODD, Chart, SuperSeries, Variable, mul
 from .superforms import BUNDLES, COTANGENT, D, PIT, T, extend_chart, partner
 
@@ -307,7 +307,10 @@ _COVECTORS = tuple(BUNDLES[b].prefix for b in COTANGENT.values())  # q_, ys_
 def _derived(name: str, coordinates: Set[str]) -> Optional[str]:
     """What a command derives under ``name`` beside a chart's coordinates, if
     anything: the T, PiT or d partner of another coordinate or of any
-    (anti)momentum, or the velocity of an odd velocity par_<v>."""
+    (anti)momentum, the velocity of an odd velocity par_<v>, or the formal
+    parameter that a pullback adds to the source and target charts."""
+    if name == EPS:
+        return "the formal parameter of a pullback"
     for b in (T, PIT, D):
         base = name[len(BUNDLES[b].prefix):]
         if name == partner(base, b) and (

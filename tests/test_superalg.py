@@ -757,6 +757,92 @@ class TestReferenceKernel:
         assert seen == {"odd twice", "past the order", ("past the cap", "s"), ("past the cap", "t"),
                         ("minus", "left"), ("minus", "right")} | {("terms", n) for n in range(3)}
 
+    def test_truncated_products_match_reference(self):
+        """The kernel visits only the pairs under the order: products on a
+        chart of four odd variables whose shorter operand (of two or more
+        rows) is the left factor or the right one, with odd rows on both sides
+        and minus signs in both orientations; pairs of weight exactly the order
+        (kept) and one more (dropped); the capped t past its cap in a product
+        that also cuts by weight; operands past the 8-bit guard; and an empty
+        operand on either side."""
+        rng = random.Random(21)
+        chart = ref_chart().extended("R4", [Variable("ze", ODD)])
+        weight, t = chart.mono_weight, chart.index("t")
+        odd = lambda m: any(m[i] for i in chart.odd_indices)
+        zero = SuperSeries.zero(chart, REF_ORDER)
+        mono = lambda coeff, **exps: SuperSeries.monomial(chart, exps, coeff, REF_ORDER)
+        # x^130 and x^120 are past 127, and their product past 255
+        wide = (mono(1, x=130, th=1, q=1) + mono(Fraction(2, 3), x=120, et=1, p=1)
+                + mono(-1, x=129, q=2), mono(3, x=125, ze=1, q=1, p=1) + mono(1, x=2, th=1, q=2))
+        operands = [(draw(rng, chart, rng.randint(2, 3)), draw(rng, chart, rng.randint(4, 7)))
+                    for _ in range(40)]
+        seen = set()
+        for a, b in [*operands, wide, (zero, wide[0]), (wide[0], zero)]:
+            for left, right in ((a, b), (b, a)):
+                out = mul(left, right)
+                assert out.terms == ref_mul(left, right).terms
+                assert (out.chart, out.order) == (chart, REF_ORDER)
+                assert_clean(out)
+                if not left.terms or not right.terms:
+                    seen.add("empty")
+                    continue
+                side = "left" if len(left.terms) < len(right.terms) else "right"
+                if any(map(odd, left.terms)) and any(map(odd, right.terms)):
+                    seen.add(("odd rows", side))
+                cut = capped = False
+                for m1 in left.terms:
+                    for m2 in right.terms:
+                        m, sign = _ref_mul_mono(chart, m1, m2)
+                        w = weight(m1) + weight(m2)
+                        if m is None and w <= REF_ORDER and m1[t] + m2[t] > 2:
+                            capped = True
+                        if m is None or m1[t] + m2[t] > 2:
+                            continue
+                        cut = cut or w > REF_ORDER
+                        if w == REF_ORDER:
+                            seen.add("at the order")
+                            if sign < 0 and odd(m1) and odd(m2):
+                                seen.add(("minus", side))
+                        elif w == REF_ORDER + 1:
+                            seen.add("one past the order")
+                if capped and cut:
+                    seen.add("capped and cut")
+                if max(m[0] for m in left.terms) > 127 and cut:
+                    seen.add("wide and cut")
+        assert seen == {"empty", "at the order", "one past the order", "capped and cut",
+                        "wide and cut"} | {(what, side) for what in ("odd rows", "minus")
+                                           for side in ("left", "right")}
+
+    def test_truncated_square_matches_reference(self):
+        """The power table squares an image whose even rows hold odd pairs,
+        under truncation: x -> y + th*p + et*ze*q + q*t + th*ze*t on a chart of
+        four odd variables, at every order.  Its rows' pairs make minus signs
+        and fall past the order, and x^2 and x^3 must match the reference."""
+        chart = ref_chart().extended("R4", [Variable("ze", ODD)])
+        mono = lambda coeff, order, **exps: SuperSeries.monomial(chart, exps, coeff, order)
+        seen = set()
+        for order in range(REF_ORDER + 1):
+            image = (mono(1, order, y=1) + mono(Fraction(2, 3), order, th=1, p=1)
+                     + mono(-1, order, et=1, ze=1, q=1) + mono(Fraction(1, 5), order, q=1, t=1)
+                     + mono(3, order, th=1, ze=1, t=1))
+            rows = list(image.terms)
+            for m1, m2 in itertools.combinations(rows, 2):
+                m, sign = _ref_mul_mono(chart, m1, m2)
+                if m is not None and chart.mono_weight(m) > order:
+                    seen.add("cut")
+                elif m is not None and sign < 0:
+                    seen.add("minus sign")
+            full = {v.name: SuperSeries.of_var(chart, v.name, order) for v in chart}
+            full["x"] = image
+            for e in (2, 3):
+                a = mono(Fraction(1, 7), REF_ORDER, x=e)
+                out = substitute(a, {"x": image}, chart=chart, order=order)
+                assert out.terms == ref_substitute(a, full, chart, order).terms
+                assert_clean(out)
+                seen.add((order, e, bool(out.terms)))
+        assert {"cut", "minus sign"} <= seen
+        assert all((order, e, True) in seen for order in range(REF_ORDER + 1) for e in (2, 3))
+
     def test_substitute_all_edges(self):
         chart = ref_chart()
         x = SuperSeries.of_var(chart, "x", REF_ORDER)

@@ -377,7 +377,17 @@ class TestCli:
         # the velocity of par_x, which a function mentioning both derives
         ("chart M { x : even, dot_par_x : even }\nfunction f on M { par_x*dot_x }\n",
          ["check"], "error: 1:21: coordinate 'dot_par_x' names the velocity of 'par_x'\n"),
-    ], ids=["d", "momentum", "par"])
+        # the pullback's formal parameter, on the source chart and on the target
+        ("chart M { eps : even }\nchart N { y : even }\n"
+         "morphism Phi : M -> N kind=even { S = eps*q_y + 1/2*q_y^2 }\nfunction g on N { y^2 }\n",
+         ["pullback", "--morphism", "Phi", "--function", "g", "--order", "2"],
+         "error: 1:11: coordinate 'eps' names the formal parameter of a pullback\n"),
+        ("chart M { x : even }\nchart N { eps : even }\n"
+         "morphism Phi : M -> N kind=even { S = x*q_eps + 1/2*q_eps^2 }\n"
+         "function g on N { eps^2 }\n",
+         ["pullback", "--morphism", "Phi", "--function", "g", "--order", "2"],
+         "error: 2:11: coordinate 'eps' names the formal parameter of a pullback\n"),
+    ], ids=["d", "momentum", "par", "eps-source", "eps-target"])
     def test_derived_name_coordinate_positioned(self, tmp_path, capsys, text, argv, message):
         bad = tmp_path / "derived.mfc"
         bad.write_text(text)
