@@ -786,7 +786,7 @@ class TestReferenceKernel:
                 if not left.terms or not right.terms:
                     seen.add("empty")
                     continue
-                side = "left" if len(left.terms) < len(right.terms) else "right"
+                side = "left" if len(left.terms) <= len(right.terms) else "right"
                 if any(map(odd, left.terms)) and any(map(odd, right.terms)):
                     seen.add(("odd rows", side))
                 cut = capped = False

@@ -7,11 +7,10 @@
 PARENT and CHANGE are git revisions of the repository the tool is run in.
 Each is exported with ``git archive`` into a temporary directory, so nothing
 is written inside the working tree but the ``--out`` file.  For every
-workload, pair i runs ``perfbench/run.py`` once in each export, the parent
-first when i is even and the change first when it is odd, one run at a time.
-The workloads, the run length and each metric's better direction are read
-from CHANGE's ``BENCHMARK.json``; ``--workload`` and ``--seconds`` narrow
-or shorten a run.
+workload, each of the ten pairs runs ``perfbench/run.py`` once in each
+export, the parent first in even pairs and the change first in odd ones, one
+run at a time.  The workloads, the run length and each metric's better
+direction are read from CHANGE's ``BENCHMARK.json``.
 
 The file holds ``label``, ``what``, ``command``, ``hardware``,
 ``paired_runs``, ``claim``, ``quartiles``, ``summary`` (per workload: the
@@ -32,6 +31,7 @@ import sys
 import tempfile
 
 SIDES = ("parent", "change")
+PAIRS = 10
 QUARTILES = ("statistics.quantiles(values, n=4), exclusive method; change_worse_by is the "
              "median's change in the direction of worse, as a fraction of the parent median")
 
@@ -112,9 +112,6 @@ def main(argv=None) -> int:
     parser.add_argument("--what", required=True, help="what the change does")
     parser.add_argument("--claim", required=True, help="the metric the change claims to move")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
-    parser.add_argument("--workload", action="append", help="run only these workloads")
     parser.add_argument("--out", required=True, help="the BENCH file to write")
     args = parser.parse_args(argv)
 
@@ -125,10 +122,9 @@ def main(argv=None) -> int:
             export(rev, trees[s])
         with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
             bench = json.load(fh)
-        seconds = args.seconds or bench["run_seconds"]
-        workloads = args.workload or [w["name"] for w in bench["workloads"]]
-        for workload in workloads:
-            for pair in range(args.pairs):
+        seconds = bench["run_seconds"]
+        for workload in (w["name"] for w in bench["workloads"]):
+            for pair in range(PAIRS):
                 for s in (SIDES if pair % 2 == 0 else SIDES[::-1]):
                     r = run_once(trees[s], workload, args.seed, seconds)
                     runs.append({"workload": workload, "pair": pair, "side": s, **r})
@@ -144,7 +140,7 @@ def main(argv=None) -> int:
         "hardware": hardware(),
         "paired_runs": (f"alternating pairs (even pairs run the parent first, odd pairs the "
                         f"change first), parent {args.parent}, change {args.change}, seed "
-                        f"{args.seed}, {seconds:g} s each, --trace 0; {args.pairs} pairs on "
+                        f"{args.seed}, {seconds:g} s each, --trace 0; {PAIRS} pairs on "
                         f"each workload"),
         "claim": args.claim,
         "quartiles": QUARTILES,
