@@ -12,14 +12,13 @@ from .superalg import (
     mul,
     partial,
     substitute,
-    substitute_all,
     truncate,
 )
 
 __all__ = [
     "EVEN", "ODD", "Chart", "ChartMismatch", "ParityError",
     "SuperSeries", "Variable", "deriv", "mul", "partial",
-    "substitute", "substitute_all", "truncate",
+    "substitute", "truncate",
 ]
 
 __version__ = "0.1.0"

@@ -268,32 +268,33 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
     return _widening(work, run) + embed(set_to_zero(phi.S, momenta), work, order)
 
 
-def pullback_series(phi: ThickMorphism, h: SuperSeries, n_eps: int,
-                    params: Sequence[Variable] = ()) -> SuperSeries:
+def pullback_series(phi: ThickMorphism, h: SuperSeries, n_eps: int) -> SuperSeries:
     """Pull back a series whose coordinate-dependent terms carry weight.
 
-    ``h`` lives on ``series_chart(phi, params)``.  Used directly for
+    ``h`` lives on ``series_chart(phi, params)``: its parameters are the
+    variables between ``eps`` and the target coordinates, and the result
+    carries them on ``pullback_chart(phi, params)``.  Used directly for
     contravariance checks; ordinary inputs go through ``pullback``.
     """
     _require_order(n_eps)
-    if h.chart != series_chart(phi, params):
+    params = h.chart.variables[1:len(h.chart) - len(phi.target)]
+    if h.chart.variables != (_EPS, *params, *phi.target.variables):
         raise ChartMismatch("series must live on (eps, params, target coords)")
     if not h.has_parity(kind_parity(phi.kind)):
         raise ParityError(f"{phi.kind} morphism pulls back {phi.kind} functions")
     return _eliminate(phi, h, pullback_chart(phi, params), n_eps)
 
 
-def pullback(phi: ThickMorphism, g: SuperSeries, n_eps: int,
-             params: Sequence[Variable] = ()) -> SuperSeries:
-    """Nonlinear pullback of a polynomial target function, as a series in
-    the nilpotent grading parameter eps attached to the input."""
+def pullback(phi: ThickMorphism, g: SuperSeries, n_eps: int) -> SuperSeries:
+    """Nonlinear pullback of a polynomial function on ``phi.target``, as a
+    series in the nilpotent grading parameter eps attached to the input."""
     if not g.has_parity(kind_parity(phi.kind)):
         raise ParityError(f"{phi.kind} morphism pulls back {phi.kind} functions")
-    if g.chart not in (Chart("g", tuple(params) + tuple(phi.target.variables)), phi.target):
-        raise ChartMismatch("g must live on (params, target coords)")
-    h_chart = series_chart(phi, params)
+    if g.chart != phi.target:
+        raise ChartMismatch("g must live on the target chart")
+    h_chart = series_chart(phi)
     h = mul(SuperSeries.of_var(h_chart, EPS, n_eps), embed(g, h_chart, n_eps))
-    return pullback_series(phi, h, n_eps, params)
+    return pullback_series(phi, h, n_eps)
 
 
 def pullback_derivative(phi: ThickMorphism, f: SuperSeries, direction: SuperSeries,
@@ -302,18 +303,20 @@ def pullback_derivative(phi: ThickMorphism, f: SuperSeries, direction: SuperSeri
 
     ``t`` is a weight-0 parameter with t^2 = 0 whose parity makes
     t direction a function of the kind's parity; a zero direction counts
-    as even.  The derivative is the t-linear part of the pullback.
+    as even.  It is named ``t'``, which no workspace can spell, and
+    ``eps*(f + t direction)`` on ``series_chart(phi, (t,))`` is pulled
+    back: the derivative is the t-linear part.
     """
     p = direction.parity()
     if p is None and not direction.is_zero():
         raise ParityError("direction must be parity-homogeneous")
-    t = Variable("t", kind_parity(phi.kind) ^ (EVEN if p is None else p), ROLE_PARAM, 0,
+    t = Variable("t'", kind_parity(phi.kind) ^ (EVEN if p is None else p), ROLE_PARAM, 0,
                  max_power=1)
-    chart = Chart("g", (t,) + tuple(phi.target.variables))
-    probe = embed(f, chart, f.order) + mul(SuperSeries.of_var(chart, "t", f.order),
-                                           embed(direction, chart, f.order))
-    linear = partial(pullback(phi, probe, n_eps, params=(t,)), "t")
-    return embed(linear, pullback_chart(phi), n_eps)
+    chart = series_chart(phi, (t,))
+    lift = lambda s: embed(s, chart, n_eps)
+    h = mul(SuperSeries.of_var(chart, EPS, n_eps),
+            lift(f) + mul(SuperSeries.of_var(chart, t.name, n_eps), lift(direction)))
+    return embed(partial(pullback_series(phi, h, n_eps), t.name), pullback_chart(phi), n_eps)
 
 
 # -- composition --------------------------------------------------------------

@@ -24,8 +24,8 @@ chart variables, lowers one and raises another, summing numerators over the
 operand's denominator.  ``_substitute_packed`` substitutes packed images into
 several series with one shared table of image powers, keeps every
 intermediate packed, and returns packed sums over their least common
-denominator; ``substitute_all`` packs and unpacks around it, and the
-eliminator keeps its iterates packed in it from sweep to sweep.  Only even
+denominator; ``substitute`` packs one series for it and unpacks its sum, and
+the eliminator keeps its iterates packed in it from sweep to sweep.  Only even
 variables reach an exponent of 2, and their images are even, so the table
 squares each image over its unordered pairs of rows.  Weights only add up,
 so a partial product of a term's factors stops at the order less the least
@@ -588,22 +588,11 @@ def substitute(a: SuperSeries, images: Mapping[str, SuperSeries],
     The result lives on ``chart`` at filtration ``order``, and so must
     every image.  Every image must be parity-pure and match the parity
     of the variable it replaces.  Variables without an explicit image
-    map to the same-named variable on the output chart.
+    map to the same-named variable on the output chart.  One
+    ``_substitute_packed`` call does the work.
     """
-    return substitute_all([a], images, chart, order)[0]
-
-
-def substitute_all(series: Sequence[SuperSeries], images: Mapping[str, SuperSeries],
-                   chart: Chart, order: int) -> list:
-    """``substitute`` of each series, all on one chart, under one image map: checks
-    charts and image parities, and packs for and unpacks ``_substitute_packed``."""
-    if not series:
-        return []
-    source = series[0].chart
-    if any(a.chart != source for a in series):
-        raise ChartMismatch("substituted series must share one chart")
-    sources = [_terms(a) for a in series]
-    occurring = {i for terms in sources for factors, _, _ in terms for i, _ in factors}
+    source, terms = a.chart, _terms(a)
+    occurring = {i for factors, _, _ in terms for i, _ in factors}
     used = {}  # name -> (image, its terms' common denominator), packed if it occurs
     for i, v in enumerate(source):
         if v.name in images:
@@ -617,10 +606,10 @@ def substitute_all(series: Sequence[SuperSeries], images: Mapping[str, SuperSeri
             if i in occurring:
                 used[v.name] = img, _common_denominator(img.terms.values())
 
-    def run(layout: _Layout) -> list:
+    def run(layout: _Layout) -> SuperSeries:
         packed = {name: (layout.rows(img.terms, den), den) for name, (img, den) in used.items()}
-        return [layout.series(chart, acc, den, order) for acc, den
-                in _substitute_packed(layout, chart, order, source, sources, packed)]
+        (acc, den), = _substitute_packed(layout, chart, order, source, [terms], packed)
+        return layout.series(chart, acc, den, order)
 
     return _widening(chart, run)
 
@@ -633,7 +622,7 @@ def _terms(a: SuperSeries) -> list:
 
 def _substitute_packed(layout: _Layout, chart: Chart, order: int, source: Chart,
                        sources: Sequence[list], images: Mapping[str, tuple]) -> list:
-    """The packed core of ``substitute_all``: each source (``_terms`` of a series
+    """The packed core of ``substitute``: each source (``_terms`` of a series
     on ``source``) under ``images`` (name -> (rows, their denominator); others
     map to their namesakes on ``chart``) becomes (acc, den), nonzero numerators
     by packed monomial over their least common denominator, so equal sums compare equal.

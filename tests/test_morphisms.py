@@ -28,6 +28,7 @@ from mfc.morphisms import (
 from mfc.superalg import (
     EVEN,
     ODD,
+    ROLE_MOMENTUM,
     ROLE_PARAM,
     Chart,
     ChartMismatch,
@@ -51,7 +52,7 @@ from mfc.testkit import (
     random_morphism,
     worked_example,
 )
-from mfc.textio import serialize
+from mfc.textio import parse_workspace, serialize
 
 ORDER = 3
 
@@ -172,6 +173,19 @@ class TestValidation:
         src, tgt = chart_x(), chart_y()
         S = SuperSeries.of_var(src, "x", ORDER)
         with pytest.raises(MorphismError):
+            mk_thick(src, tgt, KIND_EVEN, S, ORDER)
+        c = Chart("M=>N", [Variable("q_y", EVEN, ROLE_MOMENTUM, 1), Variable("x", EVEN)])
+        S = SuperSeries.monomial(c, {"x": 1, "q_y": 1}, 1, ORDER)
+        with pytest.raises(MorphismError,
+                           match=r"must live on \(source coords, target momenta\)"):
+            mk_thick(src, tgt, KIND_EVEN, S, ORDER)
+
+    def test_momentum_parity_rejected(self):
+        src, tgt = chart_x(), chart_y()
+        c = combined_chart(src, tgt, KIND_EVEN, [Variable("q_y", ODD, ROLE_MOMENTUM, 1)])
+        S = SuperSeries.of_var(c, "x", ORDER)  # even, so only the momentum is wrong
+        with pytest.raises(ParityError,
+                           match="momentum 'q_y' has wrong parity for coordinate 'y'"):
             mk_thick(src, tgt, KIND_EVEN, S, ORDER)
 
     def test_order_mismatch_rejected(self):
@@ -315,9 +329,18 @@ class TestPullback:
             pullback_series(phi, SuperSeries.of_var(series_chart(phi), EPS, ORDER), ORDER)
 
     def test_wrong_chart_rejected(self):
-        g = SuperSeries.of_var(chart_z(), "z", 2)
+        phi = worked_example(2)
         with pytest.raises(ChartMismatch):
-            pullback(worked_example(2), g, 2)
+            pullback(phi, SuperSeries.of_var(chart_z(), "z", 2), 2)
+        # pullback_series reads its parameters between eps and the target
+        # coordinates: eps must come first and the target coordinates last
+        eps, s = series_chart(phi).var(EPS), Variable("s", EVEN, ROLE_PARAM, 1)
+        y = phi.target.var("y")
+        for variables in [(y,), (y, eps), (s, eps, y), (eps, y, s)]:
+            h = SuperSeries.of_var(Chart("h", variables), "y", 2)
+            with pytest.raises(ChartMismatch,
+                               match=r"series must live on \(eps, params, target coords\)"):
+                pullback_series(phi, h, 2)
 
     def test_eliminator_rejects_weight_zero_coordinate_terms(self):
         # h = y^2 without eps: every sweep feeds w back at weight zero
@@ -499,6 +522,19 @@ class TestPullbackDerivative:
             nonzero += not want.is_zero()
         assert nonzero >= 4
 
+    def test_target_coordinate_named_t(self):
+        """The derivative's own parameter takes no name a workspace can
+        spell, so a target coordinate t is an ordinary name: the result
+        is the one with t spelled y."""
+        text = ("chart M { x : even }\nchart N { %s : even }\n"
+                "morphism Phi : M -> N kind=even { S = x*q_%s + 1/2*q_%s^2 }\n"
+                "function g on N { %s^2 }\n")
+        for name in ("t", "y"):
+            ws = parse_workspace(text % ((name,) * 4))
+            g = ws.functions["g"]
+            got = pullback_derivative(ws.morphisms["Phi"], g, g, 2)
+            assert serialize(got) == "eps*x^2 + 4*eps^2*x^2"
+
     def test_mixed_direction_rejected(self):
         tgt = Chart("N", [Variable("y", EVEN), Variable("eta", ODD)])
         phi = from_classical(identity_map(tgt, ORDER), KIND_EVEN, ORDER)
@@ -668,6 +704,6 @@ class TestReferenceEliminator:
             h, work = eps_series(phi, g0 + mul(SuperSeries.of_var(g_chart, "s", order), g1),
                                  order, params=(s,))
             h = h + SuperSeries.monomial(h.chart, {"s": 2}, Fraction(2, 3), order)
-            got = pullback_series(phi, h, order, params=(s,))
+            got = pullback_series(phi, h, order)
             return got, ref_eliminate(phi, h, work, order)
         self.check(draw, deep=3)

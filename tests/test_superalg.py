@@ -25,7 +25,6 @@ from mfc.superalg import (
     set_to_zero,
     shift_down,
     substitute,
-    substitute_all,
     truncate,
 )
 from mfc.testkit import Generator
@@ -63,6 +62,8 @@ class TestMul:
         other = Chart("N", [Variable("z", EVEN)])
         with pytest.raises(ChartMismatch):
             mul(var(c, "x"), SuperSeries.of_var(other, "z", ORDER))
+        with pytest.raises(ChartMismatch, match=f"filtration mismatch: {ORDER} vs {ORDER - 1}"):
+            mul(var(c, "x"), SuperSeries.of_var(c, "y", ORDER - 1))
 
     def test_supercommutativity_random(self):
         gen = Generator(5)
@@ -479,7 +480,7 @@ class TestReferenceKernel:
             assert out.terms == ref_substitute(a, images, chart, REF_ORDER).terms
             assert_clean(out)
 
-    def test_substitute_all_matches_reference(self):
+    def test_unmapped_and_shared_images_match_reference(self):
         """Several series under one image map, some variables left unmapped
         (an identity image, empty at order 0 for a weight-1 variable and
         capped for the formal parameter), odd images shared between
@@ -504,7 +505,7 @@ class TestReferenceKernel:
             series.append(SuperSeries(chart, {tuple(int(u is v) for u in chart):
                                               rng.choice(REF_COEFFS) for v in chart},
                                       REF_ORDER))
-            outs = substitute_all(series, images, chart=chart, order=order)
+            outs = [substitute(a, images, chart=chart, order=order) for a in series]
             assert [s.terms for s in outs] == \
                 [ref_substitute(a, full, chart, order).terms for a in series]
             for out in outs:
@@ -517,7 +518,7 @@ class TestReferenceKernel:
                 seen.add("capped identity")
         assert seen == {"shared odd", "weight-1 identity at order 0", "capped identity"}
 
-    def test_substitute_all_budget_matches_reference(self):
+    def test_substitute_budget_matches_reference(self):
         """Terms of 3-4 factors, at every order, whose weighted variables
         have images of least weight 1 or 2 (in every other draw one image is
         zero): each partial product leaves room for the later factors' least
@@ -556,7 +557,7 @@ class TestReferenceKernel:
                         terms.update(SuperSeries.monomial(
                             chart, exps, rng.choice(REF_COEFFS), REF_ORDER).terms)
                     series.append(SuperSeries(chart, terms, REF_ORDER))
-                outs = substitute_all(series, images, chart=chart, order=order)
+                outs = [substitute(a, images, chart=chart, order=order) for a in series]
                 assert [s.terms for s in outs] == \
                     [ref_substitute(a, images, chart, order).terms for a in series]
                 for out in outs:
@@ -843,23 +844,25 @@ class TestReferenceKernel:
         assert {"cut", "minus sign"} <= seen
         assert all((order, e, True) in seen for order in range(REF_ORDER + 1) for e in (2, 3))
 
-    def test_substitute_all_edges(self):
+    def test_substitute_edges(self):
         chart = ref_chart()
         x = SuperSeries.of_var(chart, "x", REF_ORDER)
         th = SuperSeries.of_var(chart, "th", REF_ORDER)
-        assert substitute_all([], {}, chart=chart, order=REF_ORDER) == []
-        with pytest.raises(ChartMismatch):
-            substitute_all([x, var(make_chart(), "x")], {}, chart=chart, order=REF_ORDER)
         small = Chart("S", [Variable("x", EVEN), Variable("th", ODD)])
         # only a variable the series uses needs an image
-        out, = substitute_all([x + th], {}, chart=small, order=REF_ORDER)
+        out = substitute(x + th, {}, chart=small, order=REF_ORDER)
         assert out == SuperSeries.of_var(small, "x", REF_ORDER) + \
             SuperSeries.of_var(small, "th", REF_ORDER)
         with pytest.raises(KeyError, match="'y'"):
-            substitute_all([x, SuperSeries.of_var(chart, "y", REF_ORDER)], {},
-                           chart=small, order=REF_ORDER)
-        with pytest.raises(ParityError):
-            substitute_all([x, th], {"th": x}, chart=chart, order=REF_ORDER)
+            substitute(SuperSeries.of_var(chart, "y", REF_ORDER), {}, chart=small, order=REF_ORDER)
+        with pytest.raises(ParityError, match="image of 'th' has a component of wrong parity"):
+            substitute(th, {"th": x}, chart=chart, order=REF_ORDER)
+        # an image on another chart, or at another order, than the output
+        for img in (SuperSeries.of_var(small, "x", REF_ORDER),
+                    SuperSeries.of_var(chart, "x", REF_ORDER - 1)):
+            with pytest.raises(ChartMismatch,
+                               match="image of 'x' does not live on the output chart"):
+                substitute(x, {"x": img}, chart=chart, order=REF_ORDER)
 
     def test_constructors_match_validating_init(self):
         """of_var and monomial skip __init__'s checks but drop the same

@@ -1,8 +1,8 @@
 """pytest plugin: record the serialized output of every pullback_series,
-compose, _lift, ``superforms.liouville``, ``poisson_bracket`` and
-``prolong_coordinate_change`` call that a test run makes, the chart every
-``superforms.extend_chart`` call builds, every kernel call
-(``superalg.mul``, ``deriv``, ``partial`` and ``substitute``) made from
+pullback_derivative, compose, _lift, ``superforms.liouville``,
+``poisson_bracket`` and ``prolong_coordinate_change`` call that a test run
+makes, the chart every ``superforms.extend_chart`` call builds, every kernel
+call (``superalg.mul``, ``deriv``, ``partial`` and ``substitute``) made from
 outside ``superalg``, and what every ``textio.parse_workspace`` call builds.
 
 A refactor of the kernel, the solver, the forms or the lifts should leave these
@@ -22,22 +22,17 @@ function name and its output (``serialize`` of the series, plus the kind
 and the conjugacy table for a lifted morphism; each morphism's ``S`` and
 each function of a parsed workspace, in declaration order; one line per
 image of a prolonged coordinate change; the name and ``repr`` of the
-variables of an extended chart).  A ``substitute_all`` call writes one
-``substitute`` line per series, as the ``substitute`` calls it replaces
-would.  The eliminator (``morphisms._eliminate``) makes no ``substitute``
-records: it substitutes through ``superalg._substitute_packed``, packed
-from its first sweep to its value, so a commit before that change writes
-``substitute`` lines for its sweeps that a later one drops.  ``extend_d``,
-the d-level extension of commits where the d level was not yet a key of
-``BUNDLES``, writes ``extend_chart`` lines, so that its charts compare with
-``extend_chart(chart, D)``'s.  An output with a number too long for ``str``
-is recorded as ``[name, "<unprintable>"]`` and passed on unchanged, so the
-caller still meets the error it would meet without the plugin.  Kernel
-calls that ``superalg`` makes itself (``substitute`` calling
-``substitute_all``, ``a * b`` calling ``mul``) are not recorded: they are
-internals a kernel change may add or drop.  Targets a commit does not define
-are skipped.  ``PYTHONHASHSEED=0`` fixes the order of any set iteration, so
-equal code gives equal files.
+variables of an extended chart).  The eliminator (``morphisms._eliminate``)
+makes no ``substitute`` records: it substitutes through
+``superalg._substitute_packed``, packed from its first sweep to its value, so
+a commit before that change writes ``substitute`` lines for its sweeps that a
+later one drops.  An output with a number too long for ``str`` is recorded
+as ``[name, "<unprintable>"]`` and passed on unchanged, so the caller still
+meets the error it would meet without the plugin.  Kernel calls that
+``superalg`` makes itself (``a * b`` calling ``mul``) are not recorded: they
+are internals a kernel change may add or drop.  Targets a commit does not
+define are skipped.  ``PYTHONHASHSEED=0`` fixes the order of any set
+iteration, so equal code gives equal files.
 """
 
 from __future__ import annotations
@@ -61,6 +56,7 @@ def _chart(chart):
 # (module, function, output -> recorded lines) for each wrapped function
 TARGETS = (
     ("mfc.morphisms", "pullback_series", _series("pullback_series")),
+    ("mfc.morphisms", "pullback_derivative", _series("pullback_derivative")),
     ("mfc.morphisms", "compose", lambda out: [["compose", serialize(out.S)]]),
     ("mfc.functors", "_lift",
      lambda out: [["_lift", out.kind, serialize(out.S),
@@ -71,7 +67,6 @@ TARGETS = (
      lambda out: [["prolong_coordinate_change", name, serialize(image)]
                   for name, image in out[1].items()]),
     ("mfc.superforms", "extend_chart", _chart),
-    ("mfc.superforms", "extend_d", _chart),
     ("mfc.textio", "parse_workspace",
      lambda ws: [["parse_workspace", "morphism", name, serialize(phi.S)]
                  for name, phi in ws.morphisms.items()]
@@ -81,7 +76,6 @@ TARGETS = (
     (KERNEL, "deriv", _series("deriv")),
     (KERNEL, "partial", _series("partial")),
     (KERNEL, "substitute", _series("substitute")),
-    (KERNEL, "substitute_all", lambda outs: [["substitute", serialize(s)] for s in outs]),
 )
 
 
