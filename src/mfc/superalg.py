@@ -500,6 +500,21 @@ def _shift(a: SuperSeries, m0: tuple, c0: Fraction, left: bool) -> SuperSeries:
     return SuperSeries(chart, out, a.order, _checked=True)
 
 
+def mono_mul(chart: Chart, a: tuple, b: tuple, order: int) -> tuple:
+    """The product of one-term values a = (monomial, coefficient) and b, a the left
+    factor: one exponent add, and each odd factor of b moves left past the odd
+    factors of a after it.  Zero past the order or a cap, an odd one's cap of 1
+    included."""
+    (m1, c1), (m2, c2) = a, b
+    mono = tuple(map(operator.add, m1, m2))
+    if not chart.admits(mono, order):
+        return mono, 0
+    c = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
+    o1 = sum([m1[i] << i for i in chart.odd_indices])
+    flips = sum([(o1 >> j + 1).bit_count() for j in chart.odd_indices if m2[j]]) if o1 else 0
+    return mono, -c if flips & 1 else c
+
+
 def mul(a: SuperSeries, b: SuperSeries) -> SuperSeries:
     """Supercommutative product, truncated to the filtration order."""
     a._require_compatible(b)

@@ -10,8 +10,10 @@ Grammar (line oriented, ``#`` comments; any other ``set`` key is an error):
 
 Expressions use rational literals ``p/q``, identifiers, ``+ - * ^`` and
 parentheses.  Multiplication is order-significant at the source level;
-canonicalization (with Koszul signs) happens in the algebra kernel.  Literals
-stay ``Fraction``s until they meet a series: only two series need ``mul``.
+canonicalization (with Koszul signs) happens in the algebra kernel.  A number or
+a product of numbers and identifiers stays one (monomial, coefficient) term, and
+``superalg.mono_mul`` multiplies two; series are built only where a product meets
+a sum, for ``mul`` (or ``scale``, by a number), and at the end of a body.
 Momenta and derived variables are auto-declared, named by ``superforms.BUNDLES``.
 """
 
@@ -20,10 +22,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NoReturn, Optional, Set
+from typing import Collection, Dict, List, NoReturn, Optional, Set
 
 from .morphisms import EPS, combined_chart, mk_thick
-from .superalg import EVEN, ODD, Chart, SuperSeries, Variable, mul
+from .superalg import _ONE, EVEN, ODD, Chart, SuperSeries, Variable, mono_mul, mul
 from .superforms import BUNDLES, COTANGENT, D, PIT, T, extend_chart, partner
 
 
@@ -129,9 +131,9 @@ MAX_NESTING = 100
 MAX_ORDER = 64
 
 
-def _size(v: Fraction | SuperSeries) -> int:
-    """Terms as the budgets count them: a number is one term, zero none."""
-    return len(v.terms) if isinstance(v, SuperSeries) else int(v != 0)
+def _items(v) -> Collection:
+    """The (monomial, coefficient) pairs of a value, zero dropped; a budget counts them."""
+    return v.terms.items() if isinstance(v, SuperSeries) else (v,) if v[1] else ()
 
 
 class _Parser:
@@ -167,10 +169,15 @@ class _Parser:
 
     def body(self, chart: Chart, order: int) -> SuperSeries:
         """One complete expression, with its own term-pair budget."""
+        self.chart, self.order, self.const = chart, order, (0,) * len(chart)
         self.pairs = 0
         self.depth = 0
-        out = self.expr(chart, order)
-        return out if isinstance(out, SuperSeries) else SuperSeries.const(chart, out, order)
+        return self.series(self.expr())
+
+    def series(self, v) -> SuperSeries:
+        if isinstance(v, SuperSeries):
+            return v
+        return SuperSeries(self.chart, {v[0]: v[1]} if v[1] else {}, self.order, _checked=True)
 
     def nest(self, at: Token):
         """Enter one more level of nesting, refused at ``at`` past the bound."""
@@ -178,57 +185,67 @@ class _Parser:
         if self.depth > MAX_NESTING:
             self.fail(f"expression nests deeper than {MAX_NESTING} levels", at)
 
-    def number(self, v: Fraction | SuperSeries, at: Token) -> Fraction | SuperSeries:
-        """``v``, refused at ``at`` if a number in it is past ``MAX_NUMBER_BITS``."""
-        for c in (v.terms.values() if isinstance(v, SuperSeries) else (v,)):
-            num, den = c.as_integer_ratio()
-            if num.bit_length() > MAX_NUMBER_BITS or den.bit_length() > MAX_NUMBER_BITS:
-                self.fail(f"number exceeds {MAX_NUMBER_BITS} bits", at)
-        return v
+    def number(self, c: Fraction, at: Token) -> Fraction:
+        """``c``, refused at ``at`` if it is past ``MAX_NUMBER_BITS``."""
+        num, den = c.as_integer_ratio()
+        if num.bit_length() > MAX_NUMBER_BITS or den.bit_length() > MAX_NUMBER_BITS:
+            self.fail(f"number exceeds {MAX_NUMBER_BITS} bits", at)
+        return c
 
-    def product(self, a: Fraction | SuperSeries, b: Fraction | SuperSeries, at: Token):
-        """a * b, refused at ``at`` if it would exceed a budget."""
-        self.pairs += _size(a) * _size(b)
+    def product(self, a, b, at: Token):
+        """a * b, refused at ``at`` if it would exceed a budget.  A number scales a
+        series, and a series meets any other term in ``mul``."""
+        self.pairs += len(_items(a)) * len(_items(b))
         if self.pairs > MAX_TERM_PAIRS:
             self.fail(f"expression multiplies more than {MAX_TERM_PAIRS} term pairs", at)
-        both = isinstance(a, SuperSeries) and isinstance(b, SuperSeries)
-        return self.number(mul(a, b) if both else a * b, at)
+        if isinstance(a, tuple) and isinstance(b, tuple):
+            out = mono_mul(self.chart, a, b, self.order)
+        elif isinstance(a, tuple) and not any(a[0]):
+            out = b.scale(a[1])
+        elif isinstance(b, tuple) and not any(b[0]):
+            out = a.scale(b[1])
+        else:
+            out = mul(self.series(a), self.series(b))
+        for _, c in _items(out):
+            self.number(c, at)
+        return out
 
-    def expr(self, chart: Chart, order: int) -> Fraction | SuperSeries:
-        """A lone term as it is; a sum folded into one dict by monomial (a number at the
-        constant).  Terms come bounded; a sum of two coefficients is checked at its operator."""
-        out = self.term(chart, order)
+    def expr(self):
+        """A lone term as it is; a sum folded into one dict by monomial, kept as one
+        term if it has at most one.  Terms come bounded; a sum of two coefficients
+        is checked at its operator."""
+        out = self.term()
         if self.peek().text not in ("+", "-"):
             return out
-        const, terms, series, op = (0,) * len(chart), {}, False, None
+        terms, op = {}, None
         while True:
-            series = series or isinstance(out, SuperSeries)
-            for m, c in (out.terms.items() if isinstance(out, SuperSeries) else ((const, out),)):
+            for m, c in _items(out):
                 c = -c if op and op.text == "-" else c
                 terms[m] = self.number(terms[m] + c, op) if m in terms else c
             if self.peek().text not in ("+", "-"):
                 break
-            op, out = self.next(), self.term(chart, order)
-        if not series:  # numbers sum to a number, which makes no ``mul``
-            return terms[const]
-        return SuperSeries(chart, {m: c for m, c in terms.items() if c}, order, _checked=True)
+            op, out = self.next(), self.term()
+        if len(terms) <= 1:
+            return next(iter(terms.items()), (self.const, 0))
+        return SuperSeries(self.chart, {m: c for m, c in terms.items() if c}, self.order,
+                           _checked=True)
 
-    def term(self, chart: Chart, order: int) -> Fraction | SuperSeries:
-        out = self.factor(chart, order)
+    def term(self):
+        out = self.factor()
         while self.peek().text == "*":
             op = self.next()
-            out = self.product(out, self.factor(chart, order), op)
+            out = self.product(out, self.factor(), op)
         return out
 
-    def factor(self, chart: Chart, order: int) -> Fraction | SuperSeries:
+    def factor(self):
         t = self.peek()
         if t.text == "-":
             self.next()
             self.nest(t)
-            out = -self.factor(chart, order)
+            out = self.factor()
             self.depth -= 1
-            return out
-        base = self.atom(chart, order)
+            return -out if isinstance(out, SuperSeries) else (out[0], -out[1])
+        base = self.atom()
         if self.peek().text == "^":
             self.next()
             e = self.expect("number")
@@ -237,20 +254,20 @@ class _Parser:
             n = int(e.text)
             if n > MAX_POWER_TERMS:
                 self.fail(f"exponent must be at most {MAX_POWER_TERMS}", e)
-            if isinstance(base, SuperSeries) and len(base.terms) == 1:
-                (mono, coeff), = base.terms.items()
-                for i, ee in enumerate(mono):
-                    if ee and chart.parities[i] == ODD and n > 1:
-                        self.fail(f"odd variable {chart.variables[i].name!r} squared", e)
-            out = Fraction(1)
+            if n > 1 and len(terms := _items(base)) == 1:
+                (mono, _), = terms
+                for i in self.chart.odd_indices:
+                    if mono[i]:
+                        self.fail(f"odd variable {self.chart.variables[i].name!r} squared", e)
+            out = (self.const, _ONE)
             for _ in range(n):
                 out = self.product(out, base, e)
-                if _size(out) > MAX_POWER_TERMS:
+                if len(_items(out)) > MAX_POWER_TERMS:
                     self.fail(f"power expands past {MAX_POWER_TERMS} terms", e)
             return out
         return base
 
-    def atom(self, chart: Chart, order: int) -> Fraction | SuperSeries:
+    def atom(self):
         t = self.next()
         if t.kind == "number":
             num, slash, den = t.text.partition("/")
@@ -259,14 +276,16 @@ class _Parser:
                 self.fail(f"number exceeds {MAX_NUMBER_BITS} bits", t)
             if slash and not int(den):
                 self.fail(f"zero denominator in {t.text!r}", t)
-            return self.number(Fraction(t.text), t)
+            return self.const, self.number(Fraction(int(num), int(den or 1)), t)
         if t.kind == "ident":
-            if t.text not in chart:
+            if t.text not in self.chart:
                 self.fail(f"undeclared identifier {t.text!r}", t)
-            return SuperSeries.of_var(chart, t.text, order)
+            i = self.chart.index(t.text)
+            one = _ONE if self.chart.admits_var(i, self.order) else 0
+            return self.const[:i] + (1,) + self.const[i + 1:], one
         if t.text == "(":
             self.nest(t)
-            inner = self.expr(chart, order)
+            inner = self.expr()
             self.expect("op", ")")
             self.depth -= 1
             return inner

@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -182,6 +183,142 @@ class TestParser:
         with pytest.raises(ParseError, match="at most") as exc:
             parse_series("x^100000000", c, ORDER)
         assert (exc.value.line, exc.value.col) == (1, 3)
+
+
+class TestMonomialProducts:
+    """Numbers and products of identifiers parse to the value that the
+    source-order fold through ``SuperSeries.of_var``, ``scale`` and ``mul`` gives."""
+
+    CHART = Chart("C", [Variable("q_y", EVEN, role="momentum", weight=1),
+                        Variable("s", EVEN, role="formal-parameter", max_power=2),
+                        Variable("th", ODD), Variable("xi", ODD),
+                        Variable("q_eta", ODD, role="momentum", weight=1)])
+    LITERALS = ["0", "1", "2", "1/2", "3/4", "6/4"]
+
+    def draw(self, rng, depth=0):
+        """A factor: ("num" | "var", text), ("neg", factor), ("par", word) or
+        ("pow", atom, n), an atom being a number, a variable or a parenthesized word; a word
+        is a list of factors, joined by ``*``."""
+        r = rng.random()
+        if r < 0.15:
+            return "neg", self.draw(rng, depth + 1)
+        if r < 0.3 and depth < 3:
+            node = ("par", [self.draw(rng, depth + 1) for _ in range(rng.randint(1, 3))])
+        elif r < 0.5:
+            node = ("num", rng.choice(self.LITERALS))
+        else:
+            node = ("var", rng.choice([v.name for v in self.CHART]))
+        return ("pow", node, rng.choice((0, 1, 2, 3))) if rng.random() < 0.2 else node
+
+    def text(self, node):
+        kind = node[0]
+        if kind in ("num", "var"):
+            return node[1]
+        if kind == "neg":
+            return "-" + self.text(node[1])
+        if kind == "par":
+            return "(" + "*".join(self.text(f) for f in node[1]) + ")"
+        return f"{self.text(node[1])}^{node[2]}"
+
+    def times(self, a, b):
+        if isinstance(a, SuperSeries) and isinstance(b, SuperSeries):
+            return mul(a, b)
+        return b.scale(a) if isinstance(b, SuperSeries) else a.scale(b) \
+            if isinstance(a, SuperSeries) else a * b
+
+    def fold(self, node, at, order):
+        """(value, offset past the factor) of the factor at offset ``at``; an odd
+        square raises ParseError at its exponent, as the parser must."""
+        kind = node[0]
+        if kind == "num":
+            return Fraction(node[1]), at + len(node[1])
+        if kind == "var":
+            return SuperSeries.of_var(self.CHART, node[1], order), at + len(node[1])
+        if kind == "neg":
+            v, at = self.fold(node[1], at + 1, order)
+            return self.times(Fraction(-1), v), at
+        if kind == "par":
+            v, at = self.fold_word(node[1], at + 1, order)
+            return v, at + 1
+        base, at = self.fold(node[1], at, order)
+        n = node[2]
+        if n > 1 and isinstance(base, SuperSeries) and len(base.terms) == 1:
+            (mono, _), = base.terms.items()
+            odd = [v.name for v, e in zip(self.CHART, mono) if e and v.parity == ODD]
+            if odd:
+                raise ParseError(f"odd variable {odd[0]!r} squared", 1, at + 2)
+        v = Fraction(1)
+        for _ in range(n):
+            v = self.times(v, base)
+        return v, at + 1 + len(str(n))
+
+    def fold_word(self, word, at, order):
+        v, at = self.fold(word[0], at, order)
+        for f in word[1:]:
+            w, at = self.fold(f, at + 1, order)
+            v = self.times(v, w)
+        return v, at
+
+    def test_matches_source_order_fold(self):
+        rng = random.Random(20261020)
+        refused = nonzero = 0
+        for _ in range(1500):
+            word = [self.draw(rng) for _ in range(rng.randint(1, 6))]
+            text, order = "*".join(self.text(f) for f in word), rng.randint(1, 3)
+            try:
+                v, _ = self.fold_word(word, 0, order)
+            except ParseError as expected:
+                with pytest.raises(ParseError) as exc:
+                    parse_series(text, self.CHART, order)
+                assert str(exc.value) == str(expected), text
+                refused += 1
+                continue
+            if not isinstance(v, SuperSeries):
+                v = SuperSeries.const(self.CHART, v, order)
+            got = parse_series(text, self.CHART, order)
+            assert got == v and got.order == order, text
+            nonzero += not got.is_zero()
+        assert refused > 50 and nonzero > 500  # both outcomes are drawn often
+
+    @pytest.mark.parametrize("text, expected", [
+        ("th*xi", "th*xi"),
+        ("xi*th", "-th*xi"),
+        ("q_eta*th*xi", "th*xi*q_eta"),
+        ("xi*q_eta*th", "th*xi*q_eta"),
+        ("q_eta*xi*th", "-th*xi*q_eta"),
+        ("xi*xi", "0"),
+        ("th*xi*th", "0"),
+        ("q_y^2*q_y^2", "0"),
+        ("s^2*s", "0"),
+        ("0*x", "0"),
+        ("x^0", "1"),
+        ("-x*-q_y", "x*q_y"),
+        ("-(th*-xi)^1", "th*xi"),
+    ])
+    def test_corner_cases(self, text, expected):
+        chart = Chart("C", [Variable("x", EVEN), *self.CHART.variables])
+        assert serialize(parse_series(text, chart, 3)) == expected
+
+    @pytest.mark.parametrize("text, position", [
+        ("xi^2", (1, 4)),
+        ("(xi*th)^2", (1, 9)),
+        ("x + 2*(q_eta*th*xi)^3", (1, 21)),
+    ])
+    def test_odd_square_refused(self, text, position):
+        chart = Chart("C", [Variable("x", EVEN), *self.CHART.variables])
+        with pytest.raises(ParseError, match="odd variable 'th' squared|odd variable 'xi' "
+                                             "squared") as exc:
+            parse_series(text, chart, 3)
+        assert (exc.value.line, exc.value.col) == position
+
+    def test_pair_budget_edge(self):
+        """Each ``*`` of one-term factors counts one pair: 10,000 are allowed."""
+        chart = Chart("M", [Variable("x", EVEN)])
+        assert serialize(parse_series("*".join(["x"] * 10001), chart, 3)) == "x^10001"
+        text = "*".join(["x"] * 10002)
+        with pytest.raises(ParseError, match="more than 10000 term pairs") as exc:
+            parse_series(text, chart, 3)
+        assert (exc.value.line, exc.value.col) == (1, text.rindex("*") + 1)
 
 
 class TestWorkspace:

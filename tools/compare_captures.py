@@ -3,7 +3,12 @@
     python tools/compare_captures.py PARENT CHANGE
 
 A refactor may drop kernel calls, but not change what the engine returns.
-The exit status is 0 only when
+Each record carries the pytest node id of the test that made it, and only
+the tests that both files hold are compared: a test that one tree adds,
+renames or deletes is left out, and the number of node ids that each file
+holds alone is printed.  Each test's start is a record of its own, named
+``test``, so a test whose records the change drops all the same is shared.
+Over the shared tests, the exit status is 0 only when
 
 * the records whose name is not a kernel name (``mul``, ``deriv``,
   ``partial``, ``substitute``) are equal, byte for byte and in the same
@@ -24,13 +29,18 @@ from collections import Counter
 KERNEL = ("mul", "deriv", "partial", "substitute")
 
 
-def read(path: str):
-    """(name counts, non-kernel lines, kernel lines) of a capture file."""
+def read(path: str) -> list:
+    """(node id, record name, line) of each line of a capture file."""
+    with open(path, encoding="utf-8") as fh:
+        return [(*json.loads(line)[:2], line) for line in fh]
+
+
+def split(records: list, tests: set):
+    """(name counts, non-kernel lines, kernel lines) of the records made by ``tests``."""
     counts: Counter = Counter()
     outer, kernel = [], []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            name = json.loads(line)[0]
+    for test, name, line in records:
+        if test in tests:
             counts[name] += 1
             (kernel if name in KERNEL else outer).append(line)
     return counts, outer, kernel
@@ -38,8 +48,13 @@ def read(path: str):
 
 def compare(parent: str, change: str) -> list:
     """The reasons CHANGE fails against PARENT; empty when it passes."""
-    p_counts, p_outer, p_kernel = read(parent)
-    c_counts, c_outer, c_kernel = read(change)
+    p_records, c_records = read(parent), read(change)
+    p_tests, c_tests = ({test for test, _, _ in r} for r in (p_records, c_records))
+    shared = p_tests & c_tests
+    print(f"node ids only in parent: {len(p_tests - shared)}, "
+          f"only in change: {len(c_tests - shared)}, in both: {len(shared)}")
+    p_counts, p_outer, p_kernel = split(p_records, shared)
+    c_counts, c_outer, c_kernel = split(c_records, shared)
     print(f"{'record':<20}{'parent':>10}{'change':>10}")
     for name in sorted(p_counts.keys() | c_counts.keys()):
         print(f"{name:<20}{p_counts[name]:>10}{c_counts[name]:>10}")
