@@ -221,10 +221,12 @@ class TestMonomialProducts:
         return f"{self.text(node[1])}^{node[2]}"
 
     def times(self, a, b):
+        """a * b in the kernel: ``mul`` of two series, ``scale`` by a number."""
         if isinstance(a, SuperSeries) and isinstance(b, SuperSeries):
             return mul(a, b)
-        return b.scale(a) if isinstance(b, SuperSeries) else a.scale(b) \
-            if isinstance(a, SuperSeries) else a * b
+        if isinstance(b, SuperSeries):
+            return b.scale(a)
+        return a.scale(b) if isinstance(a, SuperSeries) else a * b
 
     def fold(self, node, at, order):
         """(value, offset past the factor) of the factor at offset ``at``; an odd
@@ -299,17 +301,16 @@ class TestMonomialProducts:
         chart = Chart("C", [Variable("x", EVEN), *self.CHART.variables])
         assert serialize(parse_series(text, chart, 3)) == expected
 
-    @pytest.mark.parametrize("text, position", [
-        ("xi^2", (1, 4)),
-        ("(xi*th)^2", (1, 9)),
-        ("x + 2*(q_eta*th*xi)^3", (1, 21)),
+    @pytest.mark.parametrize("text, message", [
+        ("xi^2", "1:4: odd variable 'xi' squared"),
+        ("(xi*th)^2", "1:9: odd variable 'th' squared"),
+        ("x + 2*(q_eta*th*xi)^3", "1:21: odd variable 'th' squared"),
     ])
-    def test_odd_square_refused(self, text, position):
+    def test_odd_square_refused(self, text, message):
         chart = Chart("C", [Variable("x", EVEN), *self.CHART.variables])
-        with pytest.raises(ParseError, match="odd variable 'th' squared|odd variable 'xi' "
-                                             "squared") as exc:
+        with pytest.raises(ParseError) as exc:
             parse_series(text, chart, 3)
-        assert (exc.value.line, exc.value.col) == position
+        assert str(exc.value) == message
 
     def test_pair_budget_edge(self):
         """Each ``*`` of one-term factors counts one pair: 10,000 are allowed."""

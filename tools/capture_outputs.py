@@ -108,7 +108,7 @@ def pytest_addoption(parser):
                      help="write one JSON line per wrapped output to PATH")
 
 
-def _wrap(fh, running, name, fn, record):
+def _wrap(running, name, fn, record):
     def wrapper(*args, **kwargs):
         out = fn(*args, **kwargs)
         if sys._getframe(1).f_globals.get("__name__") != KERNEL:
@@ -117,7 +117,7 @@ def _wrap(fh, running, name, fn, record):
             except ValueError:  # a number too long to print: the caller reports it
                 lines = [[name, "<unprintable>"]]
             for line in lines:
-                fh.write(json.dumps([running.nodeid, *line]) + "\n")
+                running.fh.write(json.dumps([running.nodeid, *line]) + "\n")
         return out
     return wrapper
 
@@ -137,7 +137,7 @@ def pytest_configure(config):
         original = getattr(importlib.import_module(module), name, None)
         if original is None:
             continue
-        wrapper = _wrap(fh, running, name, original, record)
+        wrapper = _wrap(running, name, original, record)
         # patch every mfc module that bound the name, as ``from .m import f`` does
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("mfc") and getattr(mod, name, None) is original:
