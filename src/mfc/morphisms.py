@@ -193,6 +193,18 @@ def _require_order(order: int):
         raise ValueError(f"order must be at least 1, got {order}")
 
 
+def _self_first(terms: list, coords: set, parities: tuple) -> list:
+    """``_terms`` with each term's factors off ``coords`` moved ahead of those on them,
+    each group in chart order; an odd moved factor passes the odd ones it overtakes."""
+    out = []
+    for factors, n, d in terms:
+        moved = [f for f in factors if f[0] not in coords]
+        odd = [i for i, _ in factors if parities[i] and i in coords]
+        flips = sum([i > j for i, _ in moved if parities[i] for j in odd])
+        out.append((moved + [f for f in factors if f[0] in coords], -n if flips & 1 else n, d))
+    return out
+
+
 def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
                order: int) -> SuperSeries:
     """Stationary value of h(w) + S(x; mu) - <w, mu> over the middle point.
@@ -217,7 +229,10 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
     needs w only through weight t - 1, so the first gradient at t = order - 1
     is already final and the next one certifies without its relation half.
     It raises unless certified within ``order + 2`` sweeps, and takes the
-    value from the envelope theorem.
+    value from the envelope theorem.  A compose's h is the outer S, whose
+    momenta follow the coordinates and map to themselves: its value terms
+    start from their momentum monomial, one row that shifts the first image,
+    instead of meeting the longest partial product last (``_self_first``).
     """
     if any(v.weight for v in (*phi.source, *phi.target)):
         raise MorphismError("source and target coordinates must have weight 0")
@@ -236,6 +251,8 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
     # out_k = [(E h)(w)]_k / k.  At lambda = 0, mu = 0 and w is the base map,
     # so out_0 = h_0 + S(x; 0); h_0 passes through with factor 1.
     eh = [(f, n * (sum([h.chart.weights[i] * e for i, e in f]) or 1), d) for f, n, d in _terms(h)]
+    if coords != list(range(len(h.chart) - len(coords), len(h.chart))):  # compose's h
+        eh = _self_first(eh, set(coords), h.chart.parities)
 
     def run(layout):
         images = lambda sums: {k: (layout.rows_of(acc), den) for k, (acc, den) in sums.items()}

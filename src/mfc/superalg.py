@@ -161,10 +161,7 @@ class Chart:
         return Chart(name, self.variables + tuple(extra))
 
     def mono_parity(self, mono: tuple) -> Parity:
-        p = 0
-        for i in self.odd_indices:
-            p ^= mono[i] & 1
-        return p
+        return sum(compress(mono, self.parities)) & 1
 
     def mono_weight(self, mono: tuple) -> int:
         return sum(map(operator.mul, mono, self.weights))
@@ -280,11 +277,13 @@ class SuperSeries:
         self._require_compatible(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+            elif s := s + c:
                 out[m] = s
             else:
-                out.pop(m, None)
+                del out[m]
         return SuperSeries(self.chart, out, self.order, _checked=True)
 
     __radd__ = __add__
@@ -643,8 +642,8 @@ def _substitute_packed(layout: _Layout, chart: Chart, order: int, source: Chart,
     by packed monomial over their least common denominator, so equal sums compare equal.
 
     The powers of each image are computed once for all the sources.  A term
-    c * prod image_i^e_i is built one factor at a time in chart order, each
-    partial product truncated at the order less the sum of ``least(i, e)``
+    c * prod image_i^e_i is built one factor at a time in the caller's factor
+    order, each partial product truncated at the order less the sum of ``least(i, e)``
     over the later factors: e times the least row weight of image_i (``order
     + 1`` if empty), a bound below image_i^e's that needs no power of it.
     Only terms of three or more factors look it up.
@@ -689,8 +688,8 @@ def _substitute_packed(layout: _Layout, chart: Chart, order: int, source: Chart,
         get = acc.get
         for (factors, n, _), d in zip(terms, term_dens):
             n *= den // d
-            # n times the first factor, times each further one in chart
-            # order; the last product goes straight into acc, and each one
+            # n times the first factor, times each further one in the
+            # caller's order; the last product goes straight into acc, and each one
             # before it leaves room for the least weights of the later factors
             rows = ([(p, n * k, o) for p, k, o in power(*factors[0])]
                     if factors else [(0, n, 0)])
@@ -729,8 +728,10 @@ def truncate_base_degree(a: SuperSeries, n: int) -> SuperSeries:
 
 def set_to_zero(a: SuperSeries, names: Sequence[str]) -> SuperSeries:
     """Evaluate the listed variables at zero (keeps the chart)."""
-    idxs = [a.chart.index(n) for n in names]
-    terms = {m: c for m, c in a.terms.items() if not any(m[i] for i in idxs)}
+    zeroed = [0] * len(a.chart)
+    for n in names:
+        zeroed[a.chart.index(n)] = 1
+    terms = {m: c for m, c in a.terms.items() if not any(compress(m, zeroed))}
     return SuperSeries(a.chart, terms, a.order, _checked=True)
 
 
@@ -742,19 +743,18 @@ def embed(a: SuperSeries, chart: Chart, order: int) -> SuperSeries:
     terms past ``order`` or a cap of ``chart`` are dropped.  It takes no
     Koszul sign, so odd variables must stand in the same order on both charts.
     """
-    idx = [chart._index.get(v.name) for v in a.chart]
-    n = len(chart)
+    source = a.chart._index
+    at = [source.get(v.name, len(source)) for v in chart]  # an exponent's slot, or the 0 after
+    missing = [0 if v.name in chart else 1 for v in a.chart]
     out: dict = {}
     for m, c in a.terms.items():
-        mono = [0] * n
-        for i, e in enumerate(m):
-            if e:
-                if idx[i] is None:
-                    raise KeyError(f"variable {a.chart.variables[i].name!r} occurs "
-                                   f"but is not on chart {chart.name!r}")
-                mono[idx[i]] = e
-        out[tuple(mono)] = c
-    return SuperSeries(chart, out, order)
+        if any(compress(m, missing)):
+            v = next(compress(a.chart.variables, map(operator.mul, m, missing)))
+            raise KeyError(f"variable {v.name!r} occurs but is not on chart {chart.name!r}")
+        mono = tuple(map((*m, 0).__getitem__, at))
+        if chart.admits(mono, order):
+            out[mono] = c
+    return SuperSeries(chart, out, order, _checked=True)
 
 
 def shift_down(a: SuperSeries, name: str) -> SuperSeries:

@@ -550,6 +550,27 @@ class TestCompose:
         out = compose(golden_psi(), worked_example(), ORDER)
         assert serialize(out.S) == "x*q_z + q_z^2"
 
+    def test_odd_momentum_after_odd_coordinate(self):
+        """The value step moves each term's outer momenta ahead of its imaged
+        coordinates: q_zeta of 2*q_z*q_zeta*eta passes eta's odd image, so it
+        takes a sign."""
+        ws = parse_workspace(
+            "chart M { x : even, xi : odd }\n"
+            "chart N { y : even, eta : odd }\n"
+            "chart P { z : even, zeta : odd }\n"
+            "morphism Phi : M -> N kind=even "
+            "{ S = x*q_y + xi*q_eta + 1/2*q_y^2 + x*xi*q_eta*q_y }\n"
+            "morphism Psi : N -> P kind=even "
+            "{ S = y*q_z + eta*q_zeta + y*eta*q_zeta + 2*q_z*q_zeta*eta + 1/3*q_z^2 }\n")
+        psi, phi = ws.morphisms["Psi"], ws.morphisms["Phi"]
+        out = compose(psi, phi, ORDER)
+        work = combined_chart(phi.source, psi.target, KIND_EVEN,
+                              [psi.chart.var(m) for m in psi.momentum_names()])
+        assert out.S == ref_eliminate(phi, psi.S, work, ORDER)
+        assert serialize(out.S) == (
+            "x*q_z + xi*q_zeta + 5/6*q_z^2 + x*xi*q_zeta - xi*q_z*q_zeta"
+            " + x*xi*q_z*q_zeta + x^2*xi*q_z*q_zeta - x*xi*q_z^2*q_zeta")
+
     def test_classical_factors(self):
         gen = Generator(32)
         a = gen.chart(1, 1, name="A")

@@ -897,3 +897,120 @@ class TestReferenceKernel:
         for _ in range(40):
             a, b, c = (draw(rng, chart, rng.randint(1, 4)) for _ in range(3))
             assert mul(mul(a, b), c) == mul(a, mul(b, c))
+
+
+# -- reference bookkeeping -------------------------------------------------
+#
+# The plain per-term, per-variable loops of the series helpers, kept as
+# oracles for their compress- and map-based forms.
+
+
+def ref_add(a, b):
+    out = dict(a.terms)
+    for m, c in b.terms.items():
+        s = out.get(m, Fraction(0)) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def ref_embed(a, chart, order):
+    idx = [chart._index.get(v.name) for v in a.chart]
+    out = {}
+    for m, c in a.terms.items():
+        mono = [0] * len(chart)
+        for i, e in enumerate(m):
+            if e:
+                if idx[i] is None:
+                    raise KeyError(a.chart.variables[i].name)
+                mono[idx[i]] = e
+        out[tuple(mono)] = c
+    return SuperSeries(chart, out, order).terms
+
+
+def ref_set_to_zero(a, names):
+    idxs = [a.chart.index(n) for n in names]
+    return {m: c for m, c in a.terms.items() if not any(m[i] for i in idxs)}
+
+
+def ref_mono_parity(chart, mono):
+    p = 0
+    for i in chart.odd_indices:
+        p ^= mono[i] & 1
+    return p
+
+
+class TestReferenceBookkeeping:
+    """``+``, ``embed``, ``set_to_zero`` and ``mono_parity`` against the loops above,
+    on seeded draws over ``ref_chart``: odd variables, a weight-1 momentum and a
+    capped even parameter."""
+
+    def test_add_matches_reference(self):
+        rng = random.Random(21)
+        chart = ref_chart()
+        cancelled = 0
+        for _ in range(60):
+            a, b = draw(rng, chart, rng.randint(1, 5)), draw(rng, chart, rng.randint(1, 5))
+            # a share of b's terms cancels a's, so some keys must go
+            b = b - SuperSeries(chart, dict(rng.sample(sorted(a.terms.items()),
+                                                       rng.randint(0, len(a.terms)))), REF_ORDER)
+            out = a + b
+            assert out.terms == ref_add(a, b)
+            assert_clean(out)
+            cancelled += len(out.terms) < len(set(a.terms) | set(b.terms))
+            gone = a + (-a)
+            assert gone.terms == {} and gone.is_zero()
+        assert cancelled >= 20
+
+    def test_embed_matches_reference(self):
+        rng = random.Random(22)
+        chart = ref_chart()
+        v = {u.name: u for u in chart}
+        wider = Chart("W", [v["x"], Variable("z", EVEN), v["th"], v["q"], v["y"],
+                            Variable("ze", ODD), v["et"], v["p"], v["t"]])
+        capped = Chart("C", [v["x"], v["th"], Variable("q", EVEN, ROLE_MOMENTUM, weight=1,
+                                                       max_power=1),
+                             v["y"], v["et"], v["p"],
+                             Variable("t", EVEN, ROLE_PARAM, weight=1, max_power=1)])
+        dropped = 0
+        for _ in range(60):
+            a = draw(rng, chart, rng.randint(1, 6))
+            for target, order in ((wider, REF_ORDER), (chart, 2), (chart, 1), (capped, REF_ORDER)):
+                out = embed(a, target, order)
+                assert out.terms == ref_embed(a, target, order)
+                assert out.order == order
+                assert_clean(out)
+                dropped += len(out.terms) < len(a.terms)
+        assert dropped >= 60
+        smaller = Chart("S", [u for u in chart if u.name != "th"])
+        for _ in range(30):
+            a = draw(rng, chart, rng.randint(1, 6))
+            if any(m[chart.index("th")] for m in a.terms):
+                with pytest.raises(KeyError, match="'th'"):
+                    embed(a, smaller, REF_ORDER)
+            else:
+                assert embed(a, smaller, REF_ORDER).terms == ref_embed(a, smaller, REF_ORDER)
+
+    def test_set_to_zero_matches_reference(self):
+        rng = random.Random(23)
+        chart = ref_chart()
+        names = [u.name for u in chart]
+        for _ in range(60):
+            a = draw(rng, chart, rng.randint(1, 6)) + rng.choice(REF_COEFFS)
+            for chosen in ([], names, rng.sample(names, rng.randint(1, len(names)))):
+                out = set_to_zero(a, chosen)
+                assert out.terms == ref_set_to_zero(a, chosen)
+                assert_clean(out)
+            assert set_to_zero(a, []) == a
+            assert set_to_zero(a, names) == a.constant_term()
+
+    def test_mono_parity_matches_reference(self):
+        rng = random.Random(24)
+        chart = ref_chart()
+        even = Chart("E", [u for u in chart if u.parity == EVEN])
+        for _ in range(200):
+            mono = tuple(rng.randint(0, 3) for _ in chart)
+            assert chart.mono_parity(mono) == ref_mono_parity(chart, mono)
+            assert even.mono_parity(mono[:len(even)]) == 0

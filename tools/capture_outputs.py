@@ -1,7 +1,7 @@
 """pytest plugin: record the serialized output of every pullback_series,
-pullback_derivative, compose, _lift, ``superforms.liouville``,
-``poisson_bracket``, ``prolong_coordinate_change`` and ``textio.parse_series``
-call that a test run makes, the chart every ``superforms.extend_chart`` call
+pullback_derivative, compose, ``base_map``, ``relation_check``, _lift,
+``superforms.liouville``, ``poisson_bracket``, ``prolong_coordinate_change``
+and ``textio.parse_series`` call that a test run makes, the chart every ``superforms.extend_chart`` call
 builds, every kernel call (``superalg.mul``, ``deriv``, ``partial`` and
 ``substitute``) made from outside ``superalg``, and what every
 ``textio.parse_workspace`` call builds.
@@ -23,7 +23,8 @@ one tree has is left out.
 Each line of the file is one output, in call order: a JSON list of the
 pytest node id of the running test (``null`` before the first one starts),
 the function name and its output (``serialize`` of the series, plus the kind
-and the conjugacy table for a lifted morphism; each morphism's ``S`` and
+and the conjugacy table for a lifted morphism; one line per component of a
+base map and per check of a relation report, with its name; each morphism's ``S`` and
 each function of a parsed workspace, in declaration order; one line per
 image of a prolonged coordinate change; the name and ``repr`` of the
 variables of an extended chart).  A ``[node id, "test"]`` line marks the
@@ -64,6 +65,10 @@ TARGETS = (
     ("mfc.morphisms", "pullback_series", _series("pullback_series")),
     ("mfc.morphisms", "pullback_derivative", _series("pullback_derivative")),
     ("mfc.morphisms", "compose", lambda out: [["compose", serialize(out.S)]]),
+    ("mfc.morphisms", "base_map",
+     lambda out: [["base_map", coord, serialize(s)] for coord, s in out.items()]),
+    ("mfc.morphisms", "relation_check",
+     lambda out: [["relation_check", c.name, serialize(c.residual)] for c in out.checks]),
     ("mfc.functors", "_lift",
      lambda out: [["_lift", out.kind, serialize(out.S),
                    [[c.coord, c.momentum, c.sign] for c in out.conjugates]]]),
