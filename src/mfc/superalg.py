@@ -254,9 +254,7 @@ class SuperSeries:
         return seen
 
     def has_parity(self, p: Parity) -> bool:
-        if not self.chart.odd_indices:
-            return p == EVEN or not self.terms
-        return all(self.chart.mono_parity(m) == p for m in self.terms)
+        return not self.terms or self.parity() == p
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.chart), Fraction(0))
@@ -306,14 +304,7 @@ class SuperSeries:
                            self.order, _checked=True)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         return mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:
@@ -390,12 +381,12 @@ _layout = functools.lru_cache(maxsize=256)(_Layout)  # one layout per chart shap
 def _widening(chart: Chart, run):
     """``run(layout)`` at field width 8, rerun twice as wide while an exponent hits a guard."""
     shape = (chart.parities, chart.weights, chart.even_caps)
-    for width in (8, 16, 32):
+    for width in (8, 16, 32, 64):
         try:
             return run(_layout(*shape, width))
         except (OverflowError, struct.error):
             pass
-    return run(_layout(*shape, 64))
+    raise ValueError("an exponent reaches 2^63, past the kernel's 64-bit exponent field")
 
 
 def _common_denominator(coeffs: Iterable[Fraction]) -> int:
@@ -714,9 +705,7 @@ def truncate(a: SuperSeries, n: int) -> SuperSeries:
     """Drop all monomials of momentum/parameter weight > n."""
     if n > a.order:
         raise ValueError(f"cannot extend filtration order {a.order} to {n}")
-    chart = a.chart
-    terms = {m: c for m, c in a.terms.items() if chart.mono_weight(m) <= n}
-    return SuperSeries(chart, terms, n, _checked=True)
+    return embed(a, a.chart, n)
 
 
 def truncate_base_degree(a: SuperSeries, n: int) -> SuperSeries:

@@ -316,7 +316,11 @@ def prolong_coordinate_change(F: Mapping[str, SuperSeries], base_chart: Chart,
         stages.append((bundle, [v.name for v in chart]))
         chart = extend_chart(chart, bundle)
 
-    s_order = max(order, 2 * (len(kinds) + 1))
+    # Every bundle weight is 0 or 1, and a chart takes T* and PiT* at most once
+    # each (a second q_<v> is a duplicate variable).  Each cotangent solve is
+    # linear in its own momenta, with coefficients from earlier stages, so no
+    # image weighs more than the number of cotangent stages.
+    s_order = max(order, sum(b in COTANGENT.values() for b in kinds))
     sigma: Dict[str, SuperSeries] = {}
     for v in base_chart:
         img = F[v.name]

@@ -163,9 +163,7 @@ class ClassicalMap:
             if not comp.has_parity(v.parity):
                 raise ParityError(f"component for {v.name!r} has wrong parity")
 
-    def compose(self, inner: "ClassicalMap", order: Optional[int] = None) -> "ClassicalMap":
-        if order is None:
-            order = next(iter(inner.components.values())).order
+    def compose(self, inner: "ClassicalMap", order: int) -> "ClassicalMap":
         images = {w.name: inner.components[w.name] for w in self.source}
         comps = {name: substitute(comp, images, chart=inner.source, order=order)
                  for name, comp in self.components.items()}

@@ -117,7 +117,8 @@ def tokenize(text: str) -> List[Token]:
 MAX_POWER_TERMS = 1000
 # One expression may multiply at most this many pairs of terms, summed over
 # its products and power steps.  A bound on each product alone would still
-# let (x+1)^500 take seconds through five hundred small steps.
+# let (x+1)^500 take seconds through five hundred small steps.  No exponent may pass
+# x^(MAX_TERM_PAIRS + 1), the longest product chain it admits, as a power of a power can.
 MAX_TERM_PAIRS = 10000
 # A number (a literal, or a series coefficient made by a sum, product or power) may
 # have at most this many bits above and below the line, about 3000 digits: output is
@@ -206,7 +207,10 @@ class _Parser:
             out = a.scale(b[1])
         else:
             out = mul(self.series(a), self.series(b))
-        for _, c in _items(out):
+        for m, c in _items(out):
+            if max(m, default=0) > MAX_TERM_PAIRS + 1:
+                name = self.chart.variables[m.index(max(m))].name
+                self.fail(f"power of {name!r} exceeds {MAX_TERM_PAIRS + 1}", at)
             self.number(c, at)
         return out
 
@@ -312,14 +316,6 @@ def bounded(text: str, what: str, most: int) -> int:
     return int(text)
 
 
-def _order_at(tok: Token) -> int:
-    """An order setting or attribute, refused at its token."""
-    try:
-        return bounded(tok.text, "order", MAX_ORDER)
-    except ValueError as exc:
-        raise ParseError(str(exc), tok.line, tok.col) from None
-
-
 _COVECTORS = tuple(BUNDLES[b].prefix for b in COTANGENT.values())  # q_, ys_
 
 
@@ -358,6 +354,18 @@ class _Table(dict):
     def __missing__(self, name):
         raise KeyError(f"no {self.kind} named {name!r} in workspace")
 
+    def fresh(self, name: Token, head: Token) -> str:
+        """The name a declaration gives, refused at its ``head`` if already taken."""
+        if name.text in self:
+            raise ParseError(f"duplicate {self.kind} {name.text!r}", head.line, head.col)
+        return name.text
+
+    def at(self, name: Token):
+        """The declaration a reference names, refused at the reference if there is none."""
+        if name.text not in self:
+            raise ParseError(f"undeclared {self.kind} {name.text!r}", name.line, name.col)
+        return self[name.text]
+
 
 @dataclass
 class Workspace:
@@ -378,7 +386,7 @@ def parse_workspace(text: str) -> Workspace:
             p.expect("op", "=")
             val = p.next()
             if key.text == "order":
-                ws.default_order = _order_at(val)
+                ws.default_order = _declared(val, bounded, val.text, "order", MAX_ORDER)
             elif key.text != "strict":
                 p.fail(f"unknown setting {key.text!r}", key)
             elif val.text in ("0", "1"):
@@ -386,9 +394,7 @@ def parse_workspace(text: str) -> Workspace:
             else:
                 p.fail(f"strict must be 0 or 1, found {val.text!r}", val)
         elif head.text == "chart":
-            name = p.expect("ident").text
-            if name in ws.charts:
-                p.fail(f"duplicate chart {name!r}", head)
+            name = ws.charts.fresh(p.expect("ident"), head)
             p.expect("op", "{")
             variables, names = [], []
             while p.peek().text != "}":
@@ -407,9 +413,7 @@ def parse_workspace(text: str) -> Workspace:
                     p.fail(f"coordinate {t.text!r} names {what}", t)
             ws.charts[name] = _declared(head, Chart, name, variables)
         elif head.text == "morphism":
-            name = p.expect("ident").text
-            if name in ws.morphisms:
-                p.fail(f"duplicate morphism {name!r}", head)
+            name = ws.morphisms.fresh(p.expect("ident"), head)
             p.expect("op", ":")
             src = p.expect("ident")
             p.expect("arrow")
@@ -422,16 +426,13 @@ def parse_workspace(text: str) -> Workspace:
                 if key.text == "kind":
                     kind = val
                 elif key.text == "order":
-                    order = _order_at(val)
+                    order = _declared(val, bounded, val.text, "order", MAX_ORDER)
                 else:
                     p.fail(f"unknown morphism attribute {key.text!r}", key)
             if kind is None or kind.text not in ("even", "odd"):
                 p.fail("morphism needs kind=even|odd", kind)  # kind None: the "{"
             kind, order = kind.text, ws.default_order if order is None else order
-            for c in (src, tgt):
-                if c.text not in ws.charts:
-                    p.fail(f"undeclared chart {c.text!r}", c)
-            src, tgt = ws.charts[src.text], ws.charts[tgt.text]
+            src, tgt = ws.charts.at(src), ws.charts.at(tgt)
             p.expect("op", "{")
             p.expect("ident", "S")
             p.expect("op", "=")
@@ -441,14 +442,9 @@ def parse_workspace(text: str) -> Workspace:
             ws.morphisms[name] = _declared(head, mk_thick, src, tgt, kind, s, order,
                                            strict=ws.strict)
         elif head.text == "function":
-            name = p.expect("ident").text
-            if name in ws.functions:
-                p.fail(f"duplicate function {name!r}", head)
+            name = ws.functions.fresh(p.expect("ident"), head)
             p.expect("ident", "on")
-            cname = p.expect("ident")
-            if cname.text not in ws.charts:
-                p.fail(f"undeclared chart {cname.text!r}", cname)
-            chart = ws.charts[cname.text]
+            chart = ws.charts.at(p.expect("ident"))
             p.expect("op", "{")
             # auto-extend for derived variables mentioned in the body, which
             # ends at the first "}" (expressions have no braces); the body

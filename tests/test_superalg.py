@@ -720,6 +720,41 @@ class TestReferenceKernel:
             reached = max(reached, *(m[0] for m in out.terms))
         assert reached > 255
 
+    @pytest.mark.parametrize("big", [2 ** 15 + 3, 2 ** 31 + 3])
+    def test_packed_exponents_cross_the_wider_guards(self, big):
+        """Past 2^15 an exponent needs 32-bit fields, past 2^31 the 64-bit ones:
+        products, power-table squares and substitutions match the reference."""
+        chart = Chart("G", [Variable("x", EVEN), Variable("th", ODD), Variable("y", EVEN),
+                            Variable("q", EVEN, ROLE_MOMENTUM, weight=1)])
+        mono = lambda coeff, **exps: SuperSeries.monomial(chart, exps, coeff, REF_ORDER)
+        wide = mono(1, y=big) + mono(Fraction(2, 3), x=1, th=1, y=big - 70)
+        b = mono(1, y=198) + mono(-1, x=1, q=1) + mono(Fraction(1, 5), th=1, y=127)
+        for left, right in ((wide, b), (b, wide), (wide, wide)):
+            out = mul(left, right)
+            assert out.terms == ref_mul(left, right).terms
+            assert_clean(out)
+        assert (0, 0, 2 * big, 0) in mul(wide, wide).terms
+        images = {"x": mono(1, x=199) + mono(1, y=1),
+                  "y": mono(1, y=big) + mono(Fraction(1, 2), x=1, q=1) + mono(-2, q=1)}
+        full = dict(images, th=mono(1, th=1), q=mono(1, q=1))
+        for f in (mono(1, y=2), mono(2, x=1, y=2, q=1) + mono(1, th=1, y=1)):
+            out = substitute(f, images, chart=chart, order=REF_ORDER)
+            assert out.terms == ref_substitute(f, full, chart, REF_ORDER).terms
+            assert_clean(out)
+            assert max(m[2] for m in out.terms) > big
+
+    def test_exponent_past_the_widest_field_is_named(self):
+        """An operand's exponent of 2^63, or a square's, fits no packed field:
+        a ValueError says so, in ``mul`` and in ``substitute``'s power table."""
+        chart = Chart("G", [Variable("x", EVEN), Variable("y", EVEN)])
+        x, y = (SuperSeries.of_var(chart, v, REF_ORDER) for v in ("x", "y"))
+        huge = SuperSeries.monomial(chart, {"x": 2 ** 63}, 1, REF_ORDER)
+        with pytest.raises(ValueError, match=r"exponent reaches 2\^63"):
+            mul(huge + y, x + y)
+        half = SuperSeries.monomial(chart, {"x": 2 ** 62}, 1, REF_ORDER)
+        with pytest.raises(ValueError, match=r"exponent reaches 2\^63"):
+            substitute(mul(y, y) + x, {"y": half + x}, chart=chart, order=REF_ORDER)
+
     def test_one_term_and_empty_mul_match_reference(self):
         """A one-term factor on either side: odd factors behind and ahead of
         the other's (a minus sign in both operand orders), an odd variable

@@ -37,6 +37,7 @@ from mfc.superforms import (
     verify_identification,
 )
 from mfc.testkit import Generator
+from mfc.textio import serialize
 
 ORDER = 6
 
@@ -296,6 +297,19 @@ class TestProlongation:
                     resid = resid + mul(partial(sigma[v], b), sigma[partner(v, kind)])
                 assert truncate_base_degree(resid, order).is_zero(), (kind, b)
             stage = extend_chart(stage, kind)
+
+    def test_second_stage_image_outweighs_order(self):
+        # ys_th's image carries the first stage's momentum q_th beside its own
+        # ys_q_x: weight 2, past the order 1, so the images keep one weight per
+        # cotangent stage
+        order = 1
+        base = Chart("M", [Variable("x", EVEN), Variable("th", ODD)])
+        x, th = (SuperSeries.of_var(base, v, order) for v in ("x", "th"))
+        F = {"x": x + x ** 2 + x ** 3, "th": th + mul(x, th)}
+        chart, sigma = prolong_coordinate_change(F, base, [TSTAR, PITSTAR], order)
+        image = sigma["ys_th"]
+        assert serialize(image) == "ys_th - x*ys_th + q_th*ys_q_x + x*q_th*ys_q_x"
+        assert image.order >= 2
 
     @pytest.mark.parametrize("mom_kind, which", [(TSTAR, "theta"), (PITSTAR, "lambda")])
     @pytest.mark.parametrize("change", ["permutation", "shear"])

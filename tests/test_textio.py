@@ -312,6 +312,29 @@ class TestMonomialProducts:
             parse_series(text, chart, 3)
         assert str(exc.value) == message
 
+    def test_series_times_number(self):
+        """A sum times a number on its right is scaled, as the fold's ``times`` does."""
+        chart = Chart("C", [Variable("x", EVEN), Variable("y", EVEN), *self.CHART.variables])
+        x, y, q_y, xi = (SuperSeries.of_var(chart, v, 3) for v in ("x", "y", "q_y", "xi"))
+        words = [("(x + y)*2", self.times(x + y, Fraction(2)), "2*x + 2*y"),
+                 ("(x + xi)*3/2*x", self.times(self.times(x + xi, Fraction(3, 2)), x),
+                  "3/2*x^2 + 3/2*x*xi"),
+                 ("-(q_y + x)*1/3", self.times(self.times(Fraction(-1), q_y + x), Fraction(1, 3)),
+                  "-1/3*x - 1/3*q_y")]
+        for text, want, printed in words:
+            got = parse_series(text, chart, 3)
+            assert got == want and got.order == 3, text
+            assert serialize(got) == printed
+
+    def test_exponent_edge(self):
+        """A power of a power may reach the exponent that the longest chain of
+        products reaches, x^10001, and no further."""
+        chart = Chart("M", [Variable("x", EVEN)])
+        assert serialize(parse_series("(x^1000)^10*x", chart, 3)) == "x^10001"
+        with pytest.raises(ParseError) as exc:
+            parse_series("(x^1000)^10*x^2", chart, 3)
+        assert str(exc.value) == "1:12: power of 'x' exceeds 10001"
+
     def test_pair_budget_edge(self):
         """Each ``*`` of one-term factors counts one pair: 10,000 are allowed."""
         chart = Chart("M", [Variable("x", EVEN)])
@@ -809,12 +832,24 @@ class TestCli:
         ("chart M { x : even }\nchart N { y : even }\n"
          "function f on N { y }\nfunction f on N { y }\n",
          "error: 4:1: duplicate function 'f'\n"),
+        ("chart M { x : even }\nchart M { y : even }\n", "error: 2:1: duplicate chart 'M'\n"),
     ])
     def test_header_error_at_its_token(self, tmp_path, capsys, text, message):
         bad = tmp_path / "header.mfc"
         bad.write_text(text)
         assert main(["check", str(bad)]) == 2
         assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("command", [[], ["--morphism", "Phi", "--function", "f"]])
+    def test_nested_power_refused(self, tmp_path, capsys, command):
+        """A power of a power costs a few term pairs, but a substitution would
+        build every power of an image up to its exponent: refused as it parses."""
+        bad = tmp_path / "nested.mfc"
+        bad.write_text("chart M { x : even }\nchart N { y : even }\n"
+                       "morphism Phi : M -> N kind=even { S = x*q_y + 1/2*q_y^2 }\n"
+                       "function f on N { ((((((y^1000)^1000)^1000)^1000)^1000)^1000)^1000 }\n")
+        assert main(["pullback" if command else "check", str(bad), *command]) == 2
+        assert capsys.readouterr() == ("", "error: 4:33: power of 'y' exceeds 10001\n")
 
     def test_parse_error_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mfc"
