@@ -208,7 +208,7 @@ class _Parser:
         else:
             out = mul(self.series(a), self.series(b))
         for m, c in _items(out):
-            if max(m, default=0) > MAX_TERM_PAIRS + 1:
+            if m and max(m) > MAX_TERM_PAIRS + 1:  # m is () on a chart of no variables
                 name = self.chart.variables[m.index(max(m))].name
                 self.fail(f"power of {name!r} exceeds {MAX_TERM_PAIRS + 1}", at)
             self.number(c, at)

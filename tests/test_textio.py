@@ -328,12 +328,14 @@ class TestMonomialProducts:
 
     def test_exponent_edge(self):
         """A power of a power may reach the exponent that the longest chain of
-        products reaches, x^10001, and no further."""
+        products reaches, x^10001, and no further; a chart of no variables has
+        no exponent to bound."""
         chart = Chart("M", [Variable("x", EVEN)])
         assert serialize(parse_series("(x^1000)^10*x", chart, 3)) == "x^10001"
         with pytest.raises(ParseError) as exc:
             parse_series("(x^1000)^10*x^2", chart, 3)
         assert str(exc.value) == "1:12: power of 'x' exceeds 10001"
+        assert serialize(parse_series("2*3^2", Chart("E", []), 3)) == "18"
 
     def test_pair_budget_edge(self):
         """Each ``*`` of one-term factors counts one pair: 10,000 are allowed."""
