@@ -193,18 +193,6 @@ def _require_order(order: int):
         raise ValueError(f"order must be at least 1, got {order}")
 
 
-def _self_first(terms: list, coords: set, parities: tuple) -> list:
-    """``_terms`` with each term's factors off ``coords`` moved ahead of those on them,
-    each group in chart order; an odd moved factor passes the odd ones it overtakes."""
-    out = []
-    for factors, n, d in terms:
-        moved = [f for f in factors if f[0] not in coords]
-        odd = [i for i, _ in factors if parities[i] and i in coords]
-        flips = sum([i > j for i, _ in moved if parities[i] for j in odd])
-        out.append((moved + [f for f in factors if f[0] in coords], -n if flips & 1 else n, d))
-    return out
-
-
 def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
                order: int) -> SuperSeries:
     """Stationary value of h(w) + S(x; mu) - <w, mu> over the middle point.
@@ -230,16 +218,18 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
     is already final and the next one certifies without its relation half.
     It raises unless certified within ``order + 2`` sweeps, and takes the
     value from the envelope theorem.  A compose's h is the outer S, whose
-    momenta follow the coordinates and map to themselves: its value terms
-    start from their momentum monomial, one row that shifts the first image,
-    instead of meeting the longest partial product last (``_self_first``).
+    momenta follow the coordinates and map to themselves: its value terms are
+    multiplied from the right, from their momentum monomial, one row that shifts
+    the next image, instead of meeting the longest partial product last.
     """
     if any(v.weight for v in (*phi.source, *phi.target)):
         raise MorphismError("source and target coordinates must have weight 0")
     coords = [h.chart.index(v.name) for v in phi.target]
     if any(m[i] for m in h.terms if not h.chart.mono_weight(m) for i in coords):
         raise MorphismError("coordinate-dependent terms need weight, or the sweeps may not settle")
-    dh = [_terms(partial(h, c.coord)) for c in phi.conjugates]
+    # mu_i = sign_i dh/dw^i(w): the gradient carries the sign, not the relations
+    dh = [[(f, c.sign * n, d) for f, n, d in _terms(partial(h, c.coord))]
+          for c in phi.conjugates]
     relations = phi.coordinate_relations()
     rels = [_terms(rel) for rel in relations.values()]
     momenta = phi.momentum_names()
@@ -251,8 +241,7 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
     # out_k = [(E h)(w)]_k / k.  At lambda = 0, mu = 0 and w is the base map,
     # so out_0 = h_0 + S(x; 0); h_0 passes through with factor 1.
     eh = [(f, n * (sum([h.chart.weights[i] * e for i, e in f]) or 1), d) for f, n, d in _terms(h)]
-    if coords != list(range(len(h.chart) - len(coords), len(h.chart))):  # compose's h
-        eh = _self_first(eh, set(coords), h.chart.parities)
+    from_right = coords != list(range(len(h.chart) - len(coords), len(h.chart)))  # compose's h
 
     def run(layout):
         images = lambda sums: {k: (layout.rows_of(acc), den) for k, (acc, den) in sums.items()}
@@ -262,10 +251,7 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
         last = None
         for i in range(order + 2):
             t = min(i + 1, order - 1)
-            # mu_i = sign_i dh/dw^i(w): the gradient carries the sign, not the relations
-            grad = {c.momentum: (acc if c.sign > 0 else {p: -n for p, n in acc.items()}, den)
-                    for c, (acc, den) in zip(phi.conjugates, _substitute_packed(
-                        layout, work, t, h.chart, dh, images(w)))}
+            grad = dict(zip(momenta, _substitute_packed(layout, work, t, h.chart, dh, images(w))))
             if t == order - 1:
                 if grad == last:
                     break
@@ -277,7 +263,7 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
             w = new
         else:
             raise MorphismError(f"relation still moving after {order + 2} sweeps")
-        (acc, den), = _substitute_packed(layout, work, order, h.chart, [eh], images(w))
+        (acc, den), = _substitute_packed(layout, work, order, h.chart, [eh], images(w), from_right)
         scale, shift = lcm(*range(1, order + 1)), layout.weight_shift
         return layout.series(work, {p: n * (scale // ((p >> shift) or 1)) for p, n in acc.items()},
                              den * scale, order)

@@ -626,18 +626,20 @@ def _terms(a: SuperSeries) -> list:
 
 
 def _substitute_packed(layout: _Layout, chart: Chart, order: int, source: Chart,
-                       sources: Sequence[list], images: Mapping[str, tuple]) -> list:
+                       sources: Sequence[list], images: Mapping[str, tuple],
+                       from_right: bool = False) -> list:
     """The packed core of ``substitute``: each source (``_terms`` of a series
     on ``source``) under ``images`` (name -> (rows, their denominator); others
     map to their namesakes on ``chart``) becomes (acc, den), nonzero numerators
     by packed monomial over their least common denominator, so equal sums compare equal.
 
     The powers of each image are computed once for all the sources.  A term
-    c * prod image_i^e_i is built one factor at a time in the caller's factor
-    order, each partial product truncated at the order less the sum of ``least(i, e)``
-    over the later factors: e times the least row weight of image_i (``order
-    + 1`` if empty), a bound below image_i^e's that needs no power of it.
-    Only terms of three or more factors look it up.
+    c * prod image_i^e_i is built one factor at a time: from its first factor,
+    each next image on the right, or ``from_right`` from its last, each next one on
+    the left (``_add_products`` signs either).  Each partial product is truncated at
+    the order less the sum of ``least(i, e)`` over the factors still to come: e times the
+    least row weight of image_i (``order + 1`` if empty), a bound below image_i^e's that
+    needs no power of it.  Only terms of three or more factors look it up.
     """
     dens = [images[v.name][1] if v.name in images else 1 for v in source]
     powers: dict = {}  # source index -> [rows of image, of image^2, ...]
@@ -679,23 +681,25 @@ def _substitute_packed(layout: _Layout, chart: Chart, order: int, source: Chart,
         get = acc.get
         for (factors, n, _), d in zip(terms, term_dens):
             n *= den // d
-            # n times the first factor, times each further one in the
-            # caller's order; the last product goes straight into acc, and each one
-            # before it leaves room for the least weights of the later factors
+            factors = factors[::-1] if from_right else factors
+            # n times the first factor, times each further one; the last
+            # product goes straight into acc, and each one before it leaves
+            # room for the least weights of the factors still to come
             rows = ([(p, n * k, o) for p, k, o in power(*factors[0])]
                     if factors else [(0, n, 0)])
             for j in range(1, len(factors) - 1):
-                if not rows:
-                    break
                 part: dict = {}
-                _add_products(part, rows, power(*factors[j]),
+                image = power(*factors[j])
+                _add_products(part, image if from_right else rows, rows if from_right else image,
                               order - sum([least(*f) for f in factors[j + 1:]]), layout)
                 rows = layout.rows_of(part)
             if len(factors) < 2:
                 for p, k, _ in rows:
                     acc[p] = get(p, 0) + k
             elif rows:
-                _add_products(acc, rows, power(*factors[-1]), order, layout)
+                image = power(*factors[-1])
+                _add_products(acc, image if from_right else rows, rows if from_right else image,
+                              order, layout)
         g = gcd(den, *acc.values())
         out.append(({p: n // g for p, n in acc.items() if n}, den // g))
     return out
