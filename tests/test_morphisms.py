@@ -551,9 +551,10 @@ class TestCompose:
         assert serialize(out.S) == "x*q_z + q_z^2"
 
     def test_odd_momentum_after_odd_coordinate(self):
-        """The value step moves each term's outer momenta ahead of its imaged
-        coordinates: q_zeta of 2*q_z*q_zeta*eta passes eta's odd image, so it
-        takes a sign."""
+        """The value step multiplies each term from the right, starting from its
+        outer momenta: eta's odd image of 2*q_z*q_zeta*eta (chart order
+        eta*q_z*q_zeta) goes on the left of q_zeta, and the product takes that
+        pair's sign."""
         ws = parse_workspace(
             "chart M { x : even, xi : odd }\n"
             "chart N { y : even, eta : odd }\n"

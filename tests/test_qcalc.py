@@ -66,6 +66,8 @@ class TestHomologicalFields:
         assert serialize(hamiltonian_of_field(q, "even")) == "xi*q_x"
         assert serialize(hamiltonian_of_field(q, "odd")) == "xi*ys_x"
         assert q.is_homological()
+        with pytest.raises(ValueError, match="structure must be 'even' or 'odd'"):
+            hamiltonian_of_field(q, "bogus")
 
     def test_non_homological_field(self):
         c = Chart("M", [Variable("x", EVEN), Variable("xi", ODD)])

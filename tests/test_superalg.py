@@ -189,6 +189,11 @@ class TestFiltration:
         ts = SuperSeries.of_var(c, "t", ORDER)
         assert mul(ts, ts).is_zero()
 
+    def test_truncate_refuses_a_higher_order(self):
+        q = SuperSeries.of_var(self.chart(), "q", ORDER)
+        with pytest.raises(ValueError, match=f"cannot extend filtration order {ORDER} to {ORDER + 1}"):
+            truncate(q, ORDER + 1)
+
 
 class TestHelpers:
     def test_set_to_zero(self):
@@ -201,6 +206,21 @@ class TestHelpers:
         eps = SuperSeries.of_var(c, "eps", ORDER)
         x = SuperSeries.of_var(c, "x", ORDER)
         assert shift_down(mul(eps, x ** 2), "eps") == x ** 2
+
+    def test_shift_down_refusals(self):
+        c = make_chart()
+        with pytest.raises(ParityError, match="shift_down needs an even variable"):
+            shift_down(mul(var(c, "th"), var(c, "et")), "th")
+        with pytest.raises(ValueError, match="term without a factor of 'x'"):
+            shift_down(mul(var(c, "x"), var(c, "y")) + var(c, "y"), "x")
+
+    def test_variable_and_power_refusals(self):
+        with pytest.raises(ParityError, match="bad parity for 'x': 2"):
+            Variable("x", 2)
+        with pytest.raises(ValueError, match="weight must be nonnegative"):
+            Variable("q", EVEN, ROLE_MOMENTUM, weight=-1)
+        with pytest.raises(ValueError, match="negative powers are not supported"):
+            var(make_chart(), "x") ** -1
 
     def test_deriv_is_graded_derivation(self):
         """An odd derivation built from images satisfies the sign rule."""
@@ -322,12 +342,14 @@ def ref_deriv(a, images, parity):
     return out
 
 
-def ref_substitute(a, images, chart, order):
-    """Sum over monomials of c * image^e * ..., one factor at a time."""
+def ref_substitute(a, images, chart, order, reverse=False):
+    """Sum over monomials of c * image^e * ..., one factor at a time; with
+    ``reverse``, the images in the opposite order, which no algebra morphism
+    gives when two odd images meet."""
     out = SuperSeries.zero(chart, order)
     for m, c in a.terms.items():
         term = SuperSeries.const(chart, c, order)
-        for v, e in zip(a.chart.variables, m):
+        for v, e in list(zip(a.chart.variables, m))[::-1 if reverse else 1]:
             for _ in range(e):
                 term = ref_mul(term, images[v.name])
         out = out + term
@@ -593,6 +615,50 @@ class TestReferenceKernel:
         substitute(SuperSeries.monomial(chart, {"x": 1, "t": 1}, 1, REF_ORDER), images,
                    chart=chart, order=REF_ORDER)
         assert truncations == [REF_ORDER]
+
+    def test_packed_substitution_from_either_end(self):
+        """``_substitute_packed`` builds a term from its first factor, each next
+        image on the right, or ``from_right`` (a compose's value step) from its
+        last, each next image on the left: terms of three to five factors, two
+        or more of them odd, under odd images on a chart of four odd variables,
+        match the reference in both orientations, the budget truncating each
+        partial product.  Reversing the factors without swapping the operands,
+        or the other way round, reverses the product and its sign."""
+        rng = random.Random(22)
+        chart = ref_chart().extended("R4", [Variable("ze", ODD)])
+        odd = [v for v in chart if v.parity == ODD]
+        even = [v for v in chart if v.parity == EVEN]
+        signed = 0
+        for _ in range(30):
+            # each variable plus a draw, so that most products keep a term
+            images = {v.name: SuperSeries.of_var(chart, v.name, REF_ORDER)
+                      + draw(rng, chart, rng.randint(1, 3), v.parity) for v in chart}
+            series = []
+            for _ in range(rng.randint(1, 3)):
+                terms = {}
+                for _ in range(rng.randint(1, 3)):
+                    picked = rng.sample(odd, rng.randint(2, 3)) + rng.sample(even, rng.randint(1, 2))
+                    exps = {v.name: 1 if v.parity == ODD else rng.randint(1, 2) for v in picked}
+                    # at an order past the weights, so that no source term drops
+                    terms.update(SuperSeries.monomial(
+                        chart, exps, rng.choice(REF_COEFFS), 4 * REF_ORDER).terms)
+                series.append(SuperSeries(chart, terms, 4 * REF_ORDER))
+            want = [ref_substitute(a, images, chart, REF_ORDER).terms for a in series]
+            dens = {name: superalg._common_denominator(img.terms.values())
+                    for name, img in images.items()}
+            for from_right in (False, True):
+                def run(layout):
+                    packed = {name: (layout.rows(img.terms, dens[name]), dens[name])
+                              for name, img in images.items()}
+                    sums = superalg._substitute_packed(
+                        layout, chart, REF_ORDER, chart, [superalg._terms(a) for a in series],
+                        packed, from_right)
+                    return [layout.series(chart, acc, den, REF_ORDER).terms for acc, den in sums]
+
+                assert superalg._widening(chart, run) == want
+            signed += any(ref_substitute(a, images, chart, REF_ORDER, reverse=True).terms != w
+                          for a, w in zip(series, want))
+        assert signed >= 20
 
     def test_square_closed_form(self):
         """x -> y + th1*th3 + th2*th4 on four odd variables: the product of

@@ -10,6 +10,7 @@ from mfc.superalg import (
     ODD,
     ROLE_ODD_VELOCITY,
     Chart,
+    ParityError,
     SuperSeries,
     Variable,
     embed,
@@ -103,6 +104,17 @@ class TestBundleTable:
         with pytest.raises(StructureError):
             liouville(extend_chart(extend_chart(base_chart(), T), D), "theta", ORDER)
 
+    def test_unknown_names_refused(self):
+        with pytest.raises(ValueError, match="unknown bundle 'TT'"):
+            extend_chart(base_chart(), "TT")
+        with pytest.raises(ValueError, match="unknown Liouville form 'omega'"):
+            liouville(extend_chart(extend_chart(base_chart(), TSTAR), D), "omega", ORDER)
+
+    def test_lifted_form_needs_a_lifted_chart(self):
+        """theta_TM on T*M with its d level, but no T prolongation of it."""
+        with pytest.raises(StructureError, match=r"chart is not a T prolongation of a T\* bundle"):
+            liouville(extend_chart(extend_chart(base_chart(), TSTAR), D), "theta_TM", ORDER)
+
 
 class TestOperators:
     def chart(self):
@@ -170,6 +182,17 @@ class TestOperators:
 class TestPoisson:
     def chart(self):
         return extend_chart(base_chart(2, 1), TSTAR)
+
+    def test_refusals(self):
+        c = self.chart()
+        x, xi = (SuperSeries.of_var(c, n, ORDER) for n in ("x0", "xi0"))
+        with pytest.raises(ValueError, match="structure must be 'even' or 'odd'"):
+            poisson_bracket(x, x, "bogus")
+        with pytest.raises(ParityError, match="bracket needs a parity-homogeneous first argument"):
+            poisson_bracket(x + xi, x)
+        y = SuperSeries.of_var(base_chart(), "x0", ORDER)
+        with pytest.raises(StructureError, match="chart 'M' has no antimomentum pairs"):
+            poisson_bracket(y, y, "odd")
 
     def test_darboux(self):
         c = self.chart()
@@ -252,6 +275,12 @@ class TestProlongation:
         f = {"x": SuperSeries.of_var(c, "x", 4).scale(2)}
         chart, sigma = prolong_coordinate_change(f, c, [T], 4)
         assert sigma["dot_x"] == SuperSeries.of_var(chart, "dot_x", sigma["dot_x"].order).scale(2)
+
+    def test_image_off_the_base_chart_refused(self):
+        c = Chart("M", [Variable("x", EVEN)])
+        f = {"x": SuperSeries.of_var(extend_chart(c, T), "x", 4)}
+        with pytest.raises(ValueError, match="base change images must live on the base chart"):
+            prolong_coordinate_change(f, c, [T], 4)
 
     def test_momentum_inverse_jacobian(self):
         c = Chart("M", [Variable("x", EVEN)])
