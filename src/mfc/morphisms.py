@@ -34,10 +34,12 @@ from .superalg import (
     _substitute_packed,
     _terms,
     _widening,
+    cached_chart,
     embed,
     mul,
     partial,
     set_to_zero,
+    total,
 )
 from .superforms import (
     COTANGENT,
@@ -60,8 +62,8 @@ class MorphismError(ValueError):
 def combined_chart(source: Chart, target: Chart, kind: str,
                    momenta: Optional[Sequence[Variable]] = None) -> Chart:
     if momenta is None:
-        momenta = fiber_variables(target, COTANGENT[kind])
-    return Chart(f"{source.name}=>{target.name}", tuple(source.variables) + tuple(momenta))
+        momenta = fiber_variables(target.variables, COTANGENT[kind])
+    return cached_chart(f"{source.name}=>{target.name}", (*source.variables, *momenta))
 
 
 @dataclass(frozen=True)
@@ -156,19 +158,17 @@ def relation_check(phi: ThickMorphism) -> Report:
     order = phi.order
     lift = lambda s: embed(s, chart, order)
     var = lambda n: SuperSeries.of_var(chart, n, order)
-    S = lift(phi.S)
-    action = SuperSeries.zero(chart, order)
-    lhs = SuperSeries.zero(chart, order)
+    zero = SuperSeries.zero(chart, order)
+    lhs, action = [], [-lift(phi.S)]  # each side summed once, by ``total``
     relations = phi.coordinate_relations()
     for c in phi.conjugates:
         w = lift(relations[c.coord])
         m = var(c.momentum).scale(c.sign)
-        lhs = lhs + mul(apply_operator(w, D), m)
-        action = action + mul(w, m)
-    for v in phi.source:
-        p = lift(partial(phi.S, v.name))
-        lhs = lhs - mul(var(partner(v.name, D)), p)
-    return Report.single("relation_identity", lhs - apply_operator(action - S, D))
+        lhs.append(mul(apply_operator(w, D), m))
+        action.append(mul(w, m))
+    lhs += [-mul(var(partner(v.name, D)), lift(partial(phi.S, v.name))) for v in phi.source]
+    lhs.append(-apply_operator(total(action, zero), D))
+    return Report.single("relation_identity", total(lhs, zero))
 
 
 # -- pullback ----------------------------------------------------------------
@@ -180,12 +180,12 @@ _EPS = Variable(EPS, EVEN, ROLE_PARAM, 1)
 
 def pullback_chart(phi: ThickMorphism, params: Sequence[Variable] = ()) -> Chart:
     """(eps, params, source coordinates): where a pullback lives."""
-    return Chart(f"{phi.source.name}+eps", (_EPS,) + tuple(params) + tuple(phi.source.variables))
+    return cached_chart(f"{phi.source.name}+eps", (_EPS, *params, *phi.source.variables))
 
 
 def series_chart(phi: ThickMorphism, params: Sequence[Variable] = ()) -> Chart:
     """(eps, params, target coordinates): where a series to pull back lives."""
-    return Chart("h", (_EPS,) + tuple(params) + tuple(phi.target.variables))
+    return cached_chart("h", (_EPS, *params, *phi.target.variables))
 
 
 def _require_order(order: int):

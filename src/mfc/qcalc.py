@@ -25,6 +25,7 @@ from .superalg import (
     partial,
     shift_down,
     substitute,
+    total,
     truncate,
 )
 from .superforms import (
@@ -70,14 +71,10 @@ def hamiltonian_of_field(q: HomologicalField, structure: str) -> SuperSeries:
     bundle = COTANGENT[structure]
     ext = extend_chart(q.chart, bundle)
     order = next(iter(q.components.values())).order
-    out = SuperSeries.zero(ext, order)
-    for v in q.chart:
-        comp = q.components[v.name]
-        if comp.is_zero():
-            continue
-        out = out + mul(embed(comp, ext, order),
-                        SuperSeries.of_var(ext, partner(v.name, bundle), order))
-    return out
+    parts = (mul(embed(q.components[v.name], ext, order),
+                 SuperSeries.of_var(ext, partner(v.name, bundle), order))
+             for v in q.chart if not q.components[v.name].is_zero())
+    return total(parts, SuperSeries.zero(ext, order))
 
 
 def q_morphism_residual(phi: ThickMorphism, h_source: SuperSeries,

@@ -41,7 +41,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import gcd, lcm, prod
+from math import gcd, inf, lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 EVEN = 0
@@ -150,15 +150,9 @@ class Chart:
     def __eq__(self, other) -> bool:
         return isinstance(other, Chart) and self.variables == other.variables
 
-    def __hash__(self):
-        return hash(self.variables)
-
     def __repr__(self):
         names = ", ".join(v.name for v in self.variables)
         return f"Chart({self.name!r}: {names})"
-
-    def extended(self, name: str, extra: Iterable[Variable]) -> "Chart":
-        return Chart(name, self.variables + tuple(extra))
 
     def mono_parity(self, mono: tuple) -> Parity:
         return sum(compress(mono, self.parities)) & 1
@@ -181,6 +175,13 @@ class Chart:
     def admits_var(self, i: int, order: int) -> bool:
         """Whether variable i alone survives truncation at ``order`` and its cap."""
         return self.weights[i] <= order and (self.caps[i] is None or self.caps[i] > 0)
+
+
+# Derived charts and fibers are built once per key of names and variables, never of a
+# Chart (its ``__eq__`` ignores the name, which messages print).  A benchmark workload
+# makes at most 50 keys and ``mfc verify``'s draws 370; 512 caps a caller fed new charts.
+chart_cache = functools.lru_cache(maxsize=512)
+cached_chart = chart_cache(Chart)  # Chart(name, variables), one per equal pair
 
 
 class SuperSeries:
@@ -272,17 +273,7 @@ class SuperSeries:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = SuperSeries.const(self.chart, other, self.order)
-        self._require_compatible(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            elif s := s + c:
-                out[m] = s
-            else:
-                del out[m]
-        return SuperSeries(self.chart, out, self.order, _checked=True)
+        return total((other,), self)
 
     __radd__ = __add__
 
@@ -329,6 +320,22 @@ class SuperSeries:
 
 
 # -- module-level operations ------------------------------------------
+
+
+def total(parts: Iterable[SuperSeries], start: SuperSeries) -> SuperSeries:
+    """``sum(parts, start)``, with each part's terms added in place into one copy."""
+    out = dict(start.terms)
+    for a in parts:
+        start._require_compatible(a)
+        for m, c in a.terms.items():
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+            elif s := s + c:
+                out[m] = s
+            else:
+                del out[m]
+    return SuperSeries(start.chart, out, start.order, _checked=True)
 
 
 class _Layout:
@@ -739,13 +746,18 @@ def embed(a: SuperSeries, chart: Chart, order: int) -> SuperSeries:
     source = a.chart._index
     at = [source.get(v.name, len(source)) for v in chart]  # an exponent's slot, or the 0 after
     missing = [0 if v.name in chart else 1 for v in a.chart]
+    # terms drop only at a lower order or where a shared variable is heavier or capped lower
+    weights, caps = (*a.chart.weights, inf), (*a.chart.caps, 0)  # the 0 after: any bound
+    keep = order >= a.order and all(
+        w <= weights[i] and (cap is None or caps[i] is not None and caps[i] <= cap)
+        for w, cap, i in zip(chart.weights, chart.caps, at))
     out: dict = {}
     for m, c in a.terms.items():
         if any(compress(m, missing)):
             v = next(compress(a.chart.variables, map(operator.mul, m, missing)))
             raise KeyError(f"variable {v.name!r} occurs but is not on chart {chart.name!r}")
         mono = tuple(map((*m, 0).__getitem__, at))
-        if chart.admits(mono, order):
+        if keep or chart.admits(mono, order):
             out[mono] = c
     return SuperSeries(chart, out, order, _checked=True)
 

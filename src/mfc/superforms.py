@@ -21,7 +21,7 @@ by its name: a coordinate may be called ``d_y`` or ``dot_z``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .report import Report
 from .superalg import (
@@ -35,10 +35,13 @@ from .superalg import (
     ROLE_MOMENTUM,
     ROLE_ODD_VELOCITY,
     ROLE_VELOCITY,
+    cached_chart,
+    chart_cache,
     deriv,
     embed,
     mul,
     partial,
+    total,
     truncate_base_degree,
 )
 
@@ -87,20 +90,22 @@ def kind_parity(kind: str) -> int:
     return BUNDLES[COTANGENT[kind]].shift
 
 
-def fiber_variables(chart: Chart, bundle: str) -> List[Variable]:
-    """The partners one bundle extension appends to ``chart``."""
+@chart_cache
+def fiber_variables(variables: Tuple[Variable, ...], bundle: str) -> Tuple[Variable, ...]:
+    """The partners one bundle extension appends to a chart of ``variables``."""
     b = BUNDLES[bundle]
-    return [Variable(b.prefix + v.name, v.parity ^ b.shift, b.role,
-                     v.weight if b.weight is None else b.weight, base=v.name)
-            for v in chart]
+    return tuple(Variable(b.prefix + v.name, v.parity ^ b.shift, b.role,
+                          v.weight if b.weight is None else b.weight, base=v.name)
+                 for v in variables)
 
 
 def extend_chart(chart: Chart, bundle: str) -> Chart:
     """Append the derived variables of one bundle extension (any key of
-    ``BUNDLES``, the d level included)."""
+    ``BUNDLES``, the d level included); equal inputs give one chart."""
     if bundle not in BUNDLES:
         raise ValueError(f"unknown bundle {bundle!r}")
-    return chart.extended(f"{bundle}({chart.name})", fiber_variables(chart, bundle))
+    fiber = fiber_variables(chart.variables, bundle)
+    return cached_chart(f"{bundle}({chart.name})", chart.variables + fiber)
 
 
 def apply_operator(a: SuperSeries, bundle: str) -> SuperSeries:
@@ -162,23 +167,22 @@ def liouville(chart: Chart, which: str, order: int) -> SuperSeries:
     mom, tan = LIOUVILLE_FORMS[which]
     var = lambda name: SuperSeries.of_var(chart, name, order)
     dv = lambda name: var(partner(name, D))
-    out = SuperSeries.zero(chart, order)
+    zero = SuperSeries.zero(chart, order)
     if tan is None:
         pairs = [v.name for v in _paired(chart, mom) if v.base is None]
         if not pairs:
             raise StructureError(f"no {BUNDLES[mom].role} pairs on this chart")
-        for v in pairs:
-            out = out + mul(dv(v), var(partner(v, mom)))
-        return out
+        return total((mul(dv(v), var(partner(v, mom))) for v in pairs), zero)
     pairs = [v for v in _paired(chart, mom) if partner(v.name, tan) in chart
              and partner(partner(v.name, mom), tan) in chart]
     if not pairs:
         raise StructureError(f"chart is not a {tan} prolongation of a {mom} bundle")
+    parts = []
     for v in pairs:
         sign = -1 if BUNDLES[tan].shift & v.parity else 1
-        out = out + mul(dv(v.name), var(partner(partner(v.name, mom), tan))).scale(sign)
-        out = out + mul(dv(partner(v.name, tan)), var(partner(v.name, mom)))
-    return out
+        parts.append(mul(dv(v.name), var(partner(partner(v.name, mom), tan))).scale(sign))
+        parts.append(mul(dv(partner(v.name, tan)), var(partner(v.name, mom))))
+    return total(parts, zero)
 
 
 # -- Poisson brackets ---------------------------------------------------
@@ -241,8 +245,8 @@ def verify_identification(case: str, base_chart: Chart, order: int,
         shift = BUNDLES[mom].shift
         if fiber is None:
             fiber = [Variable("u_%d" % i, v.parity) for i, v in enumerate(base_chart)]
-        total = Chart(f"E({base_chart.name})", tuple(base_chart.variables) + tuple(fiber))
-        chart = extend_chart(extend_chart(total, mom), D)
+        total_space = Chart(f"E({base_chart.name})", tuple(base_chart.variables) + tuple(fiber))
+        chart = extend_chart(extend_chart(total_space, mom), D)
         one_form = liouville(chart, form, order)
         var = lambda n: SuperSeries.of_var(chart, n, order)
         # the dual-side Liouville form, expressed through the identification
@@ -256,12 +260,9 @@ def verify_identification(case: str, base_chart: Chart, order: int,
             pairing = pairing + mul(var(u.name), var(mu))
         report.check_zero("legendre", dual - (-apply_operator(pairing, D) + one_form))
         report.check_zero("symplectic", apply_operator(dual, D) - apply_operator(one_form, D))
-        literal = SuperSeries.zero(chart, order)
-        for v in total:
-            term = mul(var(partner(partner(v.name, mom), D)), var(partner(v.name, D)))
-            if shift and v.parity == EVEN:
-                term = -term  # the (-1)^(a+1) factor of the odd symplectic form
-            literal = literal + term
+        sign = lambda v: -1 if shift and v.parity == EVEN else 1  # (-1)^(a+1) of the odd form
+        literal = total((mul(var(partner(partner(v.name, mom), D)), var(partner(v.name, D)))
+                         .scale(sign(v)) for v in total_space), SuperSeries.zero(chart, order))
         report.check_zero("omega_literal", apply_operator(one_form, D) - literal)
         return report
 

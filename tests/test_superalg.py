@@ -625,7 +625,7 @@ class TestReferenceKernel:
         partial product.  Reversing the factors without swapping the operands,
         or the other way round, reverses the product and its sign."""
         rng = random.Random(22)
-        chart = ref_chart().extended("R4", [Variable("ze", ODD)])
+        chart = Chart("R4", ref_chart().variables + (Variable("ze", ODD),))
         odd = [v for v in chart if v.parity == ODD]
         even = [v for v in chart if v.parity == EVEN]
         signed = 0
@@ -683,7 +683,7 @@ class TestReferenceKernel:
         odd pairs whose product may take a minus sign; the capped parameter t
         (max_power 2) drops t^3 at weight 3."""
         rng = random.Random(19)
-        chart = ref_chart().extended("R4", [Variable("ze", ODD)])
+        chart = Chart("R4", ref_chart().variables + (Variable("ze", ODD),))
         evens = [v for v in chart if v.parity == EVEN]
         odds = [v.name for v in chart if v.parity == ODD]
         t = chart.index("t")
@@ -827,7 +827,7 @@ class TestReferenceKernel:
         met twice, and products past the order or past the cap of t or of a
         weightless s; and an empty factor, against one, several or no terms."""
         rng = random.Random(20)
-        chart = ref_chart().extended("RS", [Variable("s", EVEN, ROLE_PARAM, max_power=1)])
+        chart = Chart("RS", ref_chart().variables + (Variable("s", EVEN, ROLE_PARAM, max_power=1),))
         odd = chart.odd_indices
         zero = SuperSeries.zero(chart, REF_ORDER)
         seen = set()
@@ -868,7 +868,7 @@ class TestReferenceKernel:
         that also cuts by weight; operands past the 8-bit guard; and an empty
         operand on either side."""
         rng = random.Random(21)
-        chart = ref_chart().extended("R4", [Variable("ze", ODD)])
+        chart = Chart("R4", ref_chart().variables + (Variable("ze", ODD),))
         weight, t = chart.mono_weight, chart.index("t")
         odd = lambda m: any(m[i] for i in chart.odd_indices)
         zero = SuperSeries.zero(chart, REF_ORDER)
@@ -920,7 +920,7 @@ class TestReferenceKernel:
         under truncation: x -> y + th*p + et*ze*q + q*t + th*ze*t on a chart of
         four odd variables, at every order.  Its rows' pairs make minus signs
         and fall past the order, and x^2 and x^3 must match the reference."""
-        chart = ref_chart().extended("R4", [Variable("ze", ODD)])
+        chart = Chart("R4", ref_chart().variables + (Variable("ze", ODD),))
         mono = lambda coeff, order, **exps: SuperSeries.monomial(chart, exps, coeff, order)
         seen = set()
         for order in range(REF_ORDER + 1):
@@ -969,7 +969,7 @@ class TestReferenceKernel:
         """of_var and monomial skip __init__'s checks but drop the same
         terms: too heavy, over a cap (odd, max_power, max_power=0) or zero."""
         base = ref_chart()
-        chart = base.extended("R0", [Variable("s", EVEN, ROLE_PARAM, max_power=0)])
+        chart = Chart("R0", base.variables + (Variable("s", EVEN, ROLE_PARAM, max_power=0),))
         kept = lambda mono, coeff, order: bool(coeff) and sum(
             e * v.weight for e, v in zip(mono, chart)) <= order and all(
             v.cap is None or e <= v.cap for e, v in zip(mono, chart))
@@ -1075,16 +1075,21 @@ class TestReferenceBookkeeping:
                                                        max_power=1),
                              v["y"], v["et"], v["p"],
                              Variable("t", EVEN, ROLE_PARAM, weight=1, max_power=1)])
-        dropped = 0
+        # x weighs 1 here: at the same order, only the weight can drop a term
+        heavier = Chart("H", [Variable("x", EVEN, ROLE_MOMENTUM, weight=1),
+                              *(u for u in chart if u.name != "x")])
+        dropped, heavy = 0, 0
         for _ in range(60):
             a = draw(rng, chart, rng.randint(1, 6))
-            for target, order in ((wider, REF_ORDER), (chart, 2), (chart, 1), (capped, REF_ORDER)):
+            for target, order in ((wider, REF_ORDER), (chart, 2), (chart, 1), (capped, REF_ORDER),
+                                  (heavier, REF_ORDER)):
                 out = embed(a, target, order)
                 assert out.terms == ref_embed(a, target, order)
                 assert out.order == order
                 assert_clean(out)
                 dropped += len(out.terms) < len(a.terms)
-        assert dropped >= 60
+                heavy += target is heavier and len(out.terms) < len(a.terms)
+        assert dropped >= 60 and heavy >= 10
         smaller = Chart("S", [u for u in chart if u.name != "th"])
         for _ in range(30):
             a = draw(rng, chart, rng.randint(1, 6))

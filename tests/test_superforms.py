@@ -3,16 +3,19 @@ identification theorems."""
 
 import pytest
 
-from mfc.morphisms import canonical_conjugates, combined_chart
+from mfc.morphisms import (KIND_ODD, canonical_conjugates, combined_chart, pullback_chart,
+                           series_chart)
 from mfc.qcalc import HomologicalField, hamiltonian_of_field
 from mfc.superalg import (
     EVEN,
     ODD,
     ROLE_ODD_VELOCITY,
+    ROLE_PARAM,
     Chart,
     ParityError,
     SuperSeries,
     Variable,
+    cached_chart,
     embed,
     mul,
     partial,
@@ -31,14 +34,15 @@ from mfc.superforms import (
     apply_operator,
     de_rham,
     extend_chart,
+    fiber_variables,
     liouville,
     partner,
     poisson_bracket,
     prolong_coordinate_change,
     verify_identification,
 )
-from mfc.testkit import Generator
-from mfc.textio import serialize
+from mfc.testkit import Generator, worked_example
+from mfc.textio import ParseError, parse_workspace, serialize
 
 ORDER = 6
 
@@ -71,6 +75,61 @@ class TestExtensions:
             Variable("d_x0", ODD, ROLE_ODD_VELOCITY, 0, base="x0"),
             Variable("d_xi0", EVEN, ROLE_ODD_VELOCITY, 0, base="xi0"),
         )
+
+
+class TestChartCache:
+    """A derived chart is built once per key of names and variables."""
+
+    def test_equal_inputs_give_one_chart(self):
+        fresh = lambda: (Chart("M", [Variable("x", EVEN), Variable("xi", ODD)]),
+                         Chart("N", [Variable("y", EVEN), Variable("eta", ODD)]))
+        (m, n), (m2, n2) = fresh(), fresh()
+        assert extend_chart(m, T) is extend_chart(m2, T)
+        assert fiber_variables(m.variables, T) is fiber_variables(m2.variables, T)
+        assert combined_chart(m, n, KIND_ODD) is combined_chart(m2, n2, KIND_ODD)
+        phi, psi = worked_example(), worked_example()
+        assert phi.source is not psi.source and phi.chart is psi.chart
+        t = lambda: Variable("t'", EVEN, ROLE_PARAM, 0, max_power=1)
+        assert pullback_chart(phi) is pullback_chart(psi)
+        assert pullback_chart(phi, [t()]) is pullback_chart(psi, (t(),))
+        assert series_chart(phi, [t()]) is series_chart(psi, (t(),))
+
+    @pytest.mark.parametrize("first", ["A", "B"])
+    def test_equal_variables_keep_their_names(self, first):
+        # Chart.__eq__ ignores the name: a cache keyed without it would hand
+        # the chart built for one name to the other.  The variables are new to
+        # each case, so either order starts from nothing cached.
+        variables = [Variable("u_" + first, EVEN), Variable("v", ODD)]
+        a, b = Chart("A", variables), Chart("B", variables)
+        target = Chart("N", [Variable("y", EVEN)])
+        for c in (a, b) if first == "A" else (b, a):
+            assert extend_chart(c, T).name == f"T({c.name})"
+            assert combined_chart(c, target, KIND_ODD).name == f"{c.name}=>N"
+        assert extend_chart(a, T) == extend_chart(b, T)
+        assert extend_chart(a, T) is not extend_chart(b, T)
+
+    def test_refused_extension_is_not_cached(self):
+        chart = Chart("M", [Variable("x", EVEN), Variable("dot_x", EVEN)])
+        before = cached_chart.cache_info()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="duplicate variable 'dot_x'"):
+                extend_chart(chart, T)
+        after = cached_chart.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+        # the workspace of the CI line, refused at the coordinate each time
+        text = ("chart M { x : even, dot_x : even }\nchart N { y : even }\n"
+                "morphism Phi : M -> N kind=even { S = x*q_y + dot_x*q_y^2 }\n")
+        for _ in range(2):
+            with pytest.raises(ParseError) as exc:
+                parse_workspace(text)
+            assert (exc.value.line, exc.value.col) == (1, 21)
+
+    def test_caches_stay_at_their_bound(self):
+        size = cached_chart.cache_info().maxsize
+        for i in range(size + 5):
+            extend_chart(Chart(f"S{i}", [Variable(f"s{i}", EVEN)]), T)
+        assert cached_chart.cache_info().currsize == size
+        assert fiber_variables.cache_info()[2:] == (size, size)  # maxsize, currsize
 
 
 class TestBundleTable:
