@@ -199,28 +199,27 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
 
     ``h`` lives on the target coordinates plus variables that map by
     name onto ``work``.  Starting from the base map (the relations at zero
-    momenta), sweep i sets mu_i = sign_i dh/dw^i(w) and then w from the
-    relation at mu, both truncated at weight t = min(i + 1, order - 1).
-    All of it runs in one packed layout (a guard hit anywhere reruns it all
-    wider): dh, the relations and E h are packed once, the base map, each
-    half-sweep and the value are one ``_substitute_packed`` call each, and w
-    and mu stay packed sums over their least common denominator, so equal
-    ones compare equal.  No parity is checked here: ``mk_thick`` checked S's
-    and the momenta's, ``pullback_series`` h's (a composite's h is the outer
-    S), and w's and mu's follow from those.  What certifies is a fixed point
-    at t = order - 1, all of w the value needs: a sweep there that leaves w
-    unchanged, or whose gradient equals the one before it at that truncation
-    (at a lower one, an unchanged w proves nothing: h may enter only at even
-    weights).  The two are equally strong, because the new w is the relation
-    at the gradient and nothing else.  Since every coordinate-dependent term
-    of h has weight >= 1 (checked first), the gradient through weight t
-    needs w only through weight t - 1, so the first gradient at t = order - 1
-    is already final and the next one certifies without its relation half.
-    It raises unless certified within ``order + 2`` sweeps, and takes the
-    value from the envelope theorem.  A compose's h is the outer S, whose
-    momenta follow the coordinates and map to themselves: its value terms are
-    multiplied from the right, from their momentum monomial, one row that shifts
-    the next image, instead of meeting the longest partial product last.
+    momenta), the sweep at weight t sets mu_i = sign_i dh/dw^i(w) and then w
+    from the relation at mu, both truncated at weight t, for t = 1, ...,
+    order - 1.  All of it runs in one packed layout (a guard hit anywhere
+    reruns it all wider): dh, the relations and E h are packed once, the base
+    map, each half-sweep and the value are one ``_substitute_packed`` call
+    each, and w and mu stay packed sums over their least common denominator,
+    so equal ones compare equal.  No parity is checked here: ``mk_thick``
+    checked S's and the momenta's, ``pullback_series`` h's (a composite's h is
+    the outer S), and w's and mu's follow from those.  Since every
+    coordinate-dependent term of h has weight >= 1 (checked first), the
+    gradient through weight t needs w only through weight t - 1, so each sweep
+    leaves w exact through its own weight, and the one at t = order - 1 all of
+    w the value needs.  Its gradient is final, so when its relation changed w,
+    one more gradient at that weight certifies: it must equal the last one,
+    because the new w is the relation at the gradient and nothing else.  (At
+    a lower weight an unchanged w proves nothing: h may enter only at even
+    weights.)  It raises if that certificate fails, and takes the value from
+    the envelope theorem.  A compose's h is the outer S, whose momenta follow
+    the coordinates and map to themselves: its value terms are multiplied from
+    the right, from their momentum monomial, one row that shifts the next
+    image, instead of meeting the longest partial product last.
     """
     if any(v.weight for v in (*phi.source, *phi.target)):
         raise MorphismError("source and target coordinates must have weight 0")
@@ -245,24 +244,19 @@ def _eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
 
     def run(layout):
         images = lambda sums: {k: (layout.rows_of(acc), den) for k, (acc, den) in sums.items()}
-        # the base map: the relations at mu = 0, through weight 0
-        w = dict(zip(relations, _substitute_packed(
-            layout, work, 0, phi.chart, rels, {m: ([], 1) for m in momenta})))
-        last = None
-        for i in range(order + 2):
-            t = min(i + 1, order - 1)
-            grad = dict(zip(momenta, _substitute_packed(layout, work, t, h.chart, dh, images(w))))
-            if t == order - 1:
-                if grad == last:
-                    break
-                last = grad
-            new = dict(zip(relations, _substitute_packed(
-                layout, work, t, phi.chart, rels, images(grad))))
-            if t == order - 1 and new == w:
-                break
+        gradient = lambda t, w: dict(zip(momenta, _substitute_packed(
+            layout, work, t, h.chart, dh, images(w))))
+        relation = lambda t, mu: dict(zip(relations, _substitute_packed(
+            layout, work, t, phi.chart, rels, images(mu))))
+        w = relation(0, {m: ({}, 1) for m in momenta})  # the base map
+        for t in range(1, order - 1):
+            w = relation(t, gradient(t, w))
+        grad = gradient(order - 1, w)
+        new = relation(order - 1, grad)
+        if new != w:
+            if gradient(order - 1, new) != grad:
+                raise MorphismError(f"gradient still moving at weight {order - 1}")
             w = new
-        else:
-            raise MorphismError(f"relation still moving after {order + 2} sweeps")
         (acc, den), = _substitute_packed(layout, work, order, h.chart, [eh], images(w), from_right)
         scale, shift = lcm(*range(1, order + 1)), layout.weight_shift
         return layout.series(work, {p: n * (scale // ((p >> shift) or 1)) for p, n in acc.items()},

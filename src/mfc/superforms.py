@@ -345,11 +345,13 @@ def prolong_coordinate_change(F: Mapping[str, SuperSeries], base_chart: Chart,
             zero = SuperSeries.zero(chart, s_order)
             mu = [SuperSeries.of_var(chart, partner(v, bundle), s_order) for v in names]
             u = [zero] * len(names)
-            # Every monomial of dK has base degree + weight >= 1, so a sweep
-            # raises that sum by one in u's error; the truncations keep it at
-            # most order + s_order, so the error is gone after that many
-            # sweeps plus one, and the next sweep leaves u unchanged.
-            for _ in range(order + s_order + 2):
+            # u starts at 0, so its first error, the solution, is linear in
+            # mu and has base degree + weight >= 1.  Every monomial of dK has
+            # base degree + weight >= 1, so a sweep raises that sum by one in
+            # u's error; the truncations keep it at most order + s_order, so
+            # the error is gone after that many sweeps, and the next sweep
+            # leaves u unchanged.
+            for _ in range(order + s_order + 1):
                 resid = [m - sum((mul(k, uw) for k, uw in zip(row, u)), zero)
                          for m, row in zip(mu, dK)]
                 new = [truncate_base_degree(

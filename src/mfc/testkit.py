@@ -1,14 +1,15 @@
 """Randomized inputs and independent oracles for the test suite.
 
 Everything here is deliberately simple-minded: the oracles recompute
-pullbacks by direct substitution (classical case) or by a brute-force
-fixed-point iteration of their own.  An ordinary map is a ``ClassicalMap``
-here (``from_classical`` makes its thick morphism S = phi^i(x) q_i), and
-its ``compose``, by substitution, is an oracle for ``morphisms.compose``.
-The thick oracle shares one thing with the solver, the relations of
-``ThickMorphism.coordinate_relations``; it values the action at its own
-point where the solver uses the envelope theorem, so a relation error
-that changes a pullback makes them disagree.
+pullbacks by direct substitution (classical case), and one brute-force
+fixed-point iteration, ``oracle_eliminate``, recomputes both thick
+eliminations, a pullback's and a composite's.  An ordinary map is a
+``ClassicalMap`` here (``from_classical`` makes its thick morphism
+S = phi^i(x) q_i), and its ``compose``, by substitution, is an oracle for
+``morphisms.compose`` on such maps.  The thick oracle shares one thing with
+the solver, the relations of ``ThickMorphism.coordinate_relations``; it
+values the action at its own point where the solver uses the envelope
+theorem, so a relation error that changes its result makes them disagree.
 
 The ``suite_*`` functions run seeded verification suites, whose checks are
 named residuals; ``cli.SUITES`` holds the defaults that ``mfc verify`` applies.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from .superalg import (
     EVEN,
@@ -31,7 +32,6 @@ from .superalg import (
     embed,
     mul,
     partial,
-    set_to_zero,
     substitute,
 )
 from .morphisms import (
@@ -195,51 +195,52 @@ def oracle_pullback_classical(phi: ClassicalMap, g: SuperSeries,
     return substitute(g, images, chart=phi.source, order=order)
 
 
-def oracle_pullback_naive(phi: ThickMorphism, g: SuperSeries,
-                          n_eps: int) -> SuperSeries:
-    """Brute-force evaluation of the stationary-point formula.
+def oracle_eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
+                     order: int) -> SuperSeries:
+    """Brute-force stationary value of h(w) + S(x; mu) - <w, mu>.
 
-    Re-solves the coupled relation equations by plain re-substitution
-    until a sweep leaves w and mu unchanged, and raises if that takes
-    more than ``n_eps + 1`` sweeps; then it assembles
-    eps*g(w) + S(x; mu) - <w, mu>.  It shares the relations
-    (``phi.coordinate_relations()``) with the solver, but not the sweeps
-    or the value: the solver takes the value from the envelope theorem,
-    which holds only at a true stationary point of this action.
+    ``h`` is a pullback's eps*g or a compose's outer S: it lives on the
+    target coordinates plus variables that map by name onto ``work``, and
+    its coordinate-dependent terms carry weight.  Re-solves the coupled
+    relation equations by plain re-substitution until a sweep leaves w and
+    mu unchanged, and raises if that takes more than ``order + 1`` sweeps;
+    then it assembles h(w) + S(x; mu) - <w, mu>.  It shares the relations
+    (``phi.coordinate_relations()``) with the solver, but not the sweeps or
+    the value: the solver takes the value from the envelope theorem, which
+    holds only at a true stationary point of this action.
     """
-    work = pullback_chart(phi)
-    h_chart = series_chart(phi)
-    h = mul(SuperSeries.of_var(h_chart, EPS, n_eps), embed(g, h_chart, n_eps))
-    x_here = {v.name: SuperSeries.of_var(work, v.name, n_eps)
-              for v in phi.source}
     relations = phi.coordinate_relations()
-    # start from w = classical image at zero momenta, mu = 0
-    momenta = phi.momentum_names()
-    w: Dict[str, SuperSeries] = {}
-    for c in phi.conjugates:
-        w[c.coord] = substitute(set_to_zero(relations[c.coord], momenta), x_here,
-                                chart=work, order=n_eps)
-    mu = {c.momentum: SuperSeries.zero(work, n_eps) for c in phi.conjugates}
-    # h = eps*g has weight >= 1, so each sweep makes mu, and then w, exact
-    # through one more weight: n_eps sweeps reach the fixed point and the
-    # next one changes nothing
-    for _ in range(n_eps + 1):
+    solve = lambda mu: {coord: substitute(rel, mu, chart=work, order=order)
+                        for coord, rel in relations.items()}
+    # start from mu = 0 and w = the classical image at zero momenta
+    mu = {m: SuperSeries.zero(work, order) for m in phi.momentum_names()}
+    w = solve(mu)
+    # the coordinate-dependent terms of h have weight >= 1, so each sweep
+    # makes mu, and then w, exact through one more weight: ``order`` sweeps
+    # reach the fixed point and the next one changes nothing
+    for _ in range(order + 1):
         new_mu = {c.momentum: substitute(partial(h, c.coord), w,
-                                         chart=work, order=n_eps).scale(c.sign)
+                                         chart=work, order=order).scale(c.sign)
                   for c in phi.conjugates}
-        new_w = {c.coord: substitute(relations[c.coord], {**x_here, **new_mu},
-                                     chart=work, order=n_eps)
-                 for c in phi.conjugates}
+        new_w = solve(new_mu)
         if new_mu == mu and new_w == w:
             break
         mu, w = new_mu, new_w
     else:
-        raise MorphismError(f"naive sweeps still moving after {n_eps + 1} sweeps")
-    out = substitute(h, w, chart=work, order=n_eps)
-    out = out + substitute(phi.S, {**x_here, **mu}, chart=work, order=n_eps)
+        raise MorphismError(f"naive sweeps still moving after {order + 1} sweeps")
+    out = substitute(h, w, chart=work, order=order)
+    out = out + substitute(phi.S, mu, chart=work, order=order)
     for c in phi.conjugates:
         out = out - mul(w[c.coord], mu[c.momentum].scale(c.sign))
     return out
+
+
+def oracle_pullback_naive(phi: ThickMorphism, g: SuperSeries,
+                          n_eps: int) -> SuperSeries:
+    """The pullback of g: ``oracle_eliminate`` of h = eps*g."""
+    h_chart = series_chart(phi)
+    h = mul(SuperSeries.of_var(h_chart, EPS, n_eps), embed(g, h_chart, n_eps))
+    return oracle_eliminate(phi, h, pullback_chart(phi), n_eps)
 
 
 def worked_example(order: int = 3) -> ThickMorphism:
@@ -299,47 +300,42 @@ def suite_identifications(order: int) -> Report:
     return report
 
 
-def suite_functoriality(seed: int, trials: int, order: int) -> Report:
-    gen = Generator(seed)
-    report = Report()
+def _trials(seed: int, trials: int, check) -> Report:
+    """``check(gen, kind)`` on one seeded stream, the kind even on even trials
+    and odd on odd ones, each check renamed ``trial<i>:<kind>:name``."""
+    gen, report = Generator(seed), Report()
     for i in range(trials):
         kind = KIND_EVEN if i % 2 == 0 else KIND_ODD
-        outer, inner = random_pair_of_morphisms(gen, kind, order,
-                                                max_momentum_degree=2)
-        for which in (TANGENT, ANTITANGENT):
-            report.include(f"trial{i}:{kind}", check_functoriality(outer, inner, which, order))
+        report.include(f"trial{i}:{kind}", check(gen, kind))
     return report
+
+
+def suite_functoriality(seed: int, trials: int, order: int) -> Report:
+    def check(gen, kind):
+        outer, inner = random_pair_of_morphisms(gen, kind, order, max_momentum_degree=2)
+        return Report([c for which in (TANGENT, ANTITANGENT)
+                       for c in check_functoriality(outer, inner, which, order).checks])
+    return _trials(seed, trials, check)
 
 
 def suite_qmorphism(seed: int, trials: int, order: int) -> Report:
-    gen = Generator(seed)
-    report = Report()
-    for i in range(trials):
-        kind = KIND_EVEN if i % 2 == 0 else KIND_ODD
-        phi = random_morphism(gen, kind, order, max_momentum_degree=2)
-        report.include(f"trial{i}:{kind}", check_antitangent_q(phi, order))
-    return report
+    return _trials(seed, trials, lambda gen, kind: check_antitangent_q(
+        random_morphism(gen, kind, order, max_momentum_degree=2), order))
 
 
 def suite_pullback_props(seed: int, trials: int, order: int) -> Report:
-    gen = Generator(seed)
-    report = Report()
-    for i in range(trials):
-        kind = KIND_EVEN if i % 2 == 0 else KIND_ODD
+    def check(gen, kind):
         phi = random_morphism(gen, kind, order)
         g = gen.series(phi.target, order, parity=kind_parity(kind), n_terms=3,
                        max_degree=2)
-        solver = pullback(phi, g, order)
-        oracle = oracle_pullback_naive(phi, g, order)
-        report.check_zero(f"trial{i}:{kind}:solver_vs_oracle", solver - oracle)
+        report = Report.single("solver_vs_oracle",
+                               pullback(phi, g, order) - oracle_pullback_naive(phi, g, order))
         # classical reduction: thick pullback of an ordinary map collapses
         # to eps times the substitution oracle
         cmap = gen.classical_map(phi.source, phi.target, order)
-        thin = from_classical(cmap, kind, order)
-        got = pullback(thin, g, order)
-        composed = oracle_pullback_classical(cmap, g, order)
-        work = got.chart
-        expected = mul(SuperSeries.of_var(work, EPS, order),
-                       embed(composed, work, order))
-        report.check_zero(f"trial{i}:{kind}:classical_reduction", got - expected)
-    return report
+        got = pullback(from_classical(cmap, kind, order), g, order)
+        expected = mul(SuperSeries.of_var(got.chart, EPS, order),
+                       embed(oracle_pullback_classical(cmap, g, order), got.chart, order))
+        report.check_zero("classical_reduction", got - expected)
+        return report
+    return _trials(seed, trials, check)

@@ -38,14 +38,18 @@ CHANGED = [r if r[1] != "compose" else [A, "compose", "x*q_y"] for r in PARENT]
     (PARENT + [[B, "deriv", "x"]], 1),  # an added kernel record
     (PARENT[:3] + ADDED + PARENT[3:], 0),
     (CHANGED[:3] + ADDED + CHANGED[3:], 1),
+    ([], 1),
+    (ADDED, 1),
 ], ids=["identical", "dropped-kernel", "changed", "reordered", "added-kernel",
-        "test-only-in-change", "changed-beside-new-test"])
+        "test-only-in-change", "changed-beside-new-test", "empty", "no-shared-test"])
 def test_exit_status(tmp_path, change, code):
     out = run(tmp_path, change)
     assert out.returncode == code, out.stdout + out.stderr
-    assert "compose" in out.stdout and out.stdout.rstrip().endswith("FAIL" if code else "OK")
+    shared = len({A, B} & {r[0] for r in change})
+    assert ("compose" in out.stdout) == bool(shared)
+    assert out.stdout.rstrip().endswith("FAIL" if code else "OK")
     alone = int(any(r[0] == NEW for r in change))
-    assert f"only in parent: 0, only in change: {alone}, in both: 2" in out.stdout
+    assert f"only in parent: {2 - shared}, only in change: {alone}, in both: {shared}" in out.stdout
 
 
 def test_test_only_in_parent_is_left_out(tmp_path):

@@ -38,9 +38,6 @@ from mfc.superalg import (
     _substitute_packed,
     embed,
     mul,
-    partial,
-    substitute,
-    truncate,
 )
 from mfc.superforms import kind_parity
 from mfc.testkit import (
@@ -48,6 +45,7 @@ from mfc.testkit import (
     Generator,
     from_classical,
     identity_map,
+    oracle_eliminate,
     oracle_pullback_classical,
     random_morphism,
     worked_example,
@@ -79,39 +77,11 @@ def golden_psi(order=ORDER):
     return mk_thick(src, tgt, KIND_EVEN, S, order)
 
 
-def ref_eliminate(phi, h, work, order):
-    """The eliminator before graded sweeps, kept as a reference: every sweep
-    runs at the full order and stops at the first one that leaves w
-    unchanged below weight ``order``; the value is assembled from all three
-    terms h(w) + S(x; mu) - <w, mu>."""
-    base = base_map(phi)
-    w = {v.name: embed(base[v.name], work, order) for v in phi.target}
-    relations = phi.coordinate_relations()
-    dh = {c.coord: partial(h, c.coord) for c in phi.conjugates}
-    for _ in range(order + 1):
-        mu = {c.momentum: substitute(dh[c.coord], w, chart=work, order=order).scale(c.sign)
-              for c in phi.conjugates}
-        new = {coord: substitute(rel, mu, chart=work, order=order)
-               for coord, rel in relations.items()}
-        moved = any(truncate(new[k], order - 1) != truncate(w[k], order - 1) for k in w)
-        w = new
-        if not moved:
-            break
-    else:
-        raise AssertionError(f"reference sweeps still moving after {order + 1}")
-    out = substitute(h, w, chart=work, order=order)
-    out = out + substitute(phi.S, mu, chart=work, order=order)
-    for c in phi.conjugates:
-        out = out - mul(w[c.coord], mu[c.momentum].scale(c.sign))
-    return out
-
-
 def eps_series(phi, g, order, params=()):
-    """eps * g on (eps, params, target coords), with its work chart."""
-    work = pullback_chart(phi, params)
-    h_chart = Chart("h", (work.var(EPS),) + tuple(params) + tuple(phi.target.variables))
+    """eps * g on ``series_chart(phi, params)``, with its work chart."""
+    h_chart = series_chart(phi, params)
     h = mul(SuperSeries.of_var(h_chart, EPS, order), embed(g, h_chart, order))
-    return h, work
+    return h, pullback_chart(phi, params)
 
 
 class TestValidation:
@@ -353,14 +323,18 @@ class TestPullback:
             _eliminate(phi, h, work, 2)
 
     def test_eliminator_rejects_convergent_weight_zero_terms(self):
-        # h = y + eps*y^2 converges (w = x + 1 + 2*eps*w), but mu = 1 at
-        # eps = 0, so the value is not the envelope of the eps-graded terms.
+        # h = y + eps*y^2 converges: w = (x + 1)(1 + 2 eps + 4 eps^2 + 8 eps^3)
+        # solves w = x + 1 + 2 eps w at order 3.  But mu = 1 at eps = 0, so
+        # the value is not the envelope of the eps-graded terms.
         phi = worked_example(3)
         work = pullback_chart(phi)
+        x, eps = (SuperSeries.of_var(work, n, 3) for n in ("x", EPS))
+        one = SuperSeries.const(work, 1, 3)
+        w = mul(x + one, one + eps.scale(2) + (eps ** 2).scale(4) + (eps ** 3).scale(8))
+        assert w == x + one + mul(eps, w).scale(2)
         h_chart = Chart("h", (work.var(EPS),) + tuple(phi.target.variables))
         y = SuperSeries.of_var(h_chart, "y", 3)
         h = y + mul(SuperSeries.of_var(h_chart, EPS, 3), y ** 2)
-        ref_eliminate(phi, h, work, 3)
         with pytest.raises(MorphismError):
             _eliminate(phi, h, work, 3)
 
@@ -408,7 +382,7 @@ class TestPullback:
         h_chart = Chart("h", (work.var(EPS),) + tuple(phi.target.variables))
         h = (SuperSeries.monomial(h_chart, {EPS: 1, "y": 1}, 3, order)
              + SuperSeries.monomial(h_chart, {EPS: 2, "y": 1}, Fraction(-5, 2), order))
-        assert pullback_series(phi, h, order) == ref_eliminate(phi, h, work, order)
+        assert pullback_series(phi, h, order) == oracle_eliminate(phi, h, work, order)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
     def test_substitute_all_calls(self, n, monkeypatch):
@@ -462,7 +436,7 @@ class TestPullback:
         h_chart = series_chart(phi)
         h = (SuperSeries.monomial(h_chart, {EPS: 1, "y": 200}, 1, 3)
              + SuperSeries.monomial(h_chart, {EPS: 1, "y": 133}, 1, 3))
-        assert got == ref_eliminate(phi, h, work, 3)
+        assert got == oracle_eliminate(phi, h, work, 3)
 
     @pytest.mark.parametrize("order", [0, -1])
     def test_order_below_one_rejected(self, order):
@@ -474,9 +448,7 @@ class TestPullback:
 
     def test_series_without_eps_rejected(self):
         phi = worked_example(2)
-        work = pullback_chart(phi)
-        h_chart = Chart("h", (work.var(EPS),) + tuple(phi.target.variables))
-        h = SuperSeries.of_var(h_chart, "y", 2)
+        h = SuperSeries.of_var(series_chart(phi), "y", 2)
         with pytest.raises(MorphismError):
             pullback_series(phi, h, 2)
 
@@ -567,7 +539,7 @@ class TestCompose:
         out = compose(psi, phi, ORDER)
         work = combined_chart(phi.source, psi.target, KIND_EVEN,
                               [psi.chart.var(m) for m in psi.momentum_names()])
-        assert out.S == ref_eliminate(phi, psi.S, work, ORDER)
+        assert out.S == oracle_eliminate(phi, psi.S, work, ORDER)
         assert serialize(out.S) == (
             "x*q_z + xi*q_zeta + 5/6*q_z^2 + x*xi*q_zeta - xi*q_z*q_zeta"
             " + x*xi*q_z*q_zeta + x^2*xi*q_z*q_zeta - x*xi*q_z^2*q_zeta")
@@ -658,7 +630,7 @@ class TestCompose:
 
 
 class TestReferenceEliminator:
-    """compose and pullback_series against ``ref_eliminate`` on seeded draws.
+    """compose and pullback_series against ``oracle_eliminate`` on seeded draws.
     Draws go on until three outputs reach weight ``deep``, past what the
     first sweep alone decides; every draw must match."""
 
@@ -673,27 +645,29 @@ class TestReferenceEliminator:
                 return
         pytest.fail(f"only {reached} of 30 draws reach weight {deep}")
 
+    # orders 1 and 2 are the schedule's edges: no sweep runs below weight order - 1
+    EDGES, IDS = [((2, 1), 1), ((2, 1), 2)], ["shape0", "shape1", "order1", "order2"]
+
     @pytest.mark.parametrize("kind", [KIND_EVEN, KIND_ODD])
-    @pytest.mark.parametrize("shape", [(2, 2), (3, 3)])
-    def test_compose(self, kind, shape):
+    @pytest.mark.parametrize("shape, order", [((2, 2), ORDER), ((3, 3), ORDER), *EDGES], ids=IDS)
+    def test_compose(self, kind, shape, order):
         gen = Generator(40 + shape[0])
         a = gen.chart(*shape, name="A")
         b = gen.chart(*shape, name="B", stems=("y", "eta"))
         c = gen.chart(*shape, name="C", stems=("z", "zeta"))
 
         def draw():
-            inner = gen.thick(a, b, kind, ORDER, n_terms=6, max_momentum_degree=3)
-            outer = gen.thick(b, c, kind, ORDER, n_terms=6, max_momentum_degree=3)
+            inner = gen.thick(a, b, kind, order, n_terms=6, max_momentum_degree=3)
+            outer = gen.thick(b, c, kind, order, n_terms=6, max_momentum_degree=3)
             out_momenta = [outer.chart.var(m) for m in outer.momentum_names()]
             work = combined_chart(a, c, kind, out_momenta)
-            return (compose(outer, inner, ORDER).S,
-                    ref_eliminate(inner, outer.S, work, ORDER))
-        self.check(draw)
+            return (compose(outer, inner, order).S,
+                    oracle_eliminate(inner, outer.S, work, order))
+        self.check(draw, deep=min(order, 2))
 
     @pytest.mark.parametrize("kind", [KIND_EVEN, KIND_ODD])
-    @pytest.mark.parametrize("shape", [(2, 2), (3, 3)])
-    def test_pullback_series(self, kind, shape):
-        order = 4
+    @pytest.mark.parametrize("shape, order", [((2, 2), 4), ((3, 3), 4), *EDGES], ids=IDS)
+    def test_pullback_series(self, kind, shape, order):
         gen = Generator(50 + shape[0])
         src = gen.chart(*shape, name="A")
         tgt = gen.chart(*shape, name="B", stems=("y", "eta"))
@@ -706,8 +680,8 @@ class TestReferenceEliminator:
                            + (1 - kind_parity(kind)), order, strict=False)
             g = gen.series(tgt, order, parity=kind_parity(kind), n_terms=6, max_degree=3)
             h, work = eps_series(phi, g, order)
-            return pullback_series(phi, h, order), ref_eliminate(phi, h, work, order)
-        self.check(draw)
+            return pullback_series(phi, h, order), oracle_eliminate(phi, h, work, order)
+        self.check(draw, deep=min(order, 2))
 
     def test_weight_one_parameter(self):
         """A formal parameter s of weight 1 is scaled along with eps: h has
@@ -727,5 +701,5 @@ class TestReferenceEliminator:
                                  order, params=(s,))
             h = h + SuperSeries.monomial(h.chart, {"s": 2}, Fraction(2, 3), order)
             got = pullback_series(phi, h, order)
-            return got, ref_eliminate(phi, h, work, order)
+            return got, oracle_eliminate(phi, h, work, order)
         self.check(draw, deep=3)

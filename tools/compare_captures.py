@@ -8,7 +8,9 @@ the tests that both files hold are compared: a test that one tree adds,
 renames or deletes is left out, and the number of node ids that each file
 holds alone is printed.  Each test's start is a record of its own, named
 ``test``, so a test whose records the change drops all the same is shared.
-Over the shared tests, the exit status is 0 only when
+The exit status is 0 only when the files share at least one test (an empty
+capture, or one from a run that stopped at collection, shares none) and,
+over the shared tests,
 
 * the records whose name is not a kernel name (``mul``, ``deriv``,
   ``partial``, ``substitute``) are equal, byte for byte and in the same
@@ -58,7 +60,7 @@ def compare(parent: str, change: str) -> list:
     print(f"{'record':<20}{'parent':>10}{'change':>10}")
     for name in sorted(p_counts.keys() | c_counts.keys()):
         print(f"{name:<20}{p_counts[name]:>10}{c_counts[name]:>10}")
-    errors = []
+    errors = [] if shared else ["the two captures share no test"]
     if p_outer != c_outer:
         at = next((i for i, (a, b) in enumerate(zip(p_outer, c_outer)) if a != b),
                   min(len(p_outer), len(c_outer)))
