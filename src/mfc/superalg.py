@@ -7,8 +7,8 @@ Momentum-class variables (and formal parameters) carry weight 1 and the
 series is truncated at a fixed total weight (the filtration order).
 
 Coefficients are stored as ``Fraction``s and monomials as exponent tuples.
-``mul`` and ``substitute`` work in integer rows (packed monomial, numerator
-over a common denominator, odd mask), and unpack each output term and make
+Only products work in integer rows: ``mul`` and ``substitute`` (packed monomial,
+numerator over a common denominator, odd mask) unpack each output term and make
 its ``Fraction`` once.  A packed monomial is one int holding, from the low
 bits up, an F-bit exponent field per chart variable, in chart order, and the
 weight, so a product is one add and its truncation one compare; the odd mask
@@ -18,10 +18,10 @@ guard: an operation whose exponents reach it reruns at twice the width (F =
 the fields, so the product kernel sorts the longer operand by packed monomial
 and pairs each row of the shorter one with the prefix the truncation keeps,
 reading the Koszul sign off one mask per outer row.  A one-term factor of
-``mul``, ``partial`` and ``deriv`` shift exponents term by term instead:
-``partial`` lowers one on the ``Fraction``s, and ``deriv``, whose images are
-chart variables, lowers one and raises another, summing numerators over the
-operand's denominator.  ``_substitute_packed`` substitutes packed images into
+``mul``, ``partial`` and ``deriv`` shift exponents term by term instead, on the
+``Fraction``s: ``partial`` lowers one, and ``deriv``, whose images are chart
+variables, lowers one and raises another, adding coefficients only where two
+terms land on one monomial.  ``_substitute_packed`` substitutes packed images into
 several series with one shared table of image powers, keeps every
 intermediate packed, and returns packed sums over their least common
 denominator; ``substitute`` packs one series for it and unpacks its sum, and
@@ -40,7 +40,7 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, inf, lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -109,8 +109,8 @@ class Chart:
     reordering costs the Koszul sign.
     """
 
-    __slots__ = ("name", "variables", "_index", "parities",
-                 "weights", "caps", "odd_indices", "even_caps", "capped")
+    __slots__ = ("name", "variables", "_index", "names", "parities", "weights",
+                 "caps", "bounds", "odd_indices", "even_caps", "capped", "images")
 
     def __init__(self, name: str, variables: Iterable[Variable]):
         self.name = name
@@ -120,14 +120,17 @@ class Chart:
             if v.name in self._index:
                 raise ValueError(f"duplicate variable {v.name!r} in chart {name!r}")
             self._index[v.name] = i
+        self.names = tuple(self._index)
         self.parities = tuple(v.parity for v in self.variables)
         self.weights = tuple(v.weight for v in self.variables)
         self.caps = tuple(v.cap for v in self.variables)
+        self.bounds = tuple(inf if cap is None else cap for cap in self.caps)
         self.odd_indices = tuple(i for i, p in enumerate(self.parities) if p == ODD)
         # (index, max_power) of capped even variables; odd caps are masks
         self.even_caps = tuple((i, v.max_power) for i, v in enumerate(self.variables)
                                if v.parity == EVEN and v.max_power is not None)
         self.capped = tuple((i, cap) for i, cap in enumerate(self.caps) if cap is not None)
+        self.images = {}  # bundle name -> ``deriv`` images, kept by superforms.apply_operator
 
     def index(self, name: str) -> int:
         try:
@@ -543,7 +546,7 @@ def deriv(a: SuperSeries, images: Mapping[str, tuple[str, int]], parity: Parity)
     even w with a cap, can leave the truncation.
     """
     chart = a.chart
-    shifts = []  # (k, t, sign, odd w, flips, may be cut) per image
+    shifts = []  # (k, t, negated, odd w, flips, may be cut) per image
     for name, (target, sign) in images.items():
         k, t = chart.index(name), chart.index(target)
         odd = chart.parities[t]
@@ -552,13 +555,11 @@ def deriv(a: SuperSeries, images: Mapping[str, tuple[str, int]], parity: Parity)
         # flips: the odd factors w passes (strictly between v and w) and D passes (before v)
         between = (1 << max(k, t)) - (2 << min(k, t)) if odd and k != t else 0
         cut = chart.weights[t] > chart.weights[k] or not odd and chart.caps[t] is not None
-        shifts.append((k, t, sign, odd, between ^ ((1 << k) - 1 if parity else 0), cut))
-    den = _common_denominator(a.terms.values())
-    acc: dict = {}
+        shifts.append((k, t, sign < 0, odd, between ^ ((1 << k) - 1 if parity else 0), cut))
+    out: dict = {}
     for m, c in a.terms.items():
-        n = c.numerator * (den // c.denominator)
         o = sum([m[i] << i for i in chart.odd_indices])
-        for k, t, sign, odd, flips, cut in shifts:
+        for k, t, negated, odd, flips, cut in shifts:
             e = m[k]
             if not e:
                 continue
@@ -568,10 +569,16 @@ def deriv(a: SuperSeries, images: Mapping[str, tuple[str, int]], parity: Parity)
                 continue
             mono[t] += 1
             mono = tuple(mono)
-            if not cut or chart.admits(mono, a.order):
-                acc[mono] = acc.get(mono, 0) + (-e if (o & flips).bit_count() & 1 else e) * sign * n
-    return SuperSeries(chart, {m: Fraction(n, den) for m, n in acc.items() if n},
-                       a.order, _checked=True)
+            if cut and not chart.admits(mono, a.order):
+                continue
+            e = -e if (o & flips).bit_count() + negated & 1 else e
+            d = c if e == 1 else -c if e == -1 else e * c
+            s = out.get(mono)  # a sum only where two terms land on one monomial
+            if s is None or (d := s + d):
+                out[mono] = d
+            else:
+                del out[mono]
+    return SuperSeries(chart, out, a.order, _checked=True)
 
 
 def partial(a: SuperSeries, name: str) -> SuperSeries:
@@ -743,18 +750,17 @@ def embed(a: SuperSeries, chart: Chart, order: int) -> SuperSeries:
     terms past ``order`` or a cap of ``chart`` are dropped.  It takes no
     Koszul sign, so odd variables must stand in the same order on both charts.
     """
-    source = a.chart._index
-    at = [source.get(v.name, len(source)) for v in chart]  # an exponent's slot, or the 0 after
-    missing = [0 if v.name in chart else 1 for v in a.chart]
+    source = a.chart
+    at = list(map(source._index.get, chart.names, repeat(len(source))))  # a slot, or the 0 after
+    missing = list(map(operator.not_, map(chart._index.__contains__, source.names)))
     # terms drop only at a lower order or where a shared variable is heavier or capped lower
-    weights, caps = (*a.chart.weights, inf), (*a.chart.caps, 0)  # the 0 after: any bound
-    keep = order >= a.order and all(
-        w <= weights[i] and (cap is None or caps[i] is not None and caps[i] <= cap)
-        for w, cap, i in zip(chart.weights, chart.caps, at))
+    weights, bounds = (*source.weights, inf), (*source.bounds, 0)  # the 0 after: any bound
+    keep = (order >= a.order and all(map(operator.le, chart.weights, map(weights.__getitem__, at)))
+            and all(map(operator.le, map(bounds.__getitem__, at), chart.bounds)))
     out: dict = {}
     for m, c in a.terms.items():
         if any(compress(m, missing)):
-            v = next(compress(a.chart.variables, map(operator.mul, m, missing)))
+            v = next(compress(source.variables, map(operator.mul, m, missing)))
             raise KeyError(f"variable {v.name!r} occurs but is not on chart {chart.name!r}")
         mono = tuple(map((*m, 0).__getitem__, at))
         if keep or chart.admits(mono, order):

@@ -111,21 +111,25 @@ def extend_chart(chart: Chart, bundle: str) -> Chart:
 def apply_operator(a: SuperSeries, bundle: str) -> SuperSeries:
     """Apply the derivation a tangent-type bundle (T, PiT or d) names, of its parity
     shift, as ``deriv`` images (partner, sign): v maps to its partner, d_v to -d_par_v
-    under PiT and to d_dot_v under T.  A cotangent bundle names no derivation."""
+    under PiT and to d_dot_v under T, kept on the chart once ``deriv`` accepts them.
+    A cotangent bundle names no derivation."""
     if bundle not in BUNDLES or bundle in COTANGENT.values():
         raise ValueError(f"bundle {bundle!r} names no derivation")
-    shift = BUNDLES[bundle].shift
-    images = {}
-    for v in a.chart:
-        target, sign = partner(v.name, bundle), 1
-        if _is_form_level(v):  # d_u
-            if bundle == D:
-                continue
-            target = partner(partner(v.base, bundle), D)
-            sign = -1 if shift else 1
-        if target in a.chart:
-            images[v.name] = (target, sign)
-    return deriv(a, images, shift)
+    shift, chart = BUNDLES[bundle].shift, a.chart
+    if (images := chart.images.get(bundle)) is None:
+        images = {}
+        for v in chart:
+            target, sign = partner(v.name, bundle), 1
+            if _is_form_level(v):  # d_u
+                if bundle == D:
+                    continue
+                target = partner(partner(v.base, bundle), D)
+                sign = -1 if shift else 1
+            if target in chart:
+                images[v.name] = (target, sign)
+    out = deriv(a, images, shift)
+    chart.images[bundle] = images
+    return out
 
 
 def de_rham(omega: SuperSeries, level: str) -> SuperSeries:
