@@ -1,6 +1,8 @@
 """Bundle charts, exterior operators, Liouville forms and the six
 identification theorems."""
 
+import gc
+
 import pytest
 
 from mfc.morphisms import (KIND_ODD, canonical_conjugates, combined_chart, pullback_chart,
@@ -16,6 +18,7 @@ from mfc.superalg import (
     SuperSeries,
     Variable,
     cached_chart,
+    deriv,
     embed,
     mul,
     partial,
@@ -236,6 +239,74 @@ class TestOperators:
         c = extend_chart(base_chart(), T)
         with pytest.raises(ValueError):
             de_rham(SuperSeries.of_var(c, "x0", ORDER), T)
+
+
+class TestImageTables:
+    """``apply_operator`` keeps each chart's ``deriv`` images per bundle, and
+    the table names variables only: it holds no chart, its own or another."""
+
+    def chart(self):
+        return extend_chart(extend_chart(extend_chart(base_chart(2, 2), T), PIT), D)
+
+    def test_cached_images_match_a_fresh_table(self):
+        hub = self.chart()
+        direct = Chart(hub.name, hub.variables)  # equal, but not from the cache
+        gen = Generator(12)
+        order = [T, PIT, D, PIT, T, D, D, T, PIT]
+        for _ in range(6):
+            a = gen.series(hub, ORDER, n_terms=6, max_degree=3)
+            b = embed(a, direct, ORDER)
+            for bundle in order:
+                # a chart that has never run a derivation builds its table from scratch
+                fresh = apply_operator(embed(a, Chart(hub.name, hub.variables), ORDER), bundle)
+                assert apply_operator(a, bundle) == fresh
+                assert apply_operator(b, bundle) == fresh
+                a, b = apply_operator(a, bundle) + a, apply_operator(b, bundle) + b
+        assert sorted(hub.images) == sorted(direct.images) == sorted([T, PIT, D])
+
+    def test_refused_operator_leaves_no_table(self):
+        a = SuperSeries.of_var(self.chart(), "x0", ORDER)
+        chart = Chart("M", a.chart.variables)
+        with pytest.raises(ValueError, match="names no derivation"):
+            apply_operator(embed(a, chart, ORDER), TSTAR)
+        assert chart.images == {}
+        # a coordinate named like x's T partner, of the wrong parity for it
+        odd_dot = Chart("M", [Variable("x", EVEN), Variable("dot_x", ODD)])
+        x = SuperSeries.of_var(odd_dot, "x", ORDER)
+        for _ in range(2):
+            with pytest.raises(ParityError, match="image of 'x' has the wrong parity"):
+                apply_operator(x, T)
+            assert odd_dot.images == {}
+
+    def test_deriv_checks_every_table(self):
+        a = Generator(13).series(self.chart(), ORDER, n_terms=4, max_degree=3)
+        apply_operator(a, PIT)
+        images = dict(a.chart.images[PIT])
+        with pytest.raises(ParityError, match="image of 'x0' has the wrong parity"):
+            deriv(a, images, EVEN)  # PiT's images under an even derivation
+        images["x0"] = ("dot_x0", 1)
+        with pytest.raises(ParityError, match="image of 'x0' has the wrong parity"):
+            deriv(a, images, ODD)
+
+    def test_no_chart_keeps_another_alive(self):
+        hub = self.chart()
+        a = Generator(14).series(hub, ORDER, n_terms=6, max_degree=3)
+
+        def visit(i):
+            chart = Chart(f"visitor{i}", hub.variables)
+            b = embed(a, chart, ORDER)
+            for bundle in (D, PIT):
+                assert embed(apply_operator(b, bundle), hub, ORDER) == apply_operator(a, bundle)
+
+        for i in range(200):
+            visit(i)
+        gc.collect()
+        alive = [o for o in gc.get_objects()
+                 if isinstance(o, Chart) and o.name.startswith("visitor")]
+        assert alive == []
+        assert {D, PIT} <= set(hub.images) <= {T, PIT, D}  # T: an earlier test's
+        assert all(isinstance(name, str) and isinstance(target, str) and sign in (1, -1)
+                   for table in hub.images.values() for name, (target, sign) in table.items())
 
 
 class TestPoisson:
