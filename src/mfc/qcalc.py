@@ -20,7 +20,6 @@ from .superalg import (
     ParityError,
     SuperSeries,
     embed,
-    flip,
     mul,
     partial,
     shift_down,
@@ -48,7 +47,7 @@ class HomologicalField:
     def __post_init__(self):
         for v in self.chart:
             comp = self.components[v.name]
-            if not comp.has_parity(flip(v.parity)):
+            if not comp.has_parity(v.parity ^ 1):
                 raise ParityError(f"component for {v.name!r} must be odd-shifted")
 
     def is_homological(self) -> bool:

@@ -67,10 +67,6 @@ class ParityError(ValueError):
     """A parity constraint was violated."""
 
 
-def flip(p: Parity) -> Parity:
-    return p ^ 1
-
-
 @dataclass(frozen=True)
 class Variable:
     """A named coordinate with parity, role and filtration weight.
@@ -78,7 +74,7 @@ class Variable:
     ``base`` records the coordinate a derived variable (velocity,
     momentum, ...) came from.  ``max_power`` is an optional nilpotency
     cap for even formal parameters (odd variables are capped at 1
-    implicitly).
+    implicitly, see ``Chart.bounds``).
     """
 
     name: str
@@ -94,12 +90,6 @@ class Variable:
         if self.weight < 0:
             raise ValueError("weight must be nonnegative")
 
-    @property
-    def cap(self) -> Optional[int]:
-        if self.parity == ODD:
-            return 1
-        return self.max_power
-
 
 class Chart:
     """An ordered, named registry of variables.
@@ -110,7 +100,7 @@ class Chart:
     """
 
     __slots__ = ("name", "variables", "_index", "names", "parities", "weights",
-                 "caps", "bounds", "odd_indices", "even_caps", "capped", "images")
+                 "bounds", "odd_indices", "capped", "images")
 
     def __init__(self, name: str, variables: Iterable[Variable]):
         self.name = name
@@ -123,13 +113,12 @@ class Chart:
         self.names = tuple(self._index)
         self.parities = tuple(v.parity for v in self.variables)
         self.weights = tuple(v.weight for v in self.variables)
-        self.caps = tuple(v.cap for v in self.variables)
-        self.bounds = tuple(inf if cap is None else cap for cap in self.caps)
+        # the one cap table: each variable's highest exponent, 1 if odd, else its
+        # max_power, inf if it has none; ``capped`` is its finite (index, cap) pairs
+        self.bounds = tuple(1 if v.parity else inf if v.max_power is None else v.max_power
+                            for v in self.variables)
         self.odd_indices = tuple(i for i, p in enumerate(self.parities) if p == ODD)
-        # (index, max_power) of capped even variables; odd caps are masks
-        self.even_caps = tuple((i, v.max_power) for i, v in enumerate(self.variables)
-                               if v.parity == EVEN and v.max_power is not None)
-        self.capped = tuple((i, cap) for i, cap in enumerate(self.caps) if cap is not None)
+        self.capped = tuple((i, b) for i, b in enumerate(self.bounds) if b != inf)
         self.images = {}  # bundle name -> ``deriv`` images, kept by superforms.apply_operator
 
     def index(self, name: str) -> int:
@@ -177,7 +166,7 @@ class Chart:
 
     def admits_var(self, i: int, order: int) -> bool:
         """Whether variable i alone survives truncation at ``order`` and its cap."""
-        return self.weights[i] <= order and (self.caps[i] is None or self.caps[i] > 0)
+        return self.weights[i] <= order and self.bounds[i] > 0
 
 
 # Derived charts and fibers are built once per key of names and variables, never of a
@@ -219,10 +208,7 @@ class SuperSeries:
 
     @classmethod
     def const(cls, chart: Chart, value, order: int) -> "SuperSeries":
-        value = Fraction(value)
-        if not value:
-            return cls.zero(chart, order)
-        return cls(chart, {(0,) * len(chart): value}, order, _checked=True)
+        return cls(chart, {(0,) * len(chart): value}, order)
 
     @classmethod
     def of_var(cls, chart: Chart, name: str, order: int) -> "SuperSeries":
@@ -236,10 +222,7 @@ class SuperSeries:
         mono = [0] * len(chart)
         for name, e in exps.items():
             mono[chart.index(name)] = e
-        mono = tuple(mono)
-        coeff = Fraction(coeff)
-        terms = {mono: coeff} if coeff and chart.admits(mono, order) else {}
-        return cls(chart, terms, order, _checked=True)
+        return cls(chart, {tuple(mono): coeff}, order)
 
     # -- basic queries -------------------------------------------------
 
@@ -351,12 +334,15 @@ class _Layout:
 
     __slots__ = ("weights", "odd", "caps", "field", "guard", "weight_shift", "pack", "unpack")
 
-    def __init__(self, parities: tuple, weights: tuple, even_caps: tuple, width: int):
+    def __init__(self, parities: tuple, weights: tuple, bounds: tuple, width: int):
         n = len(parities)
         code = {8: "b", 16: "h", 32: "i", 64: "q"}[width]
         self.weights = weights
         self.odd = sum(1 << i * width for i, p in enumerate(parities) if p == ODD)
-        self.caps = tuple((i * width, cap) for i, cap in even_caps)  # (field shift, cap)
+        # (field shift, cap) of each capped even variable, from ``bounds``; an odd
+        # variable's bound of 1 is kept by the odd mask
+        self.caps = tuple((i * width, b) for i, (p, b) in enumerate(zip(parities, bounds))
+                          if not p and b != inf)
         self.field = (1 << width) - 1
         self.guard = sum(1 << (i * width + width - 1) for i in range(n))
         self.weight_shift = n * width
@@ -390,7 +376,7 @@ _layout = functools.lru_cache(maxsize=256)(_Layout)  # one layout per chart shap
 
 def _widening(chart: Chart, run):
     """``run(layout)`` at field width 8, rerun twice as wide while an exponent hits a guard."""
-    shape = (chart.parities, chart.weights, chart.even_caps)
+    shape = (chart.parities, chart.weights, chart.bounds)
     for width in (8, 16, 32, 64):
         try:
             return run(_layout(*shape, width))
@@ -476,7 +462,7 @@ def _shift(a: SuperSeries, m0: tuple, c0: Fraction, left: bool) -> SuperSeries:
     chart = a.chart
     odd = chart.odd_indices
     support = [(i, m0[i]) for i in compress(range(len(m0)), m0)]
-    cut = any(chart.weights[i] or not chart.parities[i] and chart.caps[i] is not None
+    cut = any(chart.weights[i] or not chart.parities[i] and chart.bounds[i] != inf
               for i, _ in support)
     o0 = flips = 0
     for i, _ in support:
@@ -554,7 +540,7 @@ def deriv(a: SuperSeries, images: Mapping[str, tuple[str, int]], parity: Parity)
             raise ParityError(f"image of {name!r} has the wrong parity")
         # flips: the odd factors w passes (strictly between v and w) and D passes (before v)
         between = (1 << max(k, t)) - (2 << min(k, t)) if odd and k != t else 0
-        cut = chart.weights[t] > chart.weights[k] or not odd and chart.caps[t] is not None
+        cut = chart.weights[t] > chart.weights[k] or not odd and chart.bounds[t] != inf
         shifts.append((k, t, sign < 0, odd, between ^ ((1 << k) - 1 if parity else 0), cut))
     out: dict = {}
     for m, c in a.terms.items():

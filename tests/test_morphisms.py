@@ -438,6 +438,20 @@ class TestPullback:
              + SuperSeries.monomial(h_chart, {EPS: 1, "y": 133}, 1, 3))
         assert got == oracle_eliminate(phi, h, work, 3)
 
+    def test_unsettled_gradient_raises(self, monkeypatch):
+        """A gradient that moves after the last sweep fails the certificate:
+        each patched call adds a fresh constant to its sums, so no two agree."""
+        calls = []
+
+        def drifting(*args):
+            calls.append(None)
+            return [({**acc, 0: acc.get(0, 0) + len(calls) * den}, den)
+                    for acc, den in _substitute_packed(*args)]
+        monkeypatch.setattr(morphisms, "_substitute_packed", drifting)
+        g = SuperSeries.of_var(chart_y(), "y", 3) ** 2
+        with pytest.raises(MorphismError, match="^gradient still moving at weight 2$"):
+            pullback(worked_example(3), g, 3)
+
     @pytest.mark.parametrize("order", [0, -1])
     def test_order_below_one_rejected(self, order):
         g = SuperSeries.of_var(chart_y(), "y", 2) ** 2

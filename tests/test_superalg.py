@@ -28,6 +28,7 @@ from mfc.superalg import (
     truncate,
 )
 from mfc.testkit import Generator
+from mfc.textio import parse_series
 
 ORDER = 6
 
@@ -189,6 +190,21 @@ class TestFiltration:
         ts = SuperSeries.of_var(c, "t", ORDER)
         assert mul(ts, ts).is_zero()
 
+    def test_deriv_onto_capped_parameter(self):
+        """D(x) = t for an unweighted t with max_power=1: D(x*t) = t^2 is past the
+        cap, so only the cap, not the weight, cuts it."""
+        c = Chart("M", [Variable("x", EVEN), Variable("t", EVEN, ROLE_PARAM, max_power=1)])
+        x, t = SuperSeries.of_var(c, "x", ORDER), SuperSeries.of_var(c, "t", ORDER)
+        images = {"x": ("t", 1)}
+        assert deriv(mul(x, t), images, EVEN).is_zero()
+        assert deriv(x ** 2 + x, images, EVEN) == mul(x, t).scale(2) + t
+
+    def test_parsed_identifier_past_its_cap(self):
+        """A variable with max_power=0 reads as zero, alone or in a sum."""
+        c = Chart("M", [Variable("x", EVEN), Variable("s", EVEN, ROLE_PARAM, max_power=0)])
+        assert parse_series("s", c, ORDER).is_zero()
+        assert parse_series("s + x", c, ORDER) == SuperSeries.of_var(c, "x", ORDER)
+
     def test_truncate_refuses_a_higher_order(self):
         q = SuperSeries.of_var(self.chart(), "q", ORDER)
         with pytest.raises(ValueError, match=f"cannot extend filtration order {ORDER} to {ORDER + 1}"):
@@ -213,6 +229,13 @@ class TestHelpers:
             shift_down(mul(var(c, "th"), var(c, "et")), "th")
         with pytest.raises(ValueError, match="term without a factor of 'x'"):
             shift_down(mul(var(c, "x"), var(c, "y")) + var(c, "y"), "x")
+
+    def test_reprs_and_foreign_equality(self):
+        c = Chart("M", [Variable("x", EVEN), Variable("th", ODD)])
+        assert repr(c) == "Chart('M': x, th)"
+        a = SuperSeries.of_var(c, "x", 2) + 1
+        assert repr(a) == "<1 + x on 'M' order 2>"
+        assert a.__eq__("x") is NotImplemented and a != "x"
 
     def test_variable_and_power_refusals(self):
         with pytest.raises(ParityError, match="bad parity for 'x': 2"):
@@ -292,10 +315,15 @@ def _ref_mul_mono(chart, m1, m2):
         if m1[i]:
             above += 1
     out = tuple(a + b for a, b in zip(m1, m2))
-    for e, cap in zip(out, chart.caps):
-        if cap is not None and e > cap:
-            return None, 0
+    if not all(map(_ref_within_cap, out, chart)):
+        return None, 0
     return out, sign
+
+
+def _ref_within_cap(e, v):
+    """Whether exponent e of variable v is within its cap, read off the variable
+    itself: an odd one squares to zero, an even one stops at max_power if set."""
+    return e <= 1 if v.parity else v.max_power is None or e <= v.max_power
 
 
 def ref_mul(a, b):
@@ -966,13 +994,14 @@ class TestReferenceKernel:
                 substitute(x, {"x": img}, chart=chart, order=REF_ORDER)
 
     def test_constructors_match_validating_init(self):
-        """of_var and monomial skip __init__'s checks but drop the same
-        terms: too heavy, over a cap (odd, max_power, max_power=0) or zero."""
+        """of_var skips __init__'s checks, and const and monomial build
+        through it: all drop the same terms, too heavy, over a cap (odd,
+        max_power, max_power=0) or zero, as the caps read off each Variable."""
         base = ref_chart()
         chart = Chart("R0", base.variables + (Variable("s", EVEN, ROLE_PARAM, max_power=0),))
         kept = lambda mono, coeff, order: bool(coeff) and sum(
             e * v.weight for e, v in zip(mono, chart)) <= order and all(
-            v.cap is None or e <= v.cap for e, v in zip(mono, chart))
+            map(_ref_within_cap, mono, chart))
         rng = random.Random(16)
         for order in range(4):
             for v in chart:
@@ -981,6 +1010,12 @@ class TestReferenceKernel:
                 got = SuperSeries.of_var(chart, v.name, order)
                 assert (got.terms, got.order) == (expect.terms, expect.order)
                 assert bool(got.terms) == kept(unit, 1, order)
+                assert_clean(got)
+            const = (0,) * len(chart)
+            for value in (0, Fraction(-3, 4)):
+                got = SuperSeries.const(chart, value, order)
+                assert got.terms == ({const: value} if value else {}) and got.order == order
+                assert bool(got.terms) == kept(const, value, order)
                 assert_clean(got)
             for _ in range(40):
                 exps = {v.name: rng.randint(0, 3) for v in rng.sample(chart.variables, 2)}

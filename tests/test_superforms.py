@@ -5,6 +5,7 @@ import gc
 
 import pytest
 
+from mfc import superforms
 from mfc.morphisms import (KIND_ODD, canonical_conjugates, combined_chart, pullback_chart,
                            series_chart)
 from mfc.qcalc import HomologicalField, hamiltonian_of_field
@@ -430,6 +431,20 @@ class TestProlongation:
         expect = mul(SuperSeries.const(chart, 1, p.order)
                      - xs.scale(2) + (xs ** 2).scale(4), p)
         assert truncate_base_degree(sigma["q_x"] - expect, 2).is_zero()
+
+    def test_unsettled_momentum_solve_raises(self, monkeypatch):
+        """A solve whose sweeps never repeat u runs out of sweeps: each patched
+        truncation adds a fresh constant."""
+        calls = []
+
+        def drifting(a, n):
+            calls.append(None)
+            return truncate_base_degree(a, n) + len(calls)
+        monkeypatch.setattr(superforms, "truncate_base_degree", drifting)
+        c = Chart("M", [Variable("x", EVEN)])
+        f = {"x": SuperSeries.of_var(c, "x", 4).scale(2)}
+        with pytest.raises(ValueError, match="^momentum solve did not converge$"):
+            prolong_coordinate_change(f, c, [TSTAR], 4)
 
     def test_singular_change_rejected(self):
         c = Chart("M", [Variable("x", EVEN)])
