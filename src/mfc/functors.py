@@ -10,10 +10,10 @@ par-momentum by the coordinate parity.
 from __future__ import annotations
 
 from .report import Report
-from .superalg import ODD, SuperSeries, Variable, embed, mul, substitute
-from .superforms import BUNDLES, PIT, T, apply_operator, extend_chart, kind_parity, partner
+from .superalg import ODD, SuperSeries, embed, substitute
+from .superforms import (BUNDLES, PIT, T, apply_operator, extend_chart, fiber_variables,
+                         kind_parity, partner)
 from .morphisms import (
-    EPS,
     Conjugate,
     KIND_EVEN,
     KIND_ODD,
@@ -21,6 +21,7 @@ from .morphisms import (
     base_map,
     combined_chart,
     compose,
+    eps_times,
     mk_thick,
     pullback,
 )
@@ -33,23 +34,20 @@ def _lift(phi: ThickMorphism, bundle: str) -> ThickMorphism:
     shift = BUNDLES[bundle].shift
     src = extend_chart(phi.source, bundle)
     tgt = extend_chart(phi.target, bundle)
-    old_momenta = [phi.chart.var(c.momentum) for c in phi.conjugates]
-    new_momenta = [Variable(partner(m.name, bundle), m.parity ^ shift, m.role, 1,
-                            base=m.name) for m in old_momenta]
+    momenta = phi.chart.variables[len(phi.source):]
     # an odd bundle shifts the parity of the generating function, so the kind
     kind = (KIND_EVEN, KIND_ODD)[kind_parity(phi.kind) ^ shift]
-    chart = combined_chart(src, tgt, kind, old_momenta + new_momenta)
-    order = phi.order
+    chart = combined_chart(src, tgt, kind, momenta + fiber_variables(momenta, bundle))
     # the derivation maps each source coordinate and old momentum to its
     # partner; the new variables have none on this chart
-    lifted = apply_operator(embed(phi.S, chart, order), bundle)
+    lifted = apply_operator(embed(phi.S, chart, phi.order), bundle)
     conjugates = [Conjugate(partner(c.coord, bundle), c.momentum, c.sign)
                   for c in phi.conjugates]
     for c in phi.conjugates:
         flipped = shift and phi.target.var(c.coord).parity == ODD
         conjugates.append(Conjugate(c.coord, partner(c.momentum, bundle),
                                     -c.sign if flipped else c.sign))
-    return mk_thick(src, tgt, kind, lifted, order, conjugates=conjugates,
+    return mk_thick(src, tgt, kind, lifted, phi.order, conjugates=conjugates,
                     strict=False)
 
 
@@ -84,9 +82,7 @@ def check_bundle_morphism(phi: ThickMorphism, g: SuperSeries, n_eps: int) -> Rep
     lifted = tangent_lift(phi)
     lhs = pullback(lifted, embed(g, lifted.target, g.order), n_eps)
     on_base = substitute(g, base_map(phi), chart=phi.source, order=phi.order)
-    rhs = mul(SuperSeries.of_var(lhs.chart, EPS, n_eps),
-              embed(on_base, lhs.chart, n_eps))
-    return Report.single("bundle_morphism", lhs - rhs)
+    return Report.single("bundle_morphism", lhs - eps_times(on_base, lhs.chart, n_eps))
 
 
 def check_functoriality(outer: ThickMorphism, inner: ThickMorphism,

@@ -93,7 +93,7 @@ class ThickMorphism:
         return self.S.chart
 
     def momentum_names(self):
-        return [c.momentum for c in self.conjugates]
+        return self.chart.names[len(self.source):]
 
     def coordinate_relations(self) -> Dict[str, SuperSeries]:
         """Target coordinates as series in (source coords, momenta)."""
@@ -116,11 +116,9 @@ def mk_thick(source: Chart, target: Chart, kind: str, S: SuperSeries,
     if conjugates is None:
         conjugates = canonical_conjugates(target, kind)
     conjugates = tuple(conjugates)
-    momenta = [S.chart.var(c.momentum) if c.momentum in S.chart else None
-               for c in conjugates]
-    if any(m is None for m in momenta):
-        raise MorphismError("generating-function chart lacks a momentum variable")
-    if S.chart.variables != tuple(source.variables) + tuple(momenta):
+    head = len(source)
+    if (S.chart.variables[:head] != source.variables
+            or S.chart.names[head:] != tuple(c.momentum for c in conjugates)):
         raise MorphismError(
             "generating function must live on (source coords, target momenta)")
     if S.order != order:
@@ -128,13 +126,11 @@ def mk_thick(source: Chart, target: Chart, kind: str, S: SuperSeries,
     shift = kind_parity(kind)
     if not S.has_parity(shift):
         raise ParityError(f"{kind} morphism needs a {kind} generating function")
-    for c, m in zip(conjugates, momenta):
-        coord = target.var(c.coord)
-        if m.parity != coord.parity ^ shift:
+    for c, m in zip(conjugates, S.chart.variables[head:]):
+        if m.parity != target.var(c.coord).parity ^ shift:
             raise ParityError(
                 f"momentum {m.name!r} has wrong parity for coordinate {c.coord!r}")
-    zero_mom = set_to_zero(S, [m.name for m in momenta])
-    normalized = zero_mom == SuperSeries.const(S.chart, zero_mom.constant_term(), order)
+    normalized = not any(map(any, set_to_zero(S, S.chart.names[head:]).terms))
     if strict and not normalized:
         raise MorphismError("S at zero momenta must be constant (strict mode)")
     return ThickMorphism(source, target, kind, S, order, conjugates, normalized)
@@ -176,6 +172,11 @@ def relation_check(phi: ThickMorphism) -> Report:
 
 EPS = "eps"
 _EPS = Variable(EPS, EVEN, ROLE_PARAM, 1)
+
+
+def eps_times(s: SuperSeries, chart: Chart, order: int) -> SuperSeries:
+    """eps * s on ``chart``, which holds ``eps`` and every variable of ``s``."""
+    return mul(SuperSeries.of_var(chart, EPS, order), embed(s, chart, order))
 
 
 def pullback_chart(phi: ThickMorphism, params: Sequence[Variable] = ()) -> Chart:
@@ -289,9 +290,7 @@ def pullback(phi: ThickMorphism, g: SuperSeries, n_eps: int) -> SuperSeries:
         raise ParityError(f"{phi.kind} morphism pulls back {phi.kind} functions")
     if g.chart != phi.target:
         raise ChartMismatch("g must live on the target chart")
-    h_chart = series_chart(phi)
-    h = mul(SuperSeries.of_var(h_chart, EPS, n_eps), embed(g, h_chart, n_eps))
-    return pullback_series(phi, h, n_eps)
+    return pullback_series(phi, eps_times(g, series_chart(phi), n_eps), n_eps)
 
 
 def pullback_derivative(phi: ThickMorphism, f: SuperSeries, direction: SuperSeries,
@@ -331,8 +330,8 @@ def compose(outer: ThickMorphism, inner: ThickMorphism, order: int) -> ThickMorp
         raise ChartMismatch("outer source chart must equal inner target chart")
     if not (outer.normalized and inner.normalized):
         raise MorphismError("composition requires zero-momentum-normalized factors")
-    out_momenta = [outer.chart.var(c.momentum) for c in outer.conjugates]
-    work = combined_chart(inner.source, outer.target, outer.kind, out_momenta)
+    work = combined_chart(inner.source, outer.target, outer.kind,
+                          outer.chart.variables[len(outer.source):])
     return mk_thick(inner.source, outer.target, outer.kind,
                     _eliminate(inner, outer.S, work, order), order,
                     conjugates=outer.conjugates)

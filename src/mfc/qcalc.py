@@ -29,7 +29,6 @@ from .superalg import (
 )
 from .superforms import (
     COTANGENT,
-    PIT,
     de_rham,
     extend_chart,
     partner,
@@ -59,7 +58,7 @@ class HomologicalField:
 def de_rham_field(chart: Chart, order: int) -> HomologicalField:
     """The exterior differential as a field on a PiT-extended chart."""
     return HomologicalField(chart, {
-        v.name: de_rham(SuperSeries.of_var(chart, v.name, order), PIT)
+        v.name: de_rham(SuperSeries.of_var(chart, v.name, order))
         for v in chart})
 
 
@@ -114,9 +113,9 @@ def closedness_check(phi: ThickMorphism, omega: SuperSeries, n_eps: int) -> Repo
     """Pullbacks of closed forms through the antitangent lift stay closed."""
     lifted = antitangent_lift(phi)
     omega = embed(omega, lifted.target, omega.order)
-    if not de_rham(omega, PIT).is_zero():
+    if not de_rham(omega).is_zero():
         raise ValueError("omega is not closed (precondition)")
-    return Report.single("closedness", de_rham(pullback(lifted, omega, n_eps), PIT))
+    return Report.single("closedness", de_rham(pullback(lifted, omega, n_eps)))
 
 
 def derivative_homomorphism_check(phi: ThickMorphism, f: SuperSeries,
@@ -135,6 +134,6 @@ def intertwining_check(phi: ThickMorphism, omega: SuperSeries, n_eps: int) -> Re
     at omega in the direction d(omega) equals d of the pullback of omega."""
     lifted = antitangent_lift(phi)
     omega = embed(omega, lifted.target, omega.order)
-    linear = pullback_derivative(lifted, omega, de_rham(omega, PIT), n_eps)
+    linear = pullback_derivative(lifted, omega, de_rham(omega), n_eps)
     return Report.single("intertwining",
-                         linear - de_rham(pullback(lifted, omega, n_eps), PIT))
+                         linear - de_rham(pullback(lifted, omega, n_eps)))

@@ -371,7 +371,9 @@ class _Layout:
                                    for p, n in acc.items() if n}, order, _checked=True)
 
 
-_layout = functools.lru_cache(maxsize=256)(_Layout)  # one layout per chart shape and width
+# One layout per chart shape and width: a benchmark workload makes at most 11 keys (6 passes,
+# seed 1) and the four ``mfc verify`` suites 39 at 10 trials, 78 at 200, all at width 8.
+_layout = functools.lru_cache(maxsize=256)(_Layout)
 
 
 def _widening(chart: Chart, run):

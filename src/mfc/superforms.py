@@ -132,14 +132,12 @@ def apply_operator(a: SuperSeries, bundle: str) -> SuperSeries:
     return out
 
 
-def de_rham(omega: SuperSeries, level: str) -> SuperSeries:
-    """The exterior differential at the requested level (``D`` or ``PIT``)."""
-    if level not in (D, PIT):
-        raise ValueError(f"level must be {D!r} or {PIT!r}")
-    chart = omega.chart
-    if not any(partner(v.name, level) in chart for v in chart):
-        raise StructureError(f"chart {chart.name!r} carries no {level}-level")
-    return apply_operator(omega, level)
+def de_rham(omega: SuperSeries) -> SuperSeries:
+    """The exterior differential at the PiT level, d v = par_v; at the d level
+    it is ``apply_operator(omega, D)``."""
+    if not any(partner(v.name, PIT) in omega.chart for v in omega.chart):
+        raise StructureError(f"chart {omega.chart.name!r} carries no {PIT}-level")
+    return apply_operator(omega, PIT)
 
 
 # -- Liouville forms ----------------------------------------------------

@@ -35,13 +35,13 @@ from .superalg import (
     substitute,
 )
 from .morphisms import (
-    EPS,
     KIND_EVEN,
     KIND_ODD,
     MorphismError,
     ThickMorphism,
     canonical_conjugates,
     combined_chart,
+    eps_times,
     mk_thick,
     pullback,
     pullback_chart,
@@ -128,7 +128,7 @@ class Generator:
                             max_momentum_degree: int = 3) -> SuperSeries:
         """Random S(x; mu): every term carries at least one momentum."""
         chart = combined_chart(source, target, kind)
-        momenta = [c.momentum for c in canonical_conjugates(target, kind)]
+        momenta = chart.names[len(source):]
         want = kind_parity(kind)
         keep = lambda m: (chart.mono_weight(m) <= min(order, max_momentum_degree)
                           and chart.mono_base_degree(m) <= MAX_BASE_DEGREE
@@ -238,9 +238,8 @@ def oracle_eliminate(phi: ThickMorphism, h: SuperSeries, work: Chart,
 def oracle_pullback_naive(phi: ThickMorphism, g: SuperSeries,
                           n_eps: int) -> SuperSeries:
     """The pullback of g: ``oracle_eliminate`` of h = eps*g."""
-    h_chart = series_chart(phi)
-    h = mul(SuperSeries.of_var(h_chart, EPS, n_eps), embed(g, h_chart, n_eps))
-    return oracle_eliminate(phi, h, pullback_chart(phi), n_eps)
+    return oracle_eliminate(phi, eps_times(g, series_chart(phi), n_eps),
+                            pullback_chart(phi), n_eps)
 
 
 def worked_example(order: int = 3) -> ThickMorphism:
@@ -334,8 +333,7 @@ def suite_pullback_props(seed: int, trials: int, order: int) -> Report:
         # to eps times the substitution oracle
         cmap = gen.classical_map(phi.source, phi.target, order)
         got = pullback(from_classical(cmap, kind, order), g, order)
-        expected = mul(SuperSeries.of_var(got.chart, EPS, order),
-                       embed(oracle_pullback_classical(cmap, g, order), got.chart, order))
+        expected = eps_times(oracle_pullback_classical(cmap, g, order), got.chart, order)
         report.check_zero("classical_reduction", got - expected)
         return report
     return _trials(seed, trials, check)

@@ -34,6 +34,7 @@ from mfc.superalg import (
     partial,
     truncate,
 )
+from mfc.superforms import PIT, T, fiber_variables
 from mfc.testkit import (
     Generator,
     from_classical,
@@ -101,6 +102,25 @@ class TestLiftExamples:
         lifted = antitangent_lift(worked_example())
         assert lifted.chart.var("par_q_y").parity == ODD
         assert lifted.chart.var("par_x").parity == ODD
+
+    @pytest.mark.parametrize("bundle, lift_of", [(T, tangent_lift), (PIT, antitangent_lift)])
+    def test_lifted_momenta_are_the_bundle_partners(self, bundle, lift_of):
+        """A lift twice gives one chart, whose new momenta are the very
+        ``Variable``s that ``fiber_variables`` keeps for the old ones.  The
+        chart names are new to this test, so no earlier lift cached them."""
+        src = Chart("Mfiber", [Variable("u", EVEN), Variable("nu", ODD)])
+        tgt = Chart("Nfiber", [Variable("v", EVEN), Variable("mu", ODD)])
+        c = combined_chart(src, tgt, KIND_EVEN)
+        var = lambda n: SuperSeries.of_var(c, n, ORDER)
+        phi = mk_thick(src, tgt, KIND_EVEN, mul(var("u"), var("q_v"))
+                       + mul(var("nu"), var("q_mu")) + var("q_v") ** 2, ORDER)
+        first, second = lift_of(phi), lift_of(phi)
+        assert first.chart is second.chart
+        momenta = phi.chart.variables[len(src):]
+        tail = first.chart.variables[len(first.source):]
+        assert tail[:len(momenta)] == momenta
+        assert all(a is b for a, b in zip(tail[len(momenta):], fiber_variables(momenta, bundle),
+                                          strict=True))
 
     def test_unknown_lift_rejected(self):
         with pytest.raises(ValueError):

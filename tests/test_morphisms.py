@@ -150,6 +150,39 @@ class TestValidation:
                            match=r"must live on \(source coords, target momenta\)"):
             mk_thick(src, tgt, KIND_EVEN, S, ORDER)
 
+    @pytest.mark.parametrize("variables", [
+        # the momenta of (y, eta), permuted against the conjugates
+        [Variable("x", EVEN), Variable("q_eta", ODD, ROLE_MOMENTUM, 1),
+         Variable("q_y", EVEN, ROLE_MOMENTUM, 1)],
+        # a source head with the source's names but another parity
+        [Variable("x", ODD), Variable("q_y", EVEN, ROLE_MOMENTUM, 1),
+         Variable("q_eta", ODD, ROLE_MOMENTUM, 1)],
+        # no momentum for eta
+        [Variable("x", EVEN), Variable("q_y", EVEN, ROLE_MOMENTUM, 1)],
+    ], ids=["permuted", "head", "missing"])
+    def test_chart_is_source_then_momenta(self, variables):
+        src, tgt = chart_x(), Chart("N", [Variable("y", EVEN), Variable("eta", ODD)])
+        S = SuperSeries.of_var(Chart("M=>N", variables), "q_y", ORDER)
+        with pytest.raises(MorphismError,
+                           match=r"must live on \(source coords, target momenta\)"):
+            mk_thick(src, tgt, KIND_EVEN, S, ORDER)
+
+    def test_generating_function_of_another_source_rejected(self):
+        phi = worked_example()
+        other = Chart("M", [Variable("u", EVEN)])
+        with pytest.raises(MorphismError, match="source coords"):
+            mk_thick(other, phi.target, KIND_EVEN, phi.S, ORDER)
+        assert mk_thick(phi.source, phi.target, KIND_EVEN, phi.S, ORDER) == phi
+
+    def test_conjugates_out_of_chart_order_rejected(self):
+        # two even coordinates: the parities cannot tell the swapped pairing
+        src, tgt = chart_x(), Chart("N", [Variable("y", EVEN), Variable("z", EVEN)])
+        c = combined_chart(src, tgt, KIND_EVEN)
+        S = mul(SuperSeries.of_var(c, "x", ORDER), SuperSeries.of_var(c, "q_y", ORDER))
+        swapped = [Conjugate("z", "q_z"), Conjugate("y", "q_y")]
+        with pytest.raises(MorphismError, match="target momenta"):
+            mk_thick(src, tgt, KIND_EVEN, S, ORDER, conjugates=swapped)
+
     def test_momentum_parity_rejected(self):
         src, tgt = chart_x(), chart_y()
         c = combined_chart(src, tgt, KIND_EVEN, [Variable("q_y", ODD, ROLE_MOMENTUM, 1)])

@@ -242,7 +242,7 @@ def nondegenerate(phi, omega):
     """The pulled-back form has a nonzero differential, so the
     intertwining identity compares two nonzero sides."""
     rho = pullback(antitangent_lift(phi), omega, ORDER)
-    return not de_rham(rho, PIT).is_zero()
+    return not de_rham(rho).is_zero()
 
 
 class TestIntertwining:

@@ -228,18 +228,13 @@ class TestOperators:
         c = base_chart()
         a = SuperSeries.of_var(c, "x0", ORDER)
         with pytest.raises(StructureError):
-            de_rham(a, PIT)
+            de_rham(a)
 
     @pytest.mark.parametrize("bundle", [TSTAR, PITSTAR, "dot"])
     def test_only_tangent_type_bundles_name_a_derivation(self, bundle):
         a = SuperSeries.of_var(self.chart(), "x0", ORDER)
         with pytest.raises(ValueError):
             apply_operator(a, bundle)
-
-    def test_de_rham_level_is_d_or_pit(self):
-        c = extend_chart(base_chart(), T)
-        with pytest.raises(ValueError):
-            de_rham(SuperSeries.of_var(c, "x0", ORDER), T)
 
 
 class TestImageTables:

@@ -447,6 +447,19 @@ class TestCli:
         assert capsys.readouterr().out.strip() == \
             "x*dot_q_y + dot_x*q_y + q_y*dot_q_y"
 
+    def test_odd_lifts_golden(self, tmp_path, capsys):
+        """``mfc check`` and both lifts of a morphism with odd coordinates,
+        written out of chart order, byte for byte (the CI workspace odd.mfc)."""
+        ws = tmp_path / "odd.mfc"
+        ws.write_text(
+            "chart M { x : even, xi : odd, th : odd }\nchart N { y : even, eta : odd }\n"
+            "morphism Phi : M -> N kind=even { S = x*q_y + th*q_eta + x*q_eta*xi"
+            " + q_y*th*xi*x + 1/2*q_y^2 + q_y^2*q_y^2 }\n")
+        for argv in (["check"], ["lift", "--morphism", "Phi", "--tangent"],
+                     ["lift", "--morphism", "Phi", "--antitangent"]):
+            assert main([argv[0], str(ws), *argv[1:]]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "odd_lifts.txt").read_text()
+
     def test_verify_suite(self, capsys):
         code = main(["verify", "--suite", "functoriality", "--trials", "2"])
         assert code == 0

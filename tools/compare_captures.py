@@ -12,9 +12,10 @@ The exit status is 0 only when the files share at least one test (an empty
 capture, or one from a run that stopped at collection, shares none) and,
 over the shared tests,
 
-* the records whose name is not a kernel name (``mul``, ``deriv``,
-  ``partial``, ``substitute``) are equal, byte for byte and in the same
-  order, in both files, and
+* the records whose name is not a kernel name (a ``mfc.superalg`` row of
+  ``capture_outputs.TARGETS``: ``mul``, ``deriv``, ``partial``,
+  ``substitute``) are equal, byte for byte and in the same order, in both
+  files, and
 * the kernel records of CHANGE are a subsequence of those of PARENT: every
   one of them occurs in PARENT, in the same order, with others left out.
 
@@ -28,7 +29,10 @@ import json
 import sys
 from collections import Counter
 
-KERNEL = ("mul", "deriv", "partial", "substitute")
+import capture_outputs
+
+KERNEL = tuple(name for module, name, _ in capture_outputs.TARGETS
+               if module == capture_outputs.KERNEL)
 
 
 def read(path: str) -> list:
