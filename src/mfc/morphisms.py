@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .report import Report
 from .superalg import (
@@ -66,8 +66,7 @@ def combined_chart(source: Chart, target: Chart, kind: str,
     return cached_chart(f"{source.name}=>{target.name}", (*source.variables, *momenta))
 
 
-@dataclass(frozen=True)
-class Conjugate:
+class Conjugate(NamedTuple):
     """Target coordinate paired with (sign * momentum variable)."""
     coord: str
     momentum: str

@@ -38,7 +38,7 @@ import functools
 import operator
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, inf, lcm, prod
@@ -67,28 +67,25 @@ class ParityError(ValueError):
     """A parity constraint was violated."""
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(namedtuple("Variable", "name parity role weight base max_power")):
     """A named coordinate with parity, role and filtration weight.
 
     ``base`` records the coordinate a derived variable (velocity,
     momentum, ...) came from.  ``max_power`` is an optional nilpotency
     cap for even formal parameters (odd variables are capped at 1
-    implicitly, see ``Chart.bounds``).
+    implicitly, see ``Chart.bounds``).  A validated tuple, so that hashing
+    and comparing one, at every chart-cache lookup, runs in C.
     """
 
-    name: str
-    parity: Parity
-    role: str = ROLE_BASE
-    weight: int = 0
-    base: Optional[str] = None
-    max_power: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.parity not in (EVEN, ODD):
-            raise ParityError(f"bad parity for {self.name!r}: {self.parity}")
-        if self.weight < 0:
+    def __new__(cls, name: str, parity: Parity, role: str = ROLE_BASE, weight: int = 0,
+                base: Optional[str] = None, max_power: Optional[int] = None):
+        if parity not in (EVEN, ODD):
+            raise ParityError(f"bad parity for {name!r}: {parity}")
+        if weight < 0:
             raise ValueError("weight must be nonnegative")
+        return tuple.__new__(cls, (name, parity, role, weight, base, max_power))
 
 
 class Chart:
@@ -745,12 +742,15 @@ def embed(a: SuperSeries, chart: Chart, order: int) -> SuperSeries:
     weights, bounds = (*source.weights, inf), (*source.bounds, 0)  # the 0 after: any bound
     keep = (order >= a.order and all(map(operator.le, chart.weights, map(weights.__getitem__, at)))
             and all(map(operator.le, map(bounds.__getitem__, at), chart.bounds)))
+    # each monomial in one C call, but an itemgetter of one slot returns no tuple, of none raises
+    pick = (operator.itemgetter(*at) if len(at) > 1
+            else lambda m: tuple(map(m.__getitem__, at)))
     out: dict = {}
     for m, c in a.terms.items():
         if any(compress(m, missing)):
             v = next(compress(source.variables, map(operator.mul, m, missing)))
             raise KeyError(f"variable {v.name!r} occurs but is not on chart {chart.name!r}")
-        mono = tuple(map((*m, 0).__getitem__, at))
+        mono = pick((*m, 0))
         if keep or chart.admits(mono, order):
             out[mono] = c
     return SuperSeries(chart, out, order, _checked=True)

@@ -1,6 +1,7 @@
 """Thick morphisms: validation, base maps, relation identity, pullback
 and composition."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,18 @@ class TestValidation:
         swapped = [Conjugate("z", "q_z"), Conjugate("y", "q_y")]
         with pytest.raises(MorphismError, match="target momenta"):
             mk_thick(src, tgt, KIND_EVEN, S, ORDER, conjugates=swapped)
+
+    def test_conjugates_are_tuples_morphisms_dataclasses(self):
+        """A ``Conjugate`` is a tuple with the dataclass ``repr`` it had;
+        ``ThickMorphism`` stays a dataclass, which ``dataclasses.replace`` needs."""
+        phi = worked_example()
+        assert phi.conjugates == (Conjugate("y", "q_y"),) and isinstance(phi.conjugates[0], tuple)
+        assert repr(Conjugate("eta", "par_q_eta", -1)) == (
+            "Conjugate(coord='eta', momentum='par_q_eta', sign=-1)")
+        with pytest.raises(AttributeError):
+            phi.conjugates[0].sign = -1
+        flipped = dataclasses.replace(phi, kind=KIND_ODD)
+        assert flipped.kind == KIND_ODD and flipped.conjugates is phi.conjugates
 
     def test_momentum_parity_rejected(self):
         src, tgt = chart_x(), chart_y()

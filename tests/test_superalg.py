@@ -245,6 +245,45 @@ class TestHelpers:
         with pytest.raises(ValueError, match="negative powers are not supported"):
             var(make_chart(), "x") ** -1
 
+    def test_variable_is_a_validating_tuple(self):
+        """``Variable`` is a tuple: its checks run in ``__new__``, its fields are
+        read-only, equal fields hash equal, and its ``repr`` is the one chart
+        records print."""
+        with pytest.raises(ParityError, match="bad parity for 'th': 2"):
+            Chart("M", [Variable("x", EVEN), Variable("th", 2)])
+        with pytest.raises(ValueError, match="weight must be nonnegative"):
+            Variable("p", ODD, ROLE_ANTIMOMENTUM, -1, base="x")
+        v = Variable("q_x", ODD, ROLE_MOMENTUM, 1, base="x")  # positional role, as callers pass it
+        assert (v.name, v.parity, v.role, v.weight, v.base, v.max_power) == (
+            "q_x", ODD, ROLE_MOMENTUM, 1, "x", None)
+        with pytest.raises(AttributeError):
+            v.name = "q_y"
+        with pytest.raises(AttributeError):
+            v.cap = 1
+        w = Variable("q_x", ODD, weight=1, role=ROLE_MOMENTUM, base="x")
+        assert w == v and hash(w) == hash(v) and w is not v
+        assert Variable("q_x", ODD, ROLE_ANTIMOMENTUM, 1, base="x") != v
+        assert repr(v) == ("Variable(name='q_x', parity=1, role='momentum', weight=1, "
+                           "base='x', max_power=None)")
+        assert repr(Variable("t", EVEN, ROLE_PARAM, 1, max_power=2)) == (
+            "Variable(name='t', parity=0, role='formal-parameter', weight=1, base=None, "
+            "max_power=2)")
+
+    def test_embed_onto_narrow_charts(self):
+        """Target charts of no, one and two variables, where a term's exponents
+        cannot be picked by one multi-index ``itemgetter``."""
+        c = make_chart()
+        a = var(c, "x") ** 2 + var(c, "x") - 3
+        targets = [Chart("E", []), Chart("X", [c.var("x")]), Chart("XY", [c.var("y"), c.var("x")])]
+        for target in targets[1:]:
+            out = embed(a, target, ORDER)
+            assert out.terms == ref_embed(a, target, ORDER) and len(out.terms) == 3
+            assert all(type(m) is tuple and len(m) == len(target) for m in out.terms)
+        const = embed(SuperSeries.const(c, Fraction(5, 2), ORDER), targets[0], ORDER)
+        assert const.terms == ref_embed(const, targets[0], ORDER) == {(): Fraction(5, 2)}
+        with pytest.raises(KeyError, match="'x'"):
+            embed(a, targets[0], ORDER)
+
     def test_deriv_is_graded_derivation(self):
         """An odd derivation built from images satisfies the sign rule."""
         c = make_chart()
