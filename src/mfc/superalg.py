@@ -87,6 +87,10 @@ class Variable(namedtuple("Variable", "name parity role weight base max_power"))
             raise ValueError("weight must be nonnegative")
         return tuple.__new__(cls, (name, parity, role, weight, base, max_power))
 
+    @classmethod
+    def _make(cls, fields):  # so that ``_replace`` checks too
+        return cls(*fields)
+
 
 class Chart:
     """An ordered, named registry of variables.

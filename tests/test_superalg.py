@@ -260,6 +260,9 @@ class TestHelpers:
             v.name = "q_y"
         with pytest.raises(AttributeError):
             v.cap = 1
+        with pytest.raises(ParityError, match="bad parity for 'q_x': 2"):
+            v._replace(parity=2)
+        assert v._replace(max_power=1).max_power == 1 and v.max_power is None
         w = Variable("q_x", ODD, weight=1, role=ROLE_MOMENTUM, base="x")
         assert w == v and hash(w) == hash(v) and w is not v
         assert Variable("q_x", ODD, ROLE_ANTIMOMENTUM, 1, base="x") != v

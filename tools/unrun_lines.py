@@ -15,8 +15,11 @@ that is no ``#`` comment:
 
 An executable line is one that starts an instruction in some code object
 compiled from the file, the nested ones included, except a function's own
-first line, which is counted as run when the function is called.  Lines run
-in a subprocess are not seen.  The line tables differ between Python
+first line, which is counted as run when the function is called.  So a
+lambda or comprehension counts as run wherever its first line holds other
+code that ran: a branch that must stay reached needs a line of its own, as
+``superalg.embed``'s narrow-chart fallback has.  Lines run in a subprocess
+or in another thread are not seen.  The line tables differ between Python
 versions, so compare lists made on one version.  Tracing slows a run about
 fourfold.
 """
@@ -28,7 +31,6 @@ import importlib.util
 import os
 import pkgutil
 import sys
-import threading
 import types
 
 import pytest
@@ -70,12 +72,10 @@ class LineTracer:
         return self._local
 
     def start(self):
-        threading.settrace(self._global)
         sys.settrace(self._global)
 
     def stop(self):
         sys.settrace(None)
-        threading.settrace(None)
 
     def unrun(self) -> list:
         """``file:line: text`` for each executable line under ``root`` not seen run."""
